@@ -22,16 +22,13 @@
 //! JSON to `<target>/bench/BENCH_ablation_queue.json` for the
 //! `bench-compare` regression gate. When the committed baseline
 //! `bench/baselines/BENCH_ablation_queue.json` exists, a delta summary
-//! prints inline (the hard gate is `bench-compare`'s job). A previous
-//! generation stored plain-text results in `target/ablation_queue_last.txt`;
-//! that file is still read — with a deprecation warning — until the next
-//! release.
+//! prints inline (the hard gate is `bench-compare`'s job).
 //!
 //! `D4PY_BENCH_HANDICAP=<factor>` divides measured throughput; test-only,
 //! so the regression gate can be exercised end-to-end.
 
 use d4py_sync::channel;
-use d4py_sync::report::{BenchEntry, BenchReport, Better, EnvStamp};
+use d4py_sync::report::{BenchEntry, BenchReport, Better};
 use d4py_sync::stats::{summarize, StatsConfig, Summary};
 use d4py_sync::steal::StealQueue;
 use d4py_sync::{Condvar, Mutex};
@@ -243,69 +240,15 @@ fn baseline_path() -> PathBuf {
     workspace_root().join("bench/baselines/BENCH_ablation_queue.json")
 }
 
-/// Pre-JSON plain-text results — read-only deprecation shim, one release.
-fn legacy_txt_path() -> PathBuf {
-    workspace_root().join("target/ablation_queue_last.txt")
-}
-
-/// Loads the baseline: the versioned JSON if present, else the deprecated
-/// txt file (warned), else nothing.
+/// Loads the committed baseline, if there is a readable one.
 fn load_baseline() -> Option<BenchReport> {
     let json = baseline_path();
-    if json.exists() {
-        match BenchReport::load(&json) {
-            Ok(r) => return Some(r),
-            Err(e) => {
-                eprintln!("warning: unreadable baseline {}: {e}", json.display());
-                return None;
-            }
-        }
+    if !json.exists() {
+        return None;
     }
-    load_legacy_txt()
-}
-
-/// Parses the old `workers=<w> mutex=<r> lockfree=<r>` lines into a
-/// synthetic single-sample report so old baselines stay comparable for one
-/// release.
-fn load_legacy_txt() -> Option<BenchReport> {
-    let path = legacy_txt_path();
-    let text = std::fs::read_to_string(&path).ok()?;
-    eprintln!(
-        "warning: reading deprecated plain-text baseline {} — it lives in target/ \
-         (wiped by `cargo clean`) and stores no distributions; promote a JSON baseline \
-         with scripts/bench-baseline.sh. This shim goes away next release.",
-        path.display()
-    );
-    let mut report = BenchReport::new("ablation_queue", true);
-    report.env = EnvStamp::current();
-    for line in text.lines() {
-        let mut workers = None;
-        let mut mutex = None;
-        let mut lockfree = None;
-        for field in line.split_whitespace() {
-            if let Some((key, value)) = field.split_once('=') {
-                match key {
-                    "workers" => workers = value.parse::<usize>().ok(),
-                    "mutex" => mutex = value.parse::<f64>().ok(),
-                    "lockfree" => lockfree = value.parse::<f64>().ok(),
-                    _ => {}
-                }
-            }
-        }
-        if let (Some(w), Some(m), Some(l)) = (workers, mutex, lockfree) {
-            for (kind, rate) in [("mutex", m), ("lockfree", l)] {
-                report.benches.push(BenchEntry {
-                    id: format!("ablation_queue/{kind}/w{w}"),
-                    unit: "msg/s".into(),
-                    better: Better::Higher,
-                    samples: vec![rate],
-                    summary: summarize(&[rate], &StatsConfig::default()),
-                    noise_pct: None,
-                });
-            }
-        }
-    }
-    (!report.benches.is_empty()).then_some(report)
+    BenchReport::load(&json)
+        .inspect_err(|e| eprintln!("warning: unreadable baseline {}: {e}", json.display()))
+        .ok()
 }
 
 fn entry(id: String, s: Vec<f64>) -> BenchEntry {

@@ -215,6 +215,18 @@ impl MonitorStrategy for ProportionalStrategy {
     }
 }
 
+/// Constructor for a monitoring strategy over the run's queue.
+pub type StrategyBuilder = Box<dyn FnOnce(Arc<dyn TaskQueue>) -> Box<dyn MonitorStrategy> + Send>;
+
+/// Auto-scaling attachment for a dynamic run: the configuration plus a
+/// strategy constructor (the strategy usually needs the queue).
+pub struct AutoscaleSetup {
+    /// Scaler parameters.
+    pub config: AutoscaleConfig,
+    /// Builds the monitoring strategy over the run's queue.
+    pub strategy: StrategyBuilder,
+}
+
 /// Whether a worker passing the activation gate should run or stop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {

@@ -1,4 +1,5 @@
-//! Deterministic fault injection for the hybrid engine (DESIGN.md §10).
+//! Deterministic fault injection for the engine core, armed through the
+//! hybrid front door (DESIGN.md §10).
 //!
 //! A [`FaultPlan`] describes the faults one chaos run should suffer. The
 //! plan is *declarative* and fully deterministic: faults trigger on task

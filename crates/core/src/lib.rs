@@ -4,10 +4,12 @@
 //! the data model streamed between PEs ([`value`], [`codec`]), the
 //! processing-element API ([`pe`], [`executable`]), grouping-aware routing
 //! ([`routing`]), the evaluation metrics ([`metrics`]), platform simulation
-//! ([`platform`], [`workload`]), and the non-Redis enactment engines
-//! ([`mappings`]): `simple`, `multi`, `dyn_multi`, `dyn_auto_multi`, plus
-//! the generic dynamic and hybrid engines the Redis mappings (crate
-//! `d4py-redis`) plug their queues into.
+//! ([`platform`], [`workload`]), and the non-Redis mappings
+//! ([`mappings`]): `simple`, `multi`, `dyn_multi`, `dyn_auto_multi`,
+//! `hybrid_multi`. The dynamic family (`dyn_*`, `hybrid_*`) is one engine
+//! core behind two front doors ([`mappings::dynamic`],
+//! [`mappings::hybrid`]) that the Redis mappings (crate `d4py-redis`) plug
+//! their queues into.
 //!
 //! The auto-scaler of the paper's Algorithm 1 lives in [`autoscale`].
 //!

@@ -1,10 +1,12 @@
-//! The generic dynamic-scheduling engine (Figure 2 of the paper).
+//! Dynamic scheduling (Figure 2 of the paper): the front door.
 //!
 //! Every worker holds its own copy of the abstract workflow and pulls
 //! `(PE id, data)` tasks from a shared global queue; results are routed back
-//! into the queue. The engine is generic over [`TaskQueue`], so the same
-//! worker loop powers `dyn_multi` (in-process channel) and `dyn_redis`
-//! (Redis stream over the wire), with or without the auto-scaler.
+//! into the queue. The run is generic over [`TaskQueue`], so the same
+//! engine core (`mappings::engine`) powers `dyn_multi` (in-process queue) and
+//! `dyn_redis` (Redis stream over the wire), with or without the
+//! auto-scaler. The placement is the simplest one: no pinned slots, every
+//! worker in the pool.
 //!
 //! Termination implements §3.2.3: a worker that keeps finding the queue
 //! empty — after the engine's outstanding-task counter confirms no task is
@@ -12,66 +14,17 @@
 //! times, then broadcasts poison pills to stop the remaining workers
 //! quickly.
 
-use crate::autoscale::{AutoScaler, AutoscaleConfig, Gate, MonitorStrategy};
+use super::engine::{self, Driver, Plan};
+pub use crate::autoscale::{AutoscaleSetup, StrategyBuilder};
 use crate::error::CoreError;
 use crate::executable::Executable;
+use crate::fault::FaultPlan;
 use crate::mapping::require_stateless;
-use crate::metrics::{ActiveTimeLedger, LatencyHistogram, PeTaskCounts, RunReport};
+use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::pe::EmitBuffer;
 use crate::queue::TaskQueue;
-use crate::routing::{Route, Router};
-use crate::task::{QueueItem, Task};
-use d4py_graph::PeId;
-use d4py_sync::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Upper bound on one blocking batch pop in the worker loop. Large enough
-/// to amortize the parking layer on a hot queue, small enough that one
-/// worker cannot hoard a backlog other (possibly idle) workers could run —
-/// and bounded so a Pill drained mid-batch is acted on promptly.
-const POP_BATCH: usize = 32;
-
-/// Constructor for a monitoring strategy over the run's queue.
-pub type StrategyBuilder = Box<dyn FnOnce(Arc<dyn TaskQueue>) -> Box<dyn MonitorStrategy> + Send>;
-
-/// Auto-scaling attachment for a dynamic run: the configuration plus a
-/// strategy constructor (the strategy usually needs the queue).
-pub struct AutoscaleSetup {
-    /// Scaler parameters.
-    pub config: AutoscaleConfig,
-    /// Builds the monitoring strategy over the run's queue.
-    pub strategy: StrategyBuilder,
-}
-
-/// Shared state of one dynamic run.
-struct Engine {
-    exe: Executable,
-    queue: Arc<dyn TaskQueue>,
-    /// Tasks pushed but not yet fully processed (children are pushed before
-    /// the parent is counted done, so 0 ⇒ quiescent).
-    outstanding: AtomicUsize,
-    shutdown: AtomicBool,
-    tasks_executed: AtomicU64,
-    dropped_emissions: AtomicU64,
-    failed_tasks: AtomicU64,
-    pe_counts: PeTaskCounts,
-    latency: LatencyHistogram,
-    ledger: ActiveTimeLedger,
-    scaler: Option<AutoScaler>,
-    workers: usize,
-}
-
-impl Engine {
-    fn broadcast_pills(&self) {
-        for _ in 0..self.workers {
-            let _ = self.queue.push(QueueItem::Pill);
-        }
-    }
-}
 
 /// Runs a stateless workflow under dynamic scheduling on `queue`.
 ///
@@ -86,261 +39,28 @@ pub fn run_dynamic(
     if opts.workers == 0 {
         return Err(CoreError::InvalidOptions("workers must be ≥ 1".into()));
     }
-    let preflight_warnings = crate::preflight::preflight(exe, opts, autoscale.is_some())?;
+    let warnings = crate::preflight::preflight(exe, opts, autoscale.is_some())?;
     require_stateless(exe, mapping_name)?;
-    let started = Instant::now();
-
-    let (scaler, strategy_and_tick) = match autoscale {
-        None => (None, None),
-        Some(setup) => {
-            let scaler = AutoScaler::new(opts.workers, &setup.config);
-            let strategy = (setup.strategy)(queue.clone());
-            (Some(scaler), Some((strategy, setup.config.tick)))
-        }
+    let plan = Plan {
+        exe,
+        opts,
+        mapping: mapping_name,
+        started: Instant::now(),
+        global: queue,
+        pool: opts.workers,
+        slots: Vec::new(),
+        driver: Driver::WorkerRetries,
+        state: None,
+        faults: &FaultPlan::default(),
+        warnings,
     };
-
-    let engine = Arc::new(Engine {
-        exe: exe.clone(),
-        queue,
-        outstanding: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        tasks_executed: AtomicU64::new(0),
-        dropped_emissions: AtomicU64::new(0),
-        failed_tasks: AtomicU64::new(0),
-        pe_counts: PeTaskCounts::new(),
-        latency: LatencyHistogram::new(),
-        ledger: ActiveTimeLedger::new(opts.workers),
-        scaler,
-        workers: opts.workers,
-    });
-
-    // Seed the queue with one kickoff per source PE.
-    for source in engine.exe.graph().sources() {
-        engine.outstanding.fetch_add(1, Ordering::SeqCst);
-        engine.queue.push(QueueItem::Task(Task::kickoff(source)))?;
-    }
-
-    let monitor_handle = strategy_and_tick.map(|(strategy, tick)| {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            if let Some(scaler) = &engine.scaler {
-                scaler.run_monitor(strategy, tick);
-            }
-        })
-    });
-
-    let handles: Vec<_> = (0..opts.workers)
-        .map(|w| {
-            let engine = engine.clone();
-            let opts = opts.clone();
-            std::thread::spawn(move || dynamic_worker(w, &engine, &opts))
-        })
-        .collect();
-
-    let mut worker_error = None;
-    for (w, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => worker_error = Some(e),
-            Err(_) => worker_error = Some(CoreError::WorkerPanic { worker: w }),
-        }
-    }
-    if let Some(scaler) = &engine.scaler {
-        scaler.request_shutdown();
-    }
-    if let Some(h) = monitor_handle {
-        let _ = h.join();
-    }
-    if let Some(e) = worker_error {
-        return Err(e);
-    }
-
-    Ok(RunReport {
-        mapping: mapping_name.to_string(),
-        runtime: started.elapsed(),
-        process_time: engine.ledger.total(),
-        workers: opts.workers,
-        // relaxed: statistics counters, read only after every worker has
-        // been joined — the join is the synchronization point.
-        tasks_executed: engine.tasks_executed.load(Ordering::Relaxed),
-        scaling_trace: engine
-            .scaler
-            .as_ref()
-            .map(|s| s.trace().snapshot())
-            .unwrap_or_default(),
-        // relaxed: same post-join statistics reads as `tasks_executed`.
-        dropped_emissions: engine.dropped_emissions.load(Ordering::Relaxed),
-        failed_tasks: engine.failed_tasks.load(Ordering::Relaxed),
-        per_pe_tasks: engine.pe_counts.snapshot(),
-        task_latency: engine.latency.summary(),
-        queue_steals: engine.queue.steals().unwrap_or(0),
-        warnings: preflight_warnings,
-    })
-}
-
-/// The per-worker loop: gate (auto-scaling), pop, execute, route, repeat;
-/// initiate or obey poison-pill termination.
-fn dynamic_worker(
-    worker: usize,
-    engine: &Engine,
-    opts: &ExecutionOptions,
-) -> Result<(), CoreError> {
-    let graph = engine.exe.graph();
-    let mut pes: HashMap<PeId, Box<dyn crate::pe::ProcessingElement>> = HashMap::new();
-    let mut router = Router::new();
-    let mut retries: u32 = 0;
-    let term = opts.termination;
-
-    // Process-time span bookkeeping: active from now until parked/exit.
-    let span_start = Mutex::new(Some(Instant::now()));
-    let flush_span = |ledger: &ActiveTimeLedger| {
-        if let Some(start) = span_start.lock().take() {
-            ledger.record(worker, start.elapsed());
-        }
-    };
-    let open_span = || {
-        *span_start.lock() = Some(Instant::now());
-    };
-
-    loop {
-        if engine.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if let Some(scaler) = &engine.scaler {
-            let gate = scaler.gate(worker, |parked| {
-                if parked {
-                    flush_span(&engine.ledger);
-                } else {
-                    open_span();
-                }
-            });
-            if gate == Gate::Shutdown {
-                break;
-            }
-        }
-        let batch = engine
-            .queue
-            .pop_batch(worker, POP_BATCH, term.poll_timeout)?;
-        if batch.is_empty() {
-            let quiescent = !term.strict || engine.outstanding.load(Ordering::SeqCst) == 0;
-            if quiescent {
-                retries += 1;
-                if retries > term.max_retries {
-                    // This worker decides the workflow is done and
-                    // broadcasts poison pills (§3.2.3).
-                    engine.shutdown.store(true, Ordering::SeqCst);
-                    engine.broadcast_pills();
-                    if let Some(scaler) = &engine.scaler {
-                        scaler.request_shutdown();
-                    }
-                    break;
-                }
-            } else {
-                retries = 0;
-            }
-            continue;
-        }
-        let mut saw_pill = false;
-        for item in batch {
-            match item {
-                QueueItem::Pill => {
-                    // Obey the pill only after finishing the rest of this
-                    // batch: tasks drained alongside it were pushed with
-                    // outstanding-counter increments and must still run.
-                    saw_pill = true;
-                    engine.shutdown.store(true, Ordering::SeqCst);
-                    if let Some(scaler) = &engine.scaler {
-                        scaler.request_shutdown();
-                    }
-                }
-                QueueItem::Flush => { /* hybrid-only control; ignore */ }
-                QueueItem::Task(task) => {
-                    retries = 0;
-                    execute_task(worker, engine, graph, &mut pes, &mut router, task)?;
-                    // Saturating decrement: an at-least-once queue may re-deliver a
-                    // task, and a second decrement must not wrap the counter.
-                    let _ =
-                        engine
-                            .outstanding
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-                }
-            }
-        }
-        if saw_pill {
-            break;
-        }
-    }
-    flush_span(&engine.ledger);
-    Ok(())
-}
-
-/// Executes one task on this worker's private PE copy and routes emissions
-/// back into the global queue.
-fn execute_task(
-    worker: usize,
-    engine: &Engine,
-    graph: &d4py_graph::WorkflowGraph,
-    pes: &mut HashMap<PeId, Box<dyn crate::pe::ProcessingElement>>,
-    router: &mut Router,
-    task: Task,
-) -> Result<(), CoreError> {
-    let pe = match pes.entry(task.pe) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => e.insert(engine.exe.instantiate(task.pe)?),
-    };
-    let mut buf = EmitBuffer::new(worker, engine.workers);
-    let started = Instant::now();
-    if !crate::pe::process_guarded(pe, &task.port, task.value, &mut buf) {
-        // relaxed: monotonic statistics counter; the final read happens
-        // after the worker joins.
-        engine.failed_tasks.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    engine.latency.record(started.elapsed());
-    // relaxed: monotonic statistics counter; the final read happens after
-    // the worker joins.
-    engine.tasks_executed.fetch_add(1, Ordering::Relaxed);
-    if let Some(spec) = graph.pe(task.pe) {
-        engine.pe_counts.add(&spec.name, 1);
-    }
-    let mut fan_out: Vec<QueueItem> = Vec::new();
-    for (port, value) in buf.drain() {
-        for (conn_id, conn) in graph.outgoing_from_port(task.pe, &port) {
-            // Stateless validation guarantees Shuffle; Route::One(_) under
-            // dynamic scheduling means "any worker", so the instance index
-            // is discarded — the queue pop decides who runs it.
-            match router.route(conn_id, &conn.grouping, &value, 1) {
-                Route::One(_) => {
-                    fan_out.push(QueueItem::Task(Task::new(
-                        conn.to_pe,
-                        conn.to_port.clone(),
-                        value.clone(),
-                    )));
-                }
-                Route::All => {
-                    // Unreachable after require_stateless; count defensively.
-                    // relaxed: monotonic statistics counter.
-                    engine.dropped_emissions.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-    if !fan_out.is_empty() {
-        // Children are counted before the parent's decrement (quiescence
-        // invariant) and pushed as one batch tagged with this worker's
-        // identity: one wakeup for the whole fan-out, and a work-stealing
-        // queue keeps it on this worker's local.
-        engine
-            .outstanding
-            .fetch_add(fan_out.len(), Ordering::SeqCst);
-        engine.queue.push_batch(Some(worker), fan_out)?;
-    }
-    Ok(())
+    engine::run(plan, autoscale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscale::AutoscaleConfig;
     use crate::pe::{Collector, Context, FnSource, FnTransform};
     use crate::queue::ChannelQueue;
     use crate::value::Value;

@@ -1,4 +1,4 @@
-//! The generic hybrid engine behind `hybrid_redis` (§3.1.2).
+//! Hybrid scheduling, behind `hybrid_redis` (§3.1.2): the front door.
 //!
 //! Hybrid dynamic scheduling handles workflows that mix stateless and
 //! stateful PEs:
@@ -13,31 +13,22 @@
 //!   global → instance 0, …) — "eliminating the need for continuous state
 //!   synchronization".
 //!
-//! The engine is generic over a [`QueueFactory`], so the paper's
-//! `hybrid_redis` (queues = Redis streams) and an in-process ablation
-//! variant share this implementation.
-//!
-//! Completion uses a coordinator: once the outstanding-task counter reads
-//! zero, stateful PEs are flushed (`on_done`) in topological order — flush
-//! emissions may create new work, which drains before the next PE flushes —
-//! and finally poison pills stop every worker.
+//! This module plans that placement over a [`QueueFactory`] (Redis streams
+//! for `hybrid_redis`, channels for the in-process ablation); the engine
+//! core (`mappings::engine`) runs it under a coordinator: at quiescence the
+//! stateful PEs are flushed in topological order, then pills stop everyone.
 
+use super::engine::{self, Driver, Plan, Slot};
 use crate::error::CoreError;
 use crate::executable::Executable;
-use crate::fault::{FaultPlan, PillStorm};
-use crate::metrics::{ActiveTimeLedger, PeTaskCounts, RunReport};
+use crate::fault::FaultPlan;
+use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::pe::EmitBuffer;
 use crate::queue::{ChannelQueue, TaskQueue};
-use crate::routing::{Route, Router};
-use crate::state::{slot_name, StateStore};
-use crate::task::{QueueItem, Task};
-use d4py_graph::{PeId, WorkflowGraph};
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use crate::state::StateStore;
+use d4py_graph::PeId;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Builds the queues a hybrid run needs: one global queue plus one private
 /// queue per stateful instance.
@@ -57,259 +48,6 @@ impl QueueFactory for ChannelQueueFactory {
     fn make(&self, _name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
         Ok(Arc::new(ChannelQueue::new(consumers)))
     }
-}
-
-/// A stateful PE instance pinned to a dedicated worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct StatefulSlot {
-    pe: PeId,
-    instance: usize,
-}
-
-/// Shared state of a hybrid run.
-struct HybridEngine {
-    exe: Executable,
-    global: Arc<dyn TaskQueue>,
-    /// Private queue per stateful slot.
-    private: HashMap<StatefulSlot, Arc<dyn TaskQueue>>,
-    /// Instance count per stateful PE.
-    stateful_instances: HashMap<PeId, usize>,
-    outstanding: AtomicUsize,
-    flushes_pending: AtomicUsize,
-    shutdown: AtomicBool,
-    tasks_executed: AtomicU64,
-    dropped_emissions: AtomicU64,
-    failed_tasks: AtomicU64,
-    pe_counts: PeTaskCounts,
-    ledger: ActiveTimeLedger,
-    stateless_workers: usize,
-    /// Optional state externalization for stateful instances.
-    state: Option<Arc<dyn StateStore>>,
-    /// Non-fatal degradations (e.g. warm starts skipped over damaged
-    /// frames), surfaced through [`RunReport::warnings`].
-    warnings: d4py_sync::Mutex<Vec<String>>,
-
-    // --- fault injection (see crate::fault) -------------------------------
-    /// Straggler target, resolved to a PE id, with its extra service time.
-    straggler: Option<(PeId, Duration)>,
-    /// Crash target: (slot, dies after this many tasks).
-    crash_slot: Option<(StatefulSlot, u64)>,
-    /// Pill-storm schedule, fired at most once per run.
-    pill_storm: Option<PillStorm>,
-    storm_fired: AtomicBool,
-    /// Set by a crashing worker so the coordinator stops waiting for
-    /// quiescence that will never come.
-    crashed: AtomicBool,
-    /// Pills observed before the engine's shutdown flag was set. Legitimate
-    /// termination always stores `shutdown` *before* broadcasting pills, so
-    /// these are injected/foreign and are ignored (and counted).
-    spurious_pills: AtomicU64,
-    /// Transient transport errors absorbed by the retry budget.
-    transport_retries_used: AtomicU64,
-    /// Per-operation retry budget, from [`ExecutionOptions::transport_retries`].
-    transport_retries: u32,
-}
-
-impl HybridEngine {
-    /// Runs one queue operation, absorbing up to `transport_retries`
-    /// consecutive [`CoreError::Queue`] transport errors before giving up.
-    ///
-    /// The redis-lite client already retries *idempotent* commands
-    /// internally; stream appends and group reads are excluded there because
-    /// the client cannot know whether a half-written command took effect.
-    /// At the engine level the calculus differs: chaos-injected faults are
-    /// fail-fast (the connection dies before the request is written), and a
-    /// re-delivered task is tolerated by the saturating outstanding
-    /// decrement — so a bounded blind retry converts a dropped connection
-    /// from a failed run into a warning. Absorbed retries are counted and
-    /// surfaced through [`RunReport::warnings`].
-    fn retrying<T>(&self, mut op: impl FnMut() -> Result<T, CoreError>) -> Result<T, CoreError> {
-        let mut attempts = 0u32;
-        loop {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(CoreError::Queue(_)) if attempts < self.transport_retries => {
-                    attempts += 1;
-                    // relaxed: monotonic statistics counter; read after joins.
-                    self.transport_retries_used.fetch_add(1, Ordering::Relaxed);
-                    // sleep: brief fixed backoff before re-minting the
-                    // connection; the retry budget bounds total delay.
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Straggler fault: the extra service time for `pe`'s tasks, if armed.
-    fn straggler_delay(&self, pe: PeId) -> Option<Duration> {
-        match self.straggler {
-            Some((target, extra)) if target == pe => Some(extra),
-            _ => None,
-        }
-    }
-
-    /// Pill-storm fault: once the engine-wide executed-task counter crosses
-    /// the threshold, inject the configured number of spurious pills into
-    /// the global queue (at most once per run).
-    fn maybe_fire_storm(&self) -> Result<(), CoreError> {
-        let Some(storm) = self.pill_storm else {
-            return Ok(());
-        };
-        // relaxed: threshold probe on a statistics counter; the swap below
-        // is the once-only guard.
-        if self.tasks_executed.load(Ordering::Relaxed) < storm.after_tasks {
-            return Ok(());
-        }
-        if self.storm_fired.swap(true, Ordering::SeqCst) {
-            return Ok(());
-        }
-        for _ in 0..storm.pills {
-            self.retrying(|| self.global.push(QueueItem::Pill))?;
-        }
-        Ok(())
-    }
-
-    /// Routes one emitted value across one connection, from any worker.
-    ///
-    /// Stateful targets go straight to their private queue; stateless targets
-    /// are buffered into `global_batch` so the caller can flush one batch per
-    /// emission drain instead of paying a queue round-trip per task.
-    fn route_connection(
-        &self,
-        router: &mut Router,
-        conn_id: d4py_graph::ConnectionId,
-        conn: &d4py_graph::Connection,
-        value: &crate::value::Value,
-        global_batch: &mut Vec<QueueItem>,
-    ) -> Result<(), CoreError> {
-        match self.stateful_instances.get(&conn.to_pe) {
-            Some(&n) => match router.route(conn_id, &conn.grouping, value, n) {
-                Route::One(i) => self.push_private(conn.to_pe, i, &conn.to_port, value.clone()),
-                Route::All => {
-                    for i in 0..n {
-                        self.push_private(conn.to_pe, i, &conn.to_port, value.clone())?;
-                    }
-                    Ok(())
-                }
-            },
-            None => {
-                // Stateless target: validation guarantees a shuffle grouping;
-                // delivery order is decided by whoever pops first.
-                let _ = router.route(conn_id, &conn.grouping, value, 1);
-                global_batch.push(QueueItem::Task(Task::new(
-                    conn.to_pe,
-                    conn.to_port.clone(),
-                    value.clone(),
-                )));
-                Ok(())
-            }
-        }
-    }
-
-    fn push_private(
-        &self,
-        pe: PeId,
-        instance: usize,
-        port: &str,
-        value: crate::value::Value,
-    ) -> Result<(), CoreError> {
-        let q = self
-            .private
-            .get(&StatefulSlot { pe, instance })
-            .ok_or_else(|| CoreError::Queue(format!("no private queue for {pe}#{instance}")))?;
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
-        let item = QueueItem::Task(Task::pinned(pe, instance, port, value));
-        if self.transport_retries == 0 {
-            q.push(item)
-        } else {
-            self.retrying(|| q.push(item.clone()))
-        }
-    }
-
-    /// Routes everything a PE emitted.
-    ///
-    /// Stateless-bound tasks are accumulated and flushed as one batch: the
-    /// outstanding counter is bumped by the batch size *before* the push so
-    /// the coordinator can never observe children after their parent's
-    /// decrement (quiescence stays conservative). `producer` is the global
-    /// pool consumer index of the emitting worker, when it has one, so a
-    /// work-stealing queue can keep the fan-out local.
-    fn route_emissions(
-        &self,
-        graph: &WorkflowGraph,
-        from: PeId,
-        buf: &mut EmitBuffer,
-        router: &mut Router,
-        producer: Option<usize>,
-    ) -> Result<(), CoreError> {
-        let mut global_batch = Vec::new();
-        for (port, value) in buf.drain() {
-            let mut delivered = false;
-            for (conn_id, conn) in graph.outgoing_from_port(from, &port) {
-                delivered = true;
-                self.route_connection(router, conn_id, conn, &value, &mut global_batch)?;
-            }
-            if !delivered && graph.outgoing(from).next().is_some() {
-                // relaxed: monotonic statistics counter; read after joins.
-                self.dropped_emissions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if !global_batch.is_empty() {
-            self.outstanding
-                .fetch_add(global_batch.len(), Ordering::SeqCst);
-            if self.transport_retries == 0 {
-                self.global.push_batch(producer, global_batch)?;
-            } else {
-                self.retrying(|| self.global.push_batch(producer, global_batch.clone()))?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Validates hybrid preconditions and computes the stateful slots.
-fn plan_stateful(
-    graph: &WorkflowGraph,
-    workers: usize,
-    mapping: &'static str,
-) -> Result<(Vec<StatefulSlot>, usize), CoreError> {
-    let mut slots = Vec::new();
-    for pe in graph.stateful_pes() {
-        let n = graph.pe(pe).and_then(|s| s.instances).unwrap_or(1);
-        for i in 0..n {
-            slots.push(StatefulSlot { pe, instance: i });
-        }
-    }
-    for c in graph.connections() {
-        if c.grouping.is_broadcast() && !graph.is_effectively_stateful(c.to_pe) {
-            let name = graph
-                .pe(c.to_pe)
-                .map(|p| p.name.clone())
-                .unwrap_or_default();
-            return Err(CoreError::UnsupportedWorkflow {
-                mapping,
-                reason: format!(
-                    "one-to-all into stateless PE '{name}' cannot be routed dynamically; \
-                     mark the PE stateful to pin its instances"
-                ),
-            });
-        }
-    }
-    let has_stateless = graph.pe_ids().any(|id| !graph.is_effectively_stateful(id));
-    let needed = slots.len() + usize::from(has_stateless);
-    if workers < needed {
-        return Err(CoreError::UnsupportedWorkflow {
-            mapping,
-            reason: format!(
-                "{} stateful instances plus {} stateless pool require ≥ {needed} workers, got {workers}",
-                slots.len(),
-                usize::from(has_stateless)
-            ),
-        });
-    }
-    let stateless_workers = workers - slots.len();
-    Ok((slots, stateless_workers))
 }
 
 /// Runs a (possibly stateful) workflow under the hybrid strategy.
@@ -332,14 +70,8 @@ pub fn run_hybrid_with_state(
     mapping_name: &'static str,
     state: Option<Arc<dyn StateStore>>,
 ) -> Result<RunReport, CoreError> {
-    run_hybrid_with_faults(
-        exe,
-        opts,
-        factory,
-        mapping_name,
-        state,
-        &FaultPlan::default(),
-    )
+    let healthy = FaultPlan::default();
+    run_hybrid_with_faults(exe, opts, factory, mapping_name, state, &healthy)
 }
 
 /// [`run_hybrid_with_state`] under a chaos [`FaultPlan`] (see
@@ -355,420 +87,61 @@ pub fn run_hybrid_with_faults(
     if opts.workers == 0 {
         return Err(CoreError::InvalidOptions("workers must be ≥ 1".into()));
     }
-    let preflight_warnings = crate::preflight::preflight(exe, opts, false)?;
+    let warnings = crate::preflight::preflight(exe, opts, false)?;
     let started = Instant::now();
     let graph = exe.graph();
-    let (slots, stateless_workers) = plan_stateful(graph, opts.workers, mapping_name)?;
-
-    // Resolve fault targets (named PEs) against this graph up front, so a
-    // typo in a scenario is an options error, not a silently healthy run.
-    let resolve = |name: &str| -> Result<PeId, CoreError> {
-        graph
-            .pe_ids()
-            .find(|id| graph.pe(*id).map(|s| s.name == name).unwrap_or(false))
-            .ok_or_else(|| {
-                CoreError::InvalidOptions(format!("fault plan targets unknown PE '{name}'"))
-            })
+    let unsupported = |reason: String| CoreError::UnsupportedWorkflow {
+        mapping: mapping_name,
+        reason,
     };
-    let straggler = match &faults.straggler {
-        Some(s) => Some((resolve(&s.pe)?, s.extra)),
-        None => None,
-    };
-    let crash_slot = match &faults.crash {
-        Some(c) => {
-            let pe = resolve(&c.pe)?;
-            let slot = StatefulSlot {
+    for c in graph.connections() {
+        if c.grouping.is_broadcast() && !graph.is_effectively_stateful(c.to_pe) {
+            let name = graph.pe(c.to_pe).map_or("", |p| &p.name);
+            return Err(unsupported(format!(
+                "one-to-all into stateless PE '{name}' cannot be routed dynamically; \
+                 mark the PE stateful to pin its instances"
+            )));
+        }
+    }
+    // One slot per stateful instance; the remaining workers form the pool.
+    let instances = |pe: PeId| graph.pe(pe).and_then(|s| s.instances).unwrap_or(1);
+    let stateful = graph.stateful_pes();
+    let pinned: usize = stateful.iter().map(|&pe| instances(pe)).sum();
+    let stateless = usize::from(graph.pe_count() > stateful.len());
+    if opts.workers < pinned + stateless {
+        return Err(unsupported(format!(
+            "{pinned} stateful instances plus {stateless} stateless pool require ≥ {} workers, got {}",
+            pinned + stateless,
+            opts.workers
+        )));
+    }
+    let pool = opts.workers - pinned;
+    let global = factory.make("global", pool.max(1))?;
+    let mut slots = Vec::with_capacity(pinned);
+    for pe in stateful {
+        for instance in 0..instances(pe) {
+            let queue = factory.make(&format!("private:{}:{instance}", pe.0), 1)?;
+            slots.push(Slot {
                 pe,
-                instance: c.instance,
-            };
-            if !slots.contains(&slot) {
-                return Err(CoreError::InvalidOptions(format!(
-                    "crash fault targets '{}'#{} which is not a pinned stateful instance",
-                    c.pe, c.instance
-                )));
-            }
-            Some((slot, c.after_tasks))
+                instance,
+                queue,
+            });
         }
-        None => None,
-    };
-
-    let global = factory.make("global", stateless_workers.max(1))?;
-    let mut private = HashMap::new();
-    let mut stateful_instances: HashMap<PeId, usize> = HashMap::new();
-    for slot in &slots {
-        let name = format!("private:{}:{}", slot.pe.0, slot.instance);
-        private.insert(*slot, factory.make(&name, 1)?);
-        *stateful_instances.entry(slot.pe).or_insert(0) += 1;
     }
-
-    let engine = Arc::new(HybridEngine {
-        exe: exe.clone(),
+    let plan = Plan {
+        exe,
+        opts,
+        mapping: mapping_name,
+        started,
         global,
-        private,
-        stateful_instances,
-        outstanding: AtomicUsize::new(0),
-        flushes_pending: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
-        tasks_executed: AtomicU64::new(0),
-        dropped_emissions: AtomicU64::new(0),
-        failed_tasks: AtomicU64::new(0),
-        pe_counts: PeTaskCounts::new(),
-        ledger: ActiveTimeLedger::new(opts.workers),
-        stateless_workers,
+        pool,
+        slots,
+        driver: Driver::Coordinator,
         state,
-        warnings: d4py_sync::Mutex::new(preflight_warnings),
-        straggler,
-        crash_slot,
-        pill_storm: faults.pill_storm,
-        storm_fired: AtomicBool::new(false),
-        crashed: AtomicBool::new(false),
-        spurious_pills: AtomicU64::new(0),
-        transport_retries_used: AtomicU64::new(0),
-        transport_retries: opts.transport_retries,
-    });
-
-    // Seed kickoffs: stateless sources to the global queue; stateful sources
-    // (unusual) to each pinned instance.
-    for source in graph.sources() {
-        if let Some(&n) = engine.stateful_instances.get(&source) {
-            for i in 0..n {
-                engine.outstanding.fetch_add(1, Ordering::SeqCst);
-                let q = &engine.private[&StatefulSlot {
-                    pe: source,
-                    instance: i,
-                }];
-                engine.retrying(|| {
-                    q.push(QueueItem::Task(Task::pinned(
-                        source,
-                        i,
-                        crate::task::KICKOFF_PORT,
-                        crate::value::Value::Null,
-                    )))
-                })?;
-            }
-        } else {
-            engine.outstanding.fetch_add(1, Ordering::SeqCst);
-            engine.retrying(|| engine.global.push(QueueItem::Task(Task::kickoff(source))))?;
-        }
-    }
-
-    // Spawn workers: slots first (workers 0..S), then the stateless pool.
-    let mut handles = Vec::with_capacity(opts.workers);
-    for (w, slot) in slots.iter().copied().enumerate() {
-        let engine = engine.clone();
-        let opts = opts.clone();
-        handles.push(std::thread::spawn(move || {
-            stateful_worker(w, slot, &engine, &opts)
-        }));
-    }
-    for w in slots.len()..opts.workers {
-        let engine = engine.clone();
-        let opts = opts.clone();
-        handles.push(std::thread::spawn(move || {
-            stateless_worker(w, &engine, &opts)
-        }));
-    }
-
-    // Coordinator: wait for quiescence, flush stateful PEs in topo order,
-    // then broadcast pills.
-    let settle = Duration::from_millis(1);
-    let wait_quiescent = |engine: &HybridEngine| {
-        // A crashed worker leaves its queue undrained, so its outstanding
-        // tasks never complete — stop waiting and move straight to teardown.
-        while (engine.outstanding.load(Ordering::SeqCst) != 0
-            || engine.flushes_pending.load(Ordering::SeqCst) != 0)
-            && !engine.crashed.load(Ordering::SeqCst)
-        {
-            // sleep: quiescence poll between drain rounds; the outstanding
-            // counters are the real signal, the sleep only paces the poll.
-            std::thread::sleep(settle);
-        }
-    };
-    wait_quiescent(&engine);
-    for pe in graph.topological_order()? {
-        if engine.crashed.load(Ordering::SeqCst) {
-            // Skip the remaining flushes: on_done output would be partial,
-            // and — crucially for recovery — no snapshots are written, so
-            // the state store keeps the last *completed* checkpoint.
-            break;
-        }
-        let Some(&n) = engine.stateful_instances.get(&pe) else {
-            continue;
-        };
-        engine.flushes_pending.fetch_add(n, Ordering::SeqCst);
-        for i in 0..n {
-            let q = &engine.private[&StatefulSlot { pe, instance: i }];
-            engine.retrying(|| q.push(QueueItem::Flush))?;
-        }
-        wait_quiescent(&engine);
-    }
-    engine.shutdown.store(true, Ordering::SeqCst);
-    for _ in 0..stateless_workers {
-        engine.retrying(|| engine.global.push(QueueItem::Pill))?;
-    }
-    for slot in &slots {
-        let q = &engine.private[slot];
-        engine.retrying(|| q.push(QueueItem::Pill))?;
-    }
-
-    let mut worker_error: Option<CoreError> = None;
-    for (w, h) in handles.into_iter().enumerate() {
-        match h.join() {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                // An injected fault is the root cause of any collateral
-                // worker errors — make sure it is the one reported.
-                let injected = matches!(e, CoreError::InjectedFault(_));
-                if injected || worker_error.is_none() {
-                    worker_error = Some(e);
-                }
-            }
-            Err(_) => {
-                if worker_error.is_none() {
-                    worker_error = Some(CoreError::WorkerPanic { worker: w });
-                }
-            }
-        }
-    }
-    if let Some(e) = worker_error {
-        return Err(e);
-    }
-    // relaxed: statistics counters, read only after every worker has been
-    // joined — the join is the synchronization point.
-    let retries_used = engine.transport_retries_used.load(Ordering::Relaxed);
-    if retries_used > 0 {
-        engine.warnings.lock().push(format!(
-            "absorbed {retries_used} transient transport error(s) via retry"
-        ));
-    }
-    // relaxed: statistics counter, read after joins (see above).
-    let spurious = engine.spurious_pills.load(Ordering::Relaxed);
-    if spurious > 0 {
-        engine.warnings.lock().push(format!(
-            "ignored {spurious} spurious poison pill(s) received before shutdown"
-        ));
-    }
-    let warnings = std::mem::take(&mut *engine.warnings.lock());
-
-    Ok(RunReport {
-        mapping: mapping_name.to_string(),
-        runtime: started.elapsed(),
-        process_time: engine.ledger.total(),
-        workers: opts.workers,
-        // relaxed: statistics counters, read only after every worker has
-        // been joined — the join is the synchronization point.
-        tasks_executed: engine.tasks_executed.load(Ordering::Relaxed),
-        scaling_trace: vec![],
-        dropped_emissions: engine.dropped_emissions.load(Ordering::Relaxed),
-        failed_tasks: engine.failed_tasks.load(Ordering::Relaxed),
-        per_pe_tasks: engine.pe_counts.snapshot(),
-        task_latency: crate::metrics::LatencySummary::default(),
-        queue_steals: engine.global.steals().unwrap_or(0),
+        faults,
         warnings,
-    })
-}
-
-/// Dedicated worker for one stateful instance: pops its private queue only.
-fn stateful_worker(
-    worker: usize,
-    slot: StatefulSlot,
-    engine: &HybridEngine,
-    opts: &ExecutionOptions,
-) -> Result<(), CoreError> {
-    let active_since = Instant::now();
-    let graph = engine.exe.graph();
-    let mut pe = engine.exe.instantiate(slot.pe)?;
-    let mut router = Router::new();
-    let queue = engine.private[&slot].clone();
-    let n_instances = engine.stateful_instances[&slot.pe];
-    let pe_name = graph
-        .pe(slot.pe)
-        .map(|s| s.name.clone())
-        .unwrap_or_default();
-
-    // Warm start: restore externalized state before the first input. A
-    // damaged or future-versioned snapshot frame is a *degradation*, not a
-    // failure: the instance starts cold and the reason is reported via
-    // `RunReport::warnings`. Only transport-level store errors abort.
-    if let Some(store) = &engine.state {
-        let slot_key = slot_name(&pe_name, slot.instance);
-        match store.load(&slot_key) {
-            Ok(Some(saved)) => pe.restore(saved),
-            Ok(None) => {}
-            Err(CoreError::Snapshot(e)) => {
-                engine
-                    .warnings
-                    .lock()
-                    .push(format!("warm start skipped for {slot_key}: {e}"));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Crash fault armed for this slot: the worker dies after that many tasks.
-    let crash_after = match engine.crash_slot {
-        Some((target, after)) if target == slot => Some(after),
-        _ => None,
     };
-    let mut processed: u64 = 0;
-
-    loop {
-        match engine.retrying(|| queue.pop(0, opts.termination.poll_timeout))? {
-            Some(QueueItem::Pill) => {
-                if engine.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // A pill before shutdown is never legitimate (termination
-                // stores the flag first): swallow it and keep working.
-                // relaxed: monotonic statistics counter; read after joins.
-                engine.spurious_pills.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(QueueItem::Flush) => {
-                // Externalize the final state before on_done may drain it.
-                if let Some(store) = &engine.state {
-                    if let Some(snapshot) = pe.snapshot() {
-                        store.save(&slot_name(&pe_name, slot.instance), &snapshot)?;
-                    }
-                }
-                let mut buf = EmitBuffer::new(slot.instance, n_instances);
-                pe.on_done(&mut buf);
-                engine.route_emissions(graph, slot.pe, &mut buf, &mut router, None)?;
-                engine.flushes_pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            Some(QueueItem::Task(task)) => {
-                if let Some(extra) = engine.straggler_delay(slot.pe) {
-                    // sleep: injected straggler fault — inflate this PE's
-                    // service time by a fixed delay per task.
-                    std::thread::sleep(extra);
-                }
-                let mut buf = EmitBuffer::new(slot.instance, n_instances);
-                if crate::pe::process_guarded(&mut pe, &task.port, task.value, &mut buf) {
-                    // relaxed: monotonic statistics counter; read after joins.
-                    engine.tasks_executed.fetch_add(1, Ordering::Relaxed);
-                    engine.pe_counts.add(&pe_name, 1);
-                } else {
-                    // relaxed: monotonic statistics counter; read after joins.
-                    engine.failed_tasks.fetch_add(1, Ordering::Relaxed);
-                }
-                processed += 1;
-                if crash_after.map(|after| processed >= after).unwrap_or(false) {
-                    // Die like a real crash: in-flight emissions are lost, no
-                    // snapshot is written, the outstanding count never drains.
-                    engine.ledger.record(worker, active_since.elapsed());
-                    engine.crashed.store(true, Ordering::SeqCst);
-                    return Err(CoreError::InjectedFault(format!(
-                        "worker for {pe_name}#{} crashed after {processed} task(s)",
-                        slot.instance
-                    )));
-                }
-                engine.route_emissions(graph, slot.pe, &mut buf, &mut router, None)?;
-                // Saturating decrement: an at-least-once queue may re-deliver a
-                // task, and a second decrement must not wrap the counter.
-                let _ = engine
-                    .outstanding
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-                engine.maybe_fire_storm()?;
-            }
-            None => {
-                if engine.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-        }
-    }
-    engine.ledger.record(worker, active_since.elapsed());
-    Ok(())
-}
-
-/// Stateless pool worker: identical to the plain dynamic loop, but routes
-/// through the hybrid router so outputs can land in private queues.
-fn stateless_worker(
-    worker: usize,
-    engine: &HybridEngine,
-    opts: &ExecutionOptions,
-) -> Result<(), CoreError> {
-    let active_since = Instant::now();
-    let graph = engine.exe.graph();
-    let mut pes: HashMap<PeId, Box<dyn crate::pe::ProcessingElement>> = HashMap::new();
-    let mut router = Router::new();
-    let queue = engine.global.clone();
-    let consumer = worker.saturating_sub(engine.private.len());
-
-    /// How many tasks a stateless worker drains per queue visit.
-    const POP_BATCH: usize = 32;
-
-    loop {
-        let batch = engine
-            .retrying(|| queue.pop_batch(consumer, POP_BATCH, opts.termination.poll_timeout))?;
-        if batch.is_empty() {
-            if engine.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            continue;
-        }
-        // A pill may arrive mid-batch; finish the tasks drained alongside it
-        // (their outstanding decrements must still happen) before exiting.
-        let mut saw_pill = false;
-        for item in batch {
-            match item {
-                QueueItem::Pill => {
-                    if engine.shutdown.load(Ordering::SeqCst) {
-                        saw_pill = true;
-                    } else {
-                        // Spurious (injected) pill: termination always sets
-                        // the shutdown flag before broadcasting pills.
-                        // relaxed: monotonic statistics counter; read after
-                        // joins.
-                        engine.spurious_pills.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                QueueItem::Flush => { /* not expected on the global queue */ }
-                QueueItem::Task(task) => {
-                    if let Some(extra) = engine.straggler_delay(task.pe) {
-                        // sleep: injected straggler fault — inflate this PE's
-                        // service time by a fixed delay per task.
-                        std::thread::sleep(extra);
-                    }
-                    let pe = match pes.entry(task.pe) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(engine.exe.instantiate(task.pe)?)
-                        }
-                    };
-                    let mut buf = EmitBuffer::new(worker, engine.stateless_workers);
-                    if crate::pe::process_guarded(pe, &task.port, task.value, &mut buf) {
-                        // relaxed: monotonic statistics counter; read after joins.
-                        engine.tasks_executed.fetch_add(1, Ordering::Relaxed);
-                        if let Some(spec) = graph.pe(task.pe) {
-                            engine.pe_counts.add(&spec.name, 1);
-                        }
-                    } else {
-                        // relaxed: monotonic statistics counter; read after joins.
-                        engine.failed_tasks.fetch_add(1, Ordering::Relaxed);
-                    }
-                    engine.route_emissions(
-                        graph,
-                        task.pe,
-                        &mut buf,
-                        &mut router,
-                        Some(consumer),
-                    )?;
-                    // Saturating decrement: an at-least-once queue may re-deliver
-                    // a task, and a second decrement must not wrap the counter.
-                    let _ =
-                        engine
-                            .outstanding
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1));
-                    engine.maybe_fire_storm()?;
-                }
-            }
-        }
-        if saw_pill {
-            break;
-        }
-    }
-    engine.ledger.record(worker, active_since.elapsed());
-    Ok(())
+    engine::run(plan, None)
 }
 
 /// In-process hybrid mapping (ablation baseline: same strategy as
@@ -791,9 +164,13 @@ mod tests {
     use super::*;
     use crate::mapping::Mapping;
     use crate::pe::{Collector, Context, FnSource, ProcessingElement};
+    use crate::task::QueueItem;
     use crate::value::Value;
     use d4py_graph::{Grouping, PeSpec};
     use d4py_sync::Mutex;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     /// word-count-like stateful workflow: source → (group-by key) counter →
     /// (global) top-1 reducer → collector via on_done chains.

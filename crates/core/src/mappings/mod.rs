@@ -1,8 +1,11 @@
-//! Enactment engines: simple, static multi, dynamic, auto-scaling, hybrid.
+//! Enactment engines: `simple` and static `multi`, each with its own loop,
+//! and the dynamic family (dynamic, auto-scaling, hybrid): one private
+//! engine core behind the `dynamic` and `hybrid` front doors.
 
 pub mod dyn_auto_multi;
 pub mod dyn_multi;
 pub mod dynamic;
+mod engine;
 pub mod hybrid;
 pub mod multi;
 pub mod simple;

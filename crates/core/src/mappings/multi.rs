@@ -14,7 +14,7 @@
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::mapping::Mapping;
-use crate::metrics::{ActiveTimeLedger, PeTaskCounts, RunReport};
+use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::EmitBuffer;
 use crate::routing::{Route, Router};
@@ -22,7 +22,6 @@ use crate::task::KICKOFF_PORT;
 use crate::value::Value;
 use d4py_graph::{partition, InstanceId, PartitionPlan, PeId, WorkflowGraph};
 use d4py_sync::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,10 +55,6 @@ impl Mapping for Multi {
         let started = Instant::now();
 
         let instances = plan.instances();
-        let ledger = Arc::new(ActiveTimeLedger::new(instances.len()));
-        let tasks_executed = Arc::new(AtomicU64::new(0));
-        let failed_tasks = Arc::new(AtomicU64::new(0));
-        let pe_counts = Arc::new(PeTaskCounts::new());
 
         // One channel per instance, indexed [pe][instance].
         let mut senders: Vec<Vec<Sender<Msg>>> = Vec::with_capacity(graph.pe_count());
@@ -80,58 +75,37 @@ impl Mapping for Multi {
 
         let plan = Arc::new(plan);
         let mut handles = Vec::with_capacity(instances.len());
-        for (worker_idx, inst) in instances.iter().copied().enumerate() {
+        for inst in instances.iter().copied() {
             let rx = receivers[inst.pe.0][inst.index]
                 .take()
                 .expect("receiver taken twice");
             let pe_impl = exe.instantiate(inst.pe)?;
             let expected_pills = expected_pills(graph, &plan, inst.pe);
             let senders = senders.clone();
-            let ledger = ledger.clone();
-            let tasks = tasks_executed.clone();
-            let failed = failed_tasks.clone();
-            let counts = pe_counts.clone();
             let graph = exe.graph_arc();
             let plan = plan.clone();
             handles.push(std::thread::spawn(move || {
-                instance_worker(
-                    worker_idx,
-                    inst,
-                    pe_impl,
-                    rx,
-                    expected_pills,
-                    &graph,
-                    &plan,
-                    &senders,
-                    &ledger,
-                    &tasks,
-                    &failed,
-                    &counts,
-                )
+                instance_worker(inst, pe_impl, rx, expected_pills, &graph, &plan, &senders)
             }));
         }
 
+        let mut stats = WorkerStats::new(graph.pe_count());
+        stats.warnings = preflight_warnings;
         for h in handles {
-            h.join()
+            let worker = h
+                .join()
                 .map_err(|_| CoreError::WorkerPanic { worker: usize::MAX })?;
+            stats.merge(&worker);
         }
 
-        Ok(RunReport {
-            mapping: self.name().to_string(),
-            runtime: started.elapsed(),
-            process_time: ledger.total(),
-            workers: opts.workers,
-            // relaxed: statistics counters, read only after every worker
-            // has been joined — the join is the synchronization point.
-            tasks_executed: tasks_executed.load(Ordering::Relaxed),
-            scaling_trace: vec![],
-            dropped_emissions: 0,
-            failed_tasks: failed_tasks.load(Ordering::Relaxed),
-            per_pe_tasks: pe_counts.snapshot(),
-            task_latency: crate::metrics::LatencySummary::default(),
-            queue_steals: 0,
-            warnings: preflight_warnings,
-        })
+        let runtime = started.elapsed();
+        Ok(RunReport::new(
+            self.name(),
+            opts.workers,
+            runtime,
+            graph,
+            stats,
+        ))
     }
 }
 
@@ -144,9 +118,7 @@ fn expected_pills(graph: &WorkflowGraph, plan: &PartitionPlan, pe: PeId) -> usiz
         .sum()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn instance_worker(
-    worker_idx: usize,
     inst: InstanceId,
     mut pe_impl: Box<dyn crate::pe::ProcessingElement>,
     rx: Receiver<Msg>,
@@ -154,17 +126,9 @@ fn instance_worker(
     graph: &WorkflowGraph,
     plan: &PartitionPlan,
     senders: &[Vec<Sender<Msg>>],
-    ledger: &ActiveTimeLedger,
-    tasks: &AtomicU64,
-    failed: &AtomicU64,
-    counts: &PeTaskCounts,
-) {
+) -> WorkerStats {
     let active_since = Instant::now();
-    let pe_name = graph
-        .pe(inst.pe)
-        .map(|s| s.name.clone())
-        .unwrap_or_default();
-    let mut processed_here: u64 = 0;
+    let mut stats = WorkerStats::new(graph.pe_count());
     let mut router = Router::new();
     let n_instances = plan.instances_of(inst.pe);
 
@@ -173,12 +137,9 @@ fn instance_worker(
         // Sources receive a synthetic kickoff and emit their stream.
         let mut buf = EmitBuffer::new(inst.index, n_instances);
         if crate::pe::process_guarded(&mut pe_impl, KICKOFF_PORT, Value::Null, &mut buf) {
-            // relaxed: monotonic statistics counter; read after joins.
-            tasks.fetch_add(1, Ordering::Relaxed);
-            processed_here += 1;
+            stats.per_pe[inst.pe.0] += 1;
         } else {
-            // relaxed: monotonic statistics counter; read after joins.
-            failed.fetch_add(1, Ordering::Relaxed);
+            stats.failed += 1;
         }
         deliver(graph, plan, inst.pe, buf, &mut router, senders);
     } else {
@@ -188,14 +149,9 @@ fn instance_worker(
                 Ok(Msg::Data(port, value)) => {
                     let mut buf = EmitBuffer::new(inst.index, n_instances);
                     if crate::pe::process_guarded(&mut pe_impl, &port, value, &mut buf) {
-                        // relaxed: monotonic statistics counter; read
-                        // after joins.
-                        tasks.fetch_add(1, Ordering::Relaxed);
-                        processed_here += 1;
+                        stats.per_pe[inst.pe.0] += 1;
                     } else {
-                        // relaxed: monotonic statistics counter; read
-                        // after joins.
-                        failed.fetch_add(1, Ordering::Relaxed);
+                        stats.failed += 1;
                     }
                     deliver(graph, plan, inst.pe, buf, &mut router, senders);
                 }
@@ -214,10 +170,8 @@ fn instance_worker(
             let _ = tx.send(Msg::Pill);
         }
     }
-    if processed_here > 0 {
-        counts.add(&pe_name, processed_here);
-    }
-    ledger.record(worker_idx, active_since.elapsed());
+    stats.active = active_since.elapsed();
+    stats
 }
 
 /// Routes every buffered emission to the target instances' channels,
@@ -267,6 +221,7 @@ mod tests {
     use crate::pe::{Collector, Context, FnSource, FnTransform, ProcessingElement};
     use d4py_graph::{Grouping, PeSpec};
     use d4py_sync::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn run(exe: &Executable, workers: usize) -> RunReport {
         Multi.execute(exe, &ExecutionOptions::new(workers)).unwrap()

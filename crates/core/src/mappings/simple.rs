@@ -10,7 +10,7 @@
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::mapping::Mapping;
-use crate::metrics::{ActiveTimeLedger, PeTaskCounts, RunReport};
+use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::EmitBuffer;
 use crate::routing::Router;
@@ -33,7 +33,6 @@ impl Mapping for Simple {
         let preflight_warnings = crate::preflight::preflight(exe, opts, false)?;
         let started = Instant::now();
         let graph = exe.graph();
-        let ledger = ActiveTimeLedger::new(1);
 
         let mut pes: Vec<_> = graph
             .pe_ids()
@@ -41,8 +40,10 @@ impl Mapping for Simple {
             .collect::<Result<_, _>>()?;
         let mut router = Router::new();
         let mut queue: VecDeque<Task> = graph.sources().into_iter().map(Task::kickoff).collect();
-        let mut tasks_executed: u64 = 0;
-        let pe_counts = PeTaskCounts::new();
+        // The sequential mapping is the debugging engine: panics propagate
+        // to the caller instead of being contained and counted.
+        let mut stats = WorkerStats::new(graph.pe_count());
+        stats.warnings = preflight_warnings;
 
         let mut run_task = |task: Task,
                             pes: &mut Vec<Box<dyn crate::pe::ProcessingElement>>,
@@ -50,10 +51,7 @@ impl Mapping for Simple {
                             queue: &mut VecDeque<Task>| {
             let mut buf = EmitBuffer::new(0, 1);
             pes[task.pe.0].process(&task.port, task.value, &mut buf);
-            tasks_executed += 1;
-            if let Some(spec) = graph.pe(task.pe) {
-                pe_counts.add(&spec.name, 1);
-            }
+            stats.per_pe[task.pe.0] += 1;
             route_emissions(graph, task.pe, buf, router, queue);
         };
 
@@ -74,23 +72,8 @@ impl Mapping for Simple {
         }
 
         let runtime = started.elapsed();
-        ledger.record(0, runtime);
-        Ok(RunReport {
-            mapping: self.name().to_string(),
-            runtime,
-            process_time: ledger.total(),
-            workers: 1,
-            tasks_executed,
-            scaling_trace: vec![],
-            dropped_emissions: 0,
-            // The sequential mapping is the debugging engine: panics
-            // propagate to the caller instead of being contained.
-            failed_tasks: 0,
-            per_pe_tasks: pe_counts.snapshot(),
-            task_latency: crate::metrics::LatencySummary::default(),
-            queue_steals: 0,
-            warnings: preflight_warnings,
-        })
+        stats.active = runtime;
+        Ok(RunReport::new(self.name(), 1, runtime, graph, stats))
     }
 }
 

@@ -8,81 +8,15 @@
 //!   in the auto-scaler's idle state does not count. This is the quantity
 //!   auto-scaling improves.
 //!
-//! [`ActiveTimeLedger`] accumulates per-worker active nanoseconds;
-//! [`ScalingTrace`] records the auto-scaler's (iteration, active size,
-//! monitored metric) series that Figure 13 plots; [`RunReport`] packages
-//! everything a mapping returns.
+//! Every worker of every engine gathers its numbers privately in a
+//! [`WorkerStats`] and hands it back through its join handle;
+//! [`RunReport::new`] sums them once, after the joins. [`ScalingTrace`]
+//! records the auto-scaler's (iteration, active size, monitored metric)
+//! series that Figure 13 plots.
 
+use d4py_graph::WorkflowGraph;
 use d4py_sync::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
-
-/// Per-worker accumulated active time.
-///
-/// Workers open a span when they (re)activate and close it when they park or
-/// terminate; the ledger sums closed spans. Lock-free per worker.
-#[derive(Debug)]
-pub struct ActiveTimeLedger {
-    nanos: Vec<AtomicU64>,
-}
-
-impl ActiveTimeLedger {
-    /// Creates a ledger for `workers` workers.
-    pub fn new(workers: usize) -> Self {
-        Self {
-            nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Adds a closed active span for `worker`.
-    pub fn record(&self, worker: usize, span: Duration) {
-        // relaxed: per-worker time ledger — each slot is written by one
-        // worker and totalled only after the run completes.
-        self.nanos[worker].fetch_add(span.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Total active time across all workers (the paper's *process time*).
-    pub fn total(&self) -> Duration {
-        // relaxed: totalled after the run's joins; mid-run reads are
-        // best-effort progress snapshots by design.
-        Duration::from_nanos(self.nanos.iter().map(|n| n.load(Ordering::Relaxed)).sum())
-    }
-
-    /// Active time of one worker.
-    pub fn of(&self, worker: usize) -> Duration {
-        // relaxed: read after the run's joins (see `total`).
-        Duration::from_nanos(self.nanos[worker].load(Ordering::Relaxed))
-    }
-
-    /// Number of workers tracked.
-    pub fn workers(&self) -> usize {
-        self.nanos.len()
-    }
-}
-
-/// RAII helper: measures one active span and records it on drop.
-pub struct ActiveSpan<'a> {
-    ledger: &'a ActiveTimeLedger,
-    worker: usize,
-    started: Instant,
-}
-
-impl<'a> ActiveSpan<'a> {
-    /// Opens a span for `worker`.
-    pub fn open(ledger: &'a ActiveTimeLedger, worker: usize) -> Self {
-        Self {
-            ledger,
-            worker,
-            started: Instant::now(),
-        }
-    }
-}
-
-impl Drop for ActiveSpan<'_> {
-    fn drop(&mut self) {
-        self.ledger.record(self.worker, self.started.elapsed());
-    }
-}
+use std::time::Duration;
 
 /// One observation of the auto-scaler: Figure 13 plots these series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,28 +64,20 @@ impl ScalingTrace {
     }
 }
 
-/// A lock-free log-bucketed latency histogram (1 µs – ~36 min range).
+/// A log-bucketed latency histogram (1 µs – ~36 min range).
 ///
 /// Buckets are powers of two of microseconds: bucket *k* holds samples in
-/// `[2^k, 2^(k+1))` µs. Recording is a single relaxed atomic increment, so
-/// workers can record per-task service times on the hot path.
-#[derive(Debug)]
+/// `[2^k, 2^(k+1))` µs. Each worker owns one (inside its [`WorkerStats`]),
+/// so recording a per-task service time is a plain increment.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; 32],
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
+    buckets: [u64; 32],
 }
 
 impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        Self::default()
     }
 
     fn bucket_of(d: Duration) -> usize {
@@ -160,17 +86,20 @@ impl LatencyHistogram {
     }
 
     /// Records one sample.
-    pub fn record(&self, d: Duration) {
-        // relaxed: monotonic histogram bucket counter; summarised only
-        // after the run completes.
-        self.buckets[Self::bucket_of(d)].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&mut self, d: Duration) {
+        self.buckets[Self::bucket_of(d)] += 1;
+    }
+
+    /// Adds every sample of `other`.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
+            *mine += theirs;
+        }
     }
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
-        // relaxed: read after the run's joins; histogram totals do not
-        // order against any other memory.
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.buckets.iter().sum()
     }
 
     /// Upper bound of the bucket containing quantile `q` ∈ [0, 1];
@@ -183,8 +112,7 @@ impl LatencyHistogram {
         let target = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (k, b) in self.buckets.iter().enumerate() {
-            // relaxed: read after the run's joins (see `count`).
-            seen += b.load(Ordering::Relaxed);
+            seen += b;
             if seen >= target {
                 return Some(Duration::from_micros(1u64 << (k + 1)));
             }
@@ -216,33 +144,50 @@ pub struct LatencySummary {
     pub p99: Option<Duration>,
 }
 
-/// Thread-safe per-PE task counters (how many items each PE processed).
-#[derive(Debug, Default)]
-pub struct PeTaskCounts {
-    counts: Mutex<std::collections::HashMap<String, u64>>,
+/// What one worker counted while it ran. Worker-local: nothing here is
+/// shared, so the hot path pays no atomics or locks for statistics; the
+/// join that returns it is the synchronization point.
+#[derive(Debug, Clone, Default)]
+pub struct WorkerStats {
+    /// `process()` calls that returned, per PE (indexed by `PeId`).
+    pub per_pe: Vec<u64>,
+    /// `process()` calls that panicked (contained; the item is lost).
+    pub failed: u64,
+    /// Emissions on an unconnected port of a PE that has connected ones.
+    pub dropped: u64,
+    /// Pills received while the run was not shutting down, and ignored.
+    pub spurious_pills: u64,
+    /// Transient transport errors absorbed by the retry budget.
+    pub retries_used: u64,
+    /// Service time of each successful task.
+    pub latency: LatencyHistogram,
+    /// Time this worker was active (not parked by the auto-scaler).
+    pub active: Duration,
+    /// Non-fatal degradations it worked around, one reason each.
+    pub warnings: Vec<String>,
 }
 
-impl PeTaskCounts {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
+impl WorkerStats {
+    /// Empty statistics for a workflow of `pes` PEs.
+    pub fn new(pes: usize) -> Self {
+        Self {
+            per_pe: vec![0; pes],
+            ..Self::default()
+        }
     }
 
-    /// Adds `n` processed items to `pe`.
-    pub fn add(&self, pe: &str, n: u64) {
-        *self.counts.lock().entry(pe.to_string()).or_insert(0) += n;
-    }
-
-    /// Snapshot sorted by PE name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut rows: Vec<(String, u64)> = self
-            .counts
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        rows.sort();
-        rows
+    /// Folds another worker's statistics into this one.
+    pub fn merge(&mut self, other: &Self) {
+        for (mine, theirs) in self.per_pe.iter_mut().zip(&other.per_pe) {
+            *mine += theirs;
+        }
+        self.failed += other.failed;
+        self.dropped += other.dropped;
+        self.spurious_pills += other.spurious_pills;
+        self.retries_used += other.retries_used;
+        self.latency.merge(&other.latency);
+        self.active += other.active;
+        self.warnings.extend_from_slice(&other.warnings);
     }
 }
 
@@ -261,9 +206,10 @@ pub struct RunReport {
     pub tasks_executed: u64,
     /// Auto-scaler decision series (empty for non-auto-scaling mappings).
     pub scaling_trace: Vec<TracePoint>,
-    /// Emissions dropped because they were produced where the mapping cannot
-    /// deliver them (e.g. `on_done` output under plain dynamic scheduling).
-    /// Non-zero values indicate a workflow/mapping mismatch.
+    /// Emissions on an output port with no connection, made by a PE that has
+    /// connected ports (a sink that emits is not counted). Counted by the
+    /// dynamic-family engines (`dyn_*`, `hybrid_*`) alike; `simple` and
+    /// `multi` report 0. Non-zero values mean produced data went nowhere.
     pub dropped_emissions: u64,
     /// Tasks whose `process()` panicked. The engines contain the panic (the
     /// item is lost, its emissions discarded) so one poisoned record cannot
@@ -273,7 +219,9 @@ pub struct RunReport {
     /// operator reads to find the bottleneck.
     pub per_pe_tasks: Vec<(String, u64)>,
     /// Per-task service-time quantiles (time inside `process()`, queue wait
-    /// excluded). Only the dynamic-family engines populate this.
+    /// excluded), one sample per executed task. Populated by the
+    /// dynamic-family engines (`dyn_*` and `hybrid_*`); `simple` and
+    /// `multi` leave it empty.
     pub task_latency: LatencySummary,
     /// Tasks delivered by work stealing (a worker popping from a peer's
     /// local queue). Zero for the single-global-queue topologies and for
@@ -289,6 +237,54 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// Assembles the report of a finished run from the sum of its workers'
+    /// statistics (the calling thread's share carrying the pre-flight
+    /// warnings) — the one place a report is built. Absorbed transport
+    /// retries and ignored pills become warnings here. Engines with a
+    /// scaler or a stealing queue set [`scaling_trace`](Self::scaling_trace)
+    /// / [`queue_steals`](Self::queue_steals) afterwards.
+    pub fn new(
+        mapping: &str,
+        workers: usize,
+        runtime: Duration,
+        graph: &WorkflowGraph,
+        stats: WorkerStats,
+    ) -> Self {
+        let mut warnings = stats.warnings;
+        if stats.retries_used > 0 {
+            warnings.push(format!(
+                "absorbed {} transient transport error(s) via retry",
+                stats.retries_used
+            ));
+        }
+        if stats.spurious_pills > 0 {
+            warnings.push(format!(
+                "ignored {} spurious poison pill(s) received before shutdown",
+                stats.spurious_pills
+            ));
+        }
+        let mut per_pe_tasks: Vec<(String, u64)> = graph
+            .pes()
+            .map(|(id, spec)| (spec.name.clone(), stats.per_pe[id.0]))
+            .filter(|(_, n)| *n > 0)
+            .collect();
+        per_pe_tasks.sort();
+        RunReport {
+            mapping: mapping.to_string(),
+            runtime,
+            process_time: stats.active,
+            workers,
+            tasks_executed: stats.per_pe.iter().sum(),
+            scaling_trace: Vec::new(),
+            dropped_emissions: stats.dropped,
+            failed_tasks: stats.failed,
+            per_pe_tasks,
+            task_latency: stats.latency.summary(),
+            queue_steals: 0,
+            warnings,
+        }
+    }
+
     /// process_time / runtime: the mean number of simultaneously active
     /// workers, a quick efficiency read-out.
     pub fn mean_active_workers(&self) -> f64 {
@@ -318,25 +314,40 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ledger_sums_across_workers() {
-        let ledger = ActiveTimeLedger::new(3);
-        ledger.record(0, Duration::from_millis(10));
-        ledger.record(1, Duration::from_millis(20));
-        ledger.record(0, Duration::from_millis(5));
-        assert_eq!(ledger.total(), Duration::from_millis(35));
-        assert_eq!(ledger.of(0), Duration::from_millis(15));
-        assert_eq!(ledger.of(2), Duration::ZERO);
-        assert_eq!(ledger.workers(), 3);
-    }
+    fn worker_stats_sum_into_one_report() {
+        use d4py_graph::{Grouping, PeSpec};
+        let mut g = WorkflowGraph::new("t");
+        let a = g.add_pe(PeSpec::source("zeta", "out"));
+        let b = g.add_pe(PeSpec::sink("alpha", "in"));
+        let idle = g.add_pe(PeSpec::sink("idle", "in"));
+        g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+        g.connect(a, "out", idle, "in", Grouping::Shuffle).unwrap();
 
-    #[test]
-    fn active_span_records_on_drop() {
-        let ledger = ActiveTimeLedger::new(1);
-        {
-            let _span = ActiveSpan::open(&ledger, 0);
-            std::thread::sleep(Duration::from_millis(5));
+        let mut total = WorkerStats::new(g.pe_count());
+        total.warnings.push("D4PY202: kept".into());
+        for (w, tasks) in [(0u64, 1u64), (1, 4)] {
+            let mut stats = WorkerStats::new(g.pe_count());
+            stats.per_pe[a.0] = w;
+            stats.per_pe[b.0] = tasks;
+            stats.failed = 1;
+            stats.retries_used = w;
+            stats.latency.record(Duration::from_micros(100));
+            stats.active = Duration::from_millis(10);
+            total.merge(&stats);
         }
-        assert!(ledger.of(0) >= Duration::from_millis(4));
+        let report = RunReport::new("test", 2, Duration::from_millis(10), &g, total);
+        assert_eq!(report.tasks_executed, 6);
+        assert_eq!(report.failed_tasks, 2);
+        assert_eq!(report.process_time, Duration::from_millis(20));
+        assert_eq!(report.task_latency.count, 2);
+        // Sorted by name; PEs that ran nothing are left out.
+        assert_eq!(
+            report.per_pe_tasks,
+            vec![("alpha".to_string(), 5), ("zeta".to_string(), 1)]
+        );
+        assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
+        assert!(report.warnings[1].contains("1 transient transport error"));
+        assert!((report.mean_active_workers() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -395,7 +406,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         for _ in 0..90 {
             h.record(Duration::from_micros(100)); // bucket [64,128)µs
         }
@@ -414,31 +425,12 @@ mod tests {
 
     #[test]
     fn histogram_empty_and_extremes() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.summary().count, 0);
         h.record(Duration::ZERO); // clamps into the first bucket
         h.record(Duration::from_secs(10_000)); // clamps into the last bucket
         assert_eq!(h.count(), 2);
         assert!(h.quantile(1.0).is_some());
-    }
-
-    #[test]
-    fn ledger_is_threadsafe() {
-        let ledger = std::sync::Arc::new(ActiveTimeLedger::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|w| {
-                let l = ledger.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        l.record(w, Duration::from_nanos(1000));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(ledger.total(), Duration::from_nanos(400_000));
     }
 }

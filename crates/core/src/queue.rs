@@ -2,8 +2,9 @@
 //!
 //! Dynamic mappings differ only in where the "Global Queue" of Figure 2
 //! lives: an in-process channel (`dyn_multi`) or a Redis stream
-//! (`dyn_redis`). [`TaskQueue`] abstracts over both so the dynamic engine
-//! ([`crate::mappings::dynamic`]) is written once. The trait exposes the two
+//! (`dyn_redis`). [`TaskQueue`] abstracts over both so the engine core
+//! behind [`crate::mappings::dynamic`] and [`crate::mappings::hybrid`] is
+//! written once. The trait exposes the two
 //! monitoring signals the auto-scaling strategies need: queue depth
 //! (multiprocessing strategy) and per-consumer idle times (Redis
 //! consumer-group strategy).

@@ -1,10 +1,10 @@
 //! Multi-diagnostic static analysis of abstract workflows.
 //!
-//! [`WorkflowGraph::validate`] stops at the first structural problem; this
-//! module is the full pass behind it: [`WorkflowGraph::analyze`] walks the
-//! graph once and gathers *every* finding as a rule-coded [`Diagnostic`],
-//! so a workflow with three distinct mistakes reports three diagnostics,
-//! not one. The engines run it pre-flight (aborting on errors, folding
+//! This module is the repo's one graph checker. [`WorkflowGraph::analyze`]
+//! walks the graph once and gathers *every* finding as a rule-coded
+//! [`Diagnostic`], so a workflow with three distinct mistakes reports three
+//! diagnostics, not one; [`WorkflowGraph::validate`] is its structural
+//! rules, stopped at the first error. The engines run it pre-flight (aborting on errors, folding
 //! warnings into `RunReport::warnings`), and `repro check` renders it for
 //! every built-in workflow.
 //!
@@ -267,6 +267,8 @@ struct Sink<'g> {
     graph: &'g WorkflowGraph,
     findings: Vec<Diagnostic>,
     waived: usize,
+    /// `validate()` reports structural errors whether or not they are waived.
+    honour_waivers: bool,
 }
 
 impl Sink<'_> {
@@ -281,7 +283,7 @@ impl Sink<'_> {
     ) {
         let spec = pe.and_then(|id| self.graph.pe(id));
         if let Some(spec) = spec {
-            if spec.waives(code) {
+            if self.honour_waivers && spec.waives(code) {
                 self.waived += 1;
                 return;
             }
@@ -308,6 +310,7 @@ impl WorkflowGraph {
             graph: self,
             findings: Vec::new(),
             waived: 0,
+            honour_waivers: true,
         };
 
         self.rule_duplicate_names(&mut sink);
@@ -339,6 +342,33 @@ impl WorkflowGraph {
             findings,
             waived: sink.waived,
         }
+    }
+
+    /// The finding behind [`WorkflowGraph::validate`]: the first one the
+    /// structural rules make, run in `validate()`'s documented order
+    /// (names → shapes → cycle → reachability → dangling inputs), waivers
+    /// ignored.
+    pub(crate) fn first_structural_error(&self) -> Option<Diagnostic> {
+        let mut sink = Sink {
+            graph: self,
+            findings: Vec::new(),
+            waived: 0,
+            honour_waivers: false,
+        };
+        let rules: [fn(&Self, &mut Sink); 5] = [
+            Self::rule_duplicate_names,
+            Self::rule_shapes,
+            Self::rule_cycle,
+            Self::rule_reachability,
+            Self::rule_dangling_inputs,
+        ];
+        for rule in rules {
+            rule(self, &mut sink);
+            if !sink.findings.is_empty() {
+                return Some(sink.findings.swap_remove(0));
+            }
+        }
+        None
     }
 
     /// D4PY001: duplicate PE names (one finding per extra occurrence, so
@@ -400,33 +430,17 @@ impl WorkflowGraph {
         }
     }
 
-    /// D4PY004: Kahn's algorithm; leftovers are on (or behind) a cycle.
+    /// D4PY004: the PEs Kahn's pass leaves over are on (or behind) a cycle.
     /// One graph-level finding naming every involved PE — a cycle is a
     /// property of the edge set, not of any single node, so it cannot be
     /// waived per-PE.
     fn rule_cycle(&self, sink: &mut Sink) {
-        let n = self.pe_count();
-        let mut indegree = vec![0usize; n];
-        for c in self.connections() {
-            indegree[c.to_pe.0] += 1;
-        }
-        let mut queue: Vec<PeId> = self.pe_ids().filter(|id| indegree[id.0] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(id) = queue.pop() {
-            visited += 1;
-            for succ in self.successors(id) {
-                let edges = self.outgoing(id).filter(|(_, c)| c.to_pe == succ).count();
-                indegree[succ.0] -= edges;
-                if indegree[succ.0] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        if visited != n {
-            let names: Vec<&str> = self
-                .pes()
-                .filter(|(id, _)| indegree[id.0] > 0)
-                .map(|(_, pe)| pe.name.as_str())
+        let (_, stuck) = self.kahn();
+        if !stuck.is_empty() {
+            let names: Vec<&str> = stuck
+                .iter()
+                .filter_map(|&id| self.pe(id))
+                .map(|pe| pe.name.as_str())
                 .collect();
             sink.emit(
                 "D4PY004",

@@ -9,9 +9,13 @@ use crate::node::PeId;
 use crate::validate::GraphError;
 
 impl WorkflowGraph {
-    /// Deterministic topological order (Kahn's algorithm with a smallest-id
-    /// tie-break). Errors if the graph has a cycle.
-    pub fn topological_order(&self) -> Result<Vec<PeId>, GraphError> {
+    /// Kahn's algorithm with a smallest-id tie-break — the one pass behind
+    /// [`topological_order`](Self::topological_order) and the analyzer's
+    /// cycle rule. Returns the order, and (in id order) the PEs it could
+    /// not reach: those on or behind a cycle. Indegrees count one per
+    /// connection and are decremented one per connection, so parallel edges
+    /// between the same pair balance.
+    pub(crate) fn kahn(&self) -> (Vec<PeId>, Vec<PeId>) {
         let n = self.pe_count();
         let mut indegree = vec![0usize; n];
         for c in self.connections() {
@@ -34,15 +38,18 @@ impl WorkflowGraph {
                 }
             }
         }
-        if order.len() != n {
-            let stuck = self
-                .pes()
-                .find(|(id, _)| indegree[id.0] > 0)
-                .map(|(_, pe)| pe.name.clone())
-                .unwrap_or_default();
-            return Err(GraphError::Cycle(stuck));
+        let stuck = self.pe_ids().filter(|id| indegree[id.0] > 0).collect();
+        (order, stuck)
+    }
+
+    /// Deterministic topological order (see [`kahn`](Self::kahn)). Errors
+    /// if the graph has a cycle, naming the first PE stuck on or behind it.
+    pub fn topological_order(&self) -> Result<Vec<PeId>, GraphError> {
+        let (order, stuck) = self.kahn();
+        match stuck.first().and_then(|&id| self.pe(id)) {
+            Some(pe) => Err(GraphError::Cycle(pe.name.clone())),
+            None => Ok(order),
         }
-        Ok(order)
     }
 
     /// Groups PEs into dependency layers: layer 0 contains the sources,

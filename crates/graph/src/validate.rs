@@ -3,10 +3,13 @@
 //! dispel4py validates abstract workflows before mapping them: names must be
 //! unique, the graph must be a DAG, every PE must be reachable from a source,
 //! and isolated (port-less) PEs are rejected. Validation runs once at
-//! composition time so the mappings can assume a well-formed graph.
+//! composition time so the mappings can assume a well-formed graph. The
+//! checks themselves are the analyzer's structural rules
+//! ([`crate::analyze`]); this module maps their first finding back to a
+//! [`GraphError`].
 
 use crate::graph::WorkflowGraph;
-use crate::node::{PeId, PeKind};
+use crate::node::PeId;
 use crate::port::PortDirection;
 
 /// Errors produced while composing or validating a workflow graph.
@@ -78,118 +81,32 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 impl WorkflowGraph {
-    /// Validates the workflow, returning the first problem found.
+    /// Validates the workflow, returning the first problem found: the
+    /// first Error-severity structural diagnostic of
+    /// [`analyze`](WorkflowGraph::analyze), whether or not a PE waives it.
     ///
-    /// Checks, in order: non-empty, unique names, no isolated PEs, at least
-    /// one source, acyclicity, reachability from sources, no dangling input
-    /// ports, and positive explicit instance counts.
+    /// Checks, in order: unique names; per PE, no port-less PE and no
+    /// explicit zero-instance request; at least one source; acyclicity;
+    /// reachability from sources; no dangling input ports.
     pub fn validate(&self) -> Result<(), GraphError> {
-        self.check_names()?;
-        self.check_shapes()?;
-        self.check_acyclic()?;
-        self.check_reachability()?;
-        self.check_inputs_connected()?;
-        Ok(())
-    }
-
-    fn check_names(&self) -> Result<(), GraphError> {
-        let mut seen = std::collections::HashSet::new();
-        for (_, pe) in self.pes() {
-            if !seen.insert(pe.name.as_str()) {
-                return Err(GraphError::DuplicateName(pe.name.clone()));
-            }
-        }
-        Ok(())
-    }
-
-    fn check_shapes(&self) -> Result<(), GraphError> {
-        for (_, pe) in self.pes() {
-            if pe.kind() == PeKind::Isolated {
-                return Err(GraphError::IsolatedPe(pe.name.clone()));
-            }
-            if pe.instances == Some(0) {
-                return Err(GraphError::ZeroInstances(pe.name.clone()));
-            }
-        }
-        if self.pe_count() > 0 && self.sources().is_empty() {
-            return Err(GraphError::NoSource);
-        }
-        Ok(())
-    }
-
-    fn check_acyclic(&self) -> Result<(), GraphError> {
-        // Kahn's algorithm; leftover nodes are on a cycle.
-        let n = self.pe_count();
-        let mut indegree = vec![0usize; n];
-        for c in self.connections() {
-            indegree[c.to_pe.0] += 1;
-        }
-        let mut queue: Vec<PeId> = self.pe_ids().filter(|id| indegree[id.0] == 0).collect();
-        let mut visited = 0usize;
-        while let Some(id) = queue.pop() {
-            visited += 1;
-            for succ in self.successors(id) {
-                // Parallel-edge audit: `successors()` DEDUPLICATES, yielding
-                // each successor once no matter how many connections reach
-                // it, while the indegree seeding above counts one per
-                // connection. Decrementing by the parallel-edge count here
-                // is therefore exactly balanced — NOT a double-subtract. If
-                // `successors()` ever switched to per-edge yields this would
-                // underflow; the parallel-edge regression tests below pin
-                // the invariant.
-                let edges = self.outgoing(id).filter(|(_, c)| c.to_pe == succ).count();
-                indegree[succ.0] -= edges;
-                if indegree[succ.0] == 0 {
-                    queue.push(succ);
-                }
-            }
-        }
-        if visited != n {
-            let on_cycle = self
-                .pes()
-                .find(|(id, _)| indegree[id.0] > 0)
-                .map(|(_, pe)| pe.name.clone())
-                .unwrap_or_default();
-            return Err(GraphError::Cycle(on_cycle));
-        }
-        Ok(())
-    }
-
-    fn check_reachability(&self) -> Result<(), GraphError> {
-        let mut reachable = vec![false; self.pe_count()];
-        // Start from true stream producers (no input ports), not merely from
-        // nodes without incoming connections: a sink whose input is never
-        // connected must be flagged unreachable, not treated as a source.
-        let mut stack: Vec<PeId> = self
-            .pes()
-            .filter(|(_, pe)| pe.kind() == PeKind::Source)
-            .map(|(id, _)| id)
-            .collect();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut reachable[id.0], true) {
-                continue;
-            }
-            stack.extend(self.successors(id));
-        }
-        if let Some((_, pe)) = self.pes().find(|(id, _)| !reachable[id.0]) {
-            return Err(GraphError::Unreachable(pe.name.clone()));
-        }
-        Ok(())
-    }
-
-    fn check_inputs_connected(&self) -> Result<(), GraphError> {
-        for (id, pe) in self.pes() {
-            for port in pe.inputs() {
-                let fed = self.incoming(id).any(|(_, c)| c.to_port == port.name);
-                if !fed {
-                    return Err(GraphError::DanglingInput {
-                        pe: pe.name.clone(),
-                        port: port.name.clone(),
-                    });
-                }
-            }
-        }
-        Ok(())
+        let Some(finding) = self.first_structural_error() else {
+            return Ok(());
+        };
+        let pe = finding.pe.unwrap_or_default();
+        Err(match finding.code {
+            "D4PY001" => GraphError::DuplicateName(pe),
+            "D4PY002" => GraphError::IsolatedPe(pe),
+            "D4PY003" => GraphError::NoSource,
+            // Kahn's pass names the first PE stuck on or behind the cycle.
+            "D4PY004" => return self.topological_order().map(drop),
+            "D4PY005" => GraphError::Unreachable(pe),
+            "D4PY006" => GraphError::DanglingInput {
+                pe,
+                port: finding.port.unwrap_or_default(),
+            },
+            "D4PY007" => GraphError::ZeroInstances(pe),
+            other => unreachable!("{other} is not a structural rule of validate()"),
+        })
     }
 }
 
@@ -252,6 +169,15 @@ mod tests {
     }
 
     #[test]
+    fn waivers_do_not_silence_validate() {
+        let mut g = valid_linear();
+        g.add_pe(PeSpec::new("island", vec![]).allow("D4PY002"));
+        let ctx = crate::analyze::AnalysisContext::full();
+        assert!(!g.analyze(&ctx).has_errors(), "the analyzer honours it");
+        assert!(matches!(g.validate(), Err(GraphError::IsolatedPe(_))));
+    }
+
+    #[test]
     fn unreachable_pe_rejected() {
         let mut g = valid_linear();
         // A second component that is itself source-rooted is fine; make one
@@ -305,7 +231,8 @@ mod tests {
     fn parallel_edges_between_same_pair_pass() {
         // Two connections a→b (distinct ports): indegree[b] seeds to 2 and
         // must be decremented by exactly 2 when a is visited. If the Kahn
-        // loop ever double-subtracted per (successor × edge) this would
+        // pass (`topo::kahn`, shared with `topological_order`) ever
+        // subtracted per successor instead of per edge, or both, this would
         // underflow-panic or misreport a cycle.
         let mut g = WorkflowGraph::new("t");
         let a = g.add_pe(PeSpec::source("a", "out").with_port(PortDecl::output("aux")));

@@ -79,6 +79,22 @@ D4PY_BENCH_QUICK=1 cargo run -q --release --offline -p d4py-bench --bin repro --
     chaos --quick \
     || { echo "verify: FAIL — chaos matrix smoke violated an invariant" >&2; exit 1; }
 
+# The repo benchmark (BENCHMARK.json) is a package of its own that the root
+# build does not compile, yet it imports the engines' front doors directly
+# (run_dynamic, run_hybrid, QueueFactory, TaskQueue, Router, ...). Build it
+# and smoke one in-process and one redis workload — both front doors, both
+# queue kinds — so a signature drift in those seams fails here instead of
+# in the pipeline's benchmark step. The binary exits 1 when any output was
+# wrong; the last line is its JSON summary.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark_summary="$(cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- run --quick --seconds 2 \
+    --workload chain9_inproc --workload sentiment_hybrid_redis \
+    --out target/bench/BENCHMARK_smoke.json | tail -n 1)" \
+    || { echo "verify: FAIL — benchmark smoke run failed" >&2; exit 1; }
+grep -q '"failed": 0,' <<<"$benchmark_summary" \
+    || { echo "verify: FAIL — benchmark smoke: items_failed != 0" >&2; exit 1; }
+
 for bench in ablation_queue redis_backend connections chaos_matrix; do
     baseline="bench/baselines/BENCH_${bench}.json"
     current="target/bench/BENCH_${bench}.json"

@@ -72,6 +72,8 @@ fn run_sentiment_hybrid_over_tcp() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("top 3 happiest states"));
+    // Hybrid runs report per-task latency like the `dyn_*` mappings do.
+    assert!(text.contains("task service time"), "{text}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.contains("redis-lite on"),

@@ -1,5 +1,9 @@
 //! Failure injection: a panicking PE must not hang or kill a parallel run.
 
+use dispel4py::core::mappings::dynamic::run_dynamic;
+use dispel4py::core::mappings::hybrid::{run_hybrid, ChannelQueueFactory, QueueFactory};
+use dispel4py::core::queue::{TaskQueue, WorkStealQueue};
+use dispel4py::core::task::QueueItem;
 use dispel4py::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,4 +118,89 @@ fn clean_runs_report_zero_failures() {
     let (exe, _) = poisoned_exe(20, -1);
     let report = DynMulti.execute(&exe, &ExecutionOptions::new(4)).unwrap();
     assert_eq!(report.failed_tasks, 0);
+}
+
+/// Queue wrapper whose N-th `push_batch` fails once with a transport error,
+/// then behaves normally: a worker dies holding a task whose outstanding
+/// count never drains.
+struct FailingPush {
+    inner: Arc<dyn TaskQueue>,
+    /// `push_batch` calls left before the failing one.
+    countdown: AtomicU64,
+}
+
+impl FailingPush {
+    fn nth(inner: Arc<dyn TaskQueue>, n: u64) -> Arc<dyn TaskQueue> {
+        Arc::new(Self {
+            inner,
+            countdown: AtomicU64::new(n),
+        })
+    }
+}
+
+impl TaskQueue for FailingPush {
+    fn push(&self, item: QueueItem) -> Result<(), CoreError> {
+        self.inner.push(item)
+    }
+    fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
+        self.inner.pop(consumer, timeout)
+    }
+    fn push_batch(&self, producer: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
+        if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
+            return Err(CoreError::Queue("injected: push_batch failed".into()));
+        }
+        self.inner.push_batch(producer, items)
+    }
+    fn pop_batch(
+        &self,
+        consumer: usize,
+        max: usize,
+        timeout: Duration,
+    ) -> Result<Vec<QueueItem>, CoreError> {
+        self.inner.pop_batch(consumer, max, timeout)
+    }
+    fn depth(&self) -> usize {
+        self.inner.depth()
+    }
+}
+
+/// Runs `run` on its own thread and fails the test if it does not return.
+fn must_return(run: impl FnOnce() -> Result<RunReport, CoreError> + Send + 'static) -> CoreError {
+    let (tx, rx) = d4py_sync::channel::unbounded();
+    std::thread::spawn(move || {
+        let _ = tx.send(run());
+    });
+    // timing: hang detector with a generous bound (the run takes
+    // milliseconds), not a performance gate.
+    let result = rx.recv_timeout(Duration::from_secs(20));
+    result
+        .expect("the run hung after a worker died holding a task")
+        .expect_err("the injected transport error must fail the run")
+}
+
+#[test]
+fn dynamic_run_returns_when_a_worker_dies_holding_a_task() {
+    let (exe, _) = poisoned_exe(50, 0);
+    let err = must_return(move || {
+        let queue = FailingPush::nth(Arc::new(WorkStealQueue::new(4)), 4);
+        run_dynamic(&exe, &ExecutionOptions::new(4), queue, "dyn_test", None)
+    });
+    assert!(matches!(err, CoreError::Queue(_)), "unexpected: {err}");
+}
+
+#[test]
+fn hybrid_run_returns_when_a_worker_dies_holding_a_task() {
+    struct Factory;
+    impl QueueFactory for Factory {
+        fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+            let queue = ChannelQueueFactory.make(name, consumers)?;
+            Ok(match name {
+                "global" => FailingPush::nth(queue, 4),
+                _ => queue,
+            })
+        }
+    }
+    let (exe, _) = poisoned_exe(50, 0);
+    let err = must_return(move || run_hybrid(&exe, &ExecutionOptions::new(4), &Factory, "hybrid"));
+    assert!(matches!(err, CoreError::Queue(_)), "unexpected: {err}");
 }

@@ -120,3 +120,46 @@ fn core_limiter_caps_throughput() {
         "1 core {one_core:?} vs 16 cores {many_cores:?}"
     );
 }
+
+#[test]
+fn hybrid_records_one_latency_sample_per_task() {
+    // The dynamic family shares one task runner, so a hybrid run fills
+    // `task_latency` exactly as a `dyn_*` run does.
+    use dispel4py::workflows::sentiment;
+    let (exe, _) = sentiment::build(&WorkloadConfig::standard().with_time_scale(0.0));
+    let report = HybridMulti
+        .execute(&exe, &ExecutionOptions::new(10))
+        .unwrap();
+    assert!(report.tasks_executed > 0);
+    assert_eq!(report.task_latency.count, report.tasks_executed);
+    assert!(report.task_latency.p50.is_some());
+}
+
+#[test]
+fn dead_port_emissions_count_the_same_across_the_dynamic_family() {
+    // `a` has a second output port nobody listens on and emits on it once
+    // per item: every such emission goes nowhere, whichever engine runs it.
+    let mut g = WorkflowGraph::new("dead-port");
+    let a =
+        g.add_pe(PeSpec::source("a", "out").with_port(dispel4py::graph::PortDecl::output("debug")));
+    let b = g.add_pe(PeSpec::sink("b", "in"));
+    g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(a, || {
+        Box::new(FnSource(|ctx: &mut dyn Context| {
+            for i in 0..7 {
+                ctx.emit("out", Value::Int(i));
+                ctx.emit("debug", Value::Int(i));
+            }
+        }))
+    });
+    exe.register(b, || Box::new(CountingSink::new().0));
+    let exe = exe.seal().unwrap();
+
+    let opts = ExecutionOptions::new(3);
+    let dynamic = DynMulti.execute(&exe, &opts).unwrap();
+    let hybrid = HybridMulti.execute(&exe, &opts).unwrap();
+    assert_eq!(dynamic.dropped_emissions, 7);
+    assert_eq!(hybrid.dropped_emissions, dynamic.dropped_emissions);
+    assert_eq!(hybrid.tasks_executed, dynamic.tasks_executed);
+}
