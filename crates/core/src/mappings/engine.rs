@@ -37,6 +37,18 @@ use std::time::{Duration, Instant};
 /// a backlog idle workers could run or sit long on a Pill drained mid-batch.
 const POP_BATCH: usize = 32;
 
+/// PE service time a worker may accumulate before it flushes what it has
+/// buffered, even mid-batch: the order of one loopback round trip. Thirty-two
+/// null hops (~1 µs each) share one write; a 3 ms seismic task crosses it
+/// alone, so its output reaches idle workers as soon as it exists — which is
+/// why `seismic_*` (the benchmark's control) does not move. The rule reads
+/// only observed service time, never the queue kind or the workload.
+const FLUSH_AFTER: Duration = Duration::from_micros(100);
+
+/// Emission-buffer capacity a worker keeps between tasks; a burst (a
+/// source's whole stream) gives its allocation back.
+const EMIT_KEEP: usize = 64;
+
 /// A stateful PE instance pinned to a dedicated worker with a private
 /// queue. A plan's slots are sorted by `(pe, instance)`.
 pub(crate) struct Slot {
@@ -78,8 +90,10 @@ struct Engine<'a> {
     plan: Plan<'a>,
     /// Per PE, its slots (empty: the PE is not pinned).
     pinned: Vec<Range<usize>>,
-    /// Tasks pushed but not yet fully processed. Children are counted before
-    /// they are pushed, so before their parent is done: 0 ⇒ quiescent.
+    /// Tasks pushed but not yet retired. A worker settles a flush window in
+    /// one step, before the push: its buffered children are added and the
+    /// tasks that produced them retired, so a parent is counted until its
+    /// children are: 0 ⇒ quiescent.
     outstanding: AtomicUsize,
     flushes_pending: AtomicUsize,
     /// Stored before any legitimate pill is pushed: a pill seen while it is
@@ -369,7 +383,7 @@ impl<'a> Engine<'a> {
                 continue;
             }
             // A pill may arrive mid-batch; finish the tasks drained alongside
-            // it (their outstanding decrements must still happen) first.
+            // it (their retirement must still happen) first.
             let mut saw_pill = false;
             for item in batch {
                 match item {
@@ -382,6 +396,9 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+            // Nothing stays buffered across anything that can block: the
+            // gate, the next pop, leaving the loop.
+            w.write_out()?;
             if saw_pill {
                 break;
             }
@@ -390,6 +407,15 @@ impl<'a> Engine<'a> {
         std::mem::forget(abort_unless_ok);
         Ok(w.stats)
     }
+}
+
+/// The value for one more edge: a copy, or the original on the last one.
+fn hand_over(value: &mut Option<Value>, last: bool) -> Value {
+    match last {
+        true => value.take(),
+        false => value.clone(),
+    }
+    .expect("moved only on the last edge")
 }
 
 /// Aborts the run when a worker leaves its loop by an error or a panic.
@@ -413,23 +439,44 @@ struct Worker<'e, 'a> {
     pes: Vec<Option<Box<dyn ProcessingElement>>>,
     router: Router,
     stats: WorkerStats,
+    /// Where every PE call emits; drained by `route_emissions`.
+    emit: EmitBuffer,
+    /// Routed tasks not yet pushed: for the global queue, and per slot (by
+    /// index into the plan's slots). Each is FIFO and written out in order,
+    /// so per-connection order is what it was with a push per task.
+    global_out: Vec<QueueItem>,
+    slot_out: Vec<Vec<QueueItem>>,
+    /// Tasks run since the last [`write_out`](Self::write_out): still
+    /// counted in `outstanding`, as the tasks buffered above are not yet.
+    retired: usize,
+    /// PE service time since the last write; see [`FLUSH_AFTER`].
+    unwritten_service: Duration,
 }
 
 impl<'e, 'a> Worker<'e, 'a> {
     fn new(engine: &'e Engine<'a>, index: usize) -> Result<Self, CoreError> {
         let plan = &engine.plan;
         let n = plan.exe.graph().pe_count();
+        let slot = plan.slots.get(index);
+        let coords = match slot {
+            Some(slot) => (slot.instance, engine.slots_of(slot.pe).len()),
+            None => (index - plan.slots.len(), plan.pool),
+        };
         let mut w = Worker {
             engine,
             index,
-            slot: plan.slots.get(index),
-            coords: (index.saturating_sub(plan.slots.len()), plan.pool),
+            slot,
+            coords,
             pes: (0..n).map(|_| None).collect(),
             router: Router::new(),
             stats: WorkerStats::new(n),
+            emit: EmitBuffer::new(coords.0, coords.1),
+            global_out: Vec::new(),
+            slot_out: plan.slots.iter().map(|_| Vec::new()).collect(),
+            retired: 0,
+            unwritten_service: Duration::ZERO,
         };
-        if let Some(slot) = w.slot {
-            w.coords = (slot.instance, engine.slots_of(slot.pe).len());
+        if let Some(slot) = slot {
             let mut pe = plan.exe.instantiate(slot.pe)?;
             // Warm start. A damaged or future-versioned snapshot frame is a
             // degradation, not a failure: the instance starts cold and says
@@ -451,22 +498,26 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(w)
     }
 
-    /// Executes one task on this worker's copy of the PE; routes its output.
+    /// Executes one task on this worker's copy of the PE and buffers its
+    /// routed output; writes the buffers out once [`FLUSH_AFTER`] of service
+    /// time has gone by since the last write.
     fn run_task(&mut self, task: Task) -> Result<(), CoreError> {
         let engine = self.engine;
         if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == task.pe) {
             // sleep: injected straggler fault, a fixed delay per task.
             std::thread::sleep(extra);
+            self.unwritten_service += extra;
         }
         let known = self.pes.get_mut(task.pe.0);
         let pe = match known.ok_or(CoreError::MissingFactory(task.pe))? {
             Some(pe) => pe,
             empty => empty.insert(engine.plan.exe.instantiate(task.pe)?),
         };
-        let mut buf = EmitBuffer::new(self.coords.0, self.coords.1);
         let started = Instant::now();
-        if process_guarded(pe, &task.port, task.value, &mut buf) {
-            self.stats.latency.record(started.elapsed());
+        let ok = process_guarded(pe, &task.port, task.value, &mut self.emit);
+        let service = started.elapsed();
+        if ok {
+            self.stats.latency.record(service);
             self.stats.per_pe[task.pe.0] += 1;
         } else {
             self.stats.failed += 1;
@@ -476,19 +527,21 @@ impl<'e, 'a> Worker<'e, 'a> {
             .crash
             .is_some_and(|(w, after)| w == self.index && processed >= after)
         {
-            // Like a real crash: emissions lost, no snapshot, never drains.
+            // Like a real crash: everything not yet written out is lost
+            // (this task's emissions and the buffered ones of the tasks
+            // before it in the flush window), no snapshot, never drains.
             let who = self.slot.map(|slot| engine.slot_key(slot));
             return Err(CoreError::InjectedFault(format!(
                 "worker for {} crashed after {processed} task(s)",
                 who.unwrap_or_default()
             )));
         }
-        self.route_emissions(task.pe, &mut buf)?;
-        // Saturating decrement: an at-least-once queue may re-deliver a
-        // task, and a second decrement must not wrap the counter.
-        let _ = engine
-            .outstanding
-            .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+        self.route_emissions(task.pe);
+        self.retired += 1;
+        self.unwritten_service += service;
+        if self.unwritten_service > FLUSH_AFTER {
+            self.write_out()?;
+        }
         if let Some(storm) = engine.plan.faults.pill_storm {
             // relaxed: a count that publishes no other data; each task draws
             // a distinct value, so exactly one worker meets the threshold.
@@ -517,58 +570,288 @@ impl<'e, 'a> Worker<'e, 'a> {
         if let (Some(store), Some(snapshot)) = (&engine.plan.state, pe.snapshot()) {
             store.save(&engine.slot_key(slot), &snapshot)?;
         }
-        let mut buf = EmitBuffer::new(self.coords.0, self.coords.1);
-        pe.on_done(&mut buf);
-        self.route_emissions(slot.pe, &mut buf)?;
+        pe.on_done(&mut self.emit);
+        self.route_emissions(slot.pe);
+        // The flush's emissions are counted outstanding before the flush
+        // stops being pending: the coordinator never sees both at zero
+        // while they sit in a buffer.
+        self.write_out()?;
         engine.flushes_pending.fetch_sub(1, SeqCst);
         Ok(())
     }
 
-    /// Routes everything a PE emitted: into the private queue the
-    /// connection's grouping selects when the target is pinned, otherwise
-    /// batched to the global queue (whoever pops first runs it) — one push
-    /// and one wakeup per drain, tagged with a pool worker's consumer index
-    /// so a work-stealing queue can keep the fan-out local.
-    fn route_emissions(&mut self, from: PeId, buf: &mut EmitBuffer) -> Result<(), CoreError> {
+    /// Routes everything the last PE call emitted into this worker's
+    /// outgoing buffers: the private queue the connection's grouping selects
+    /// when the target is pinned, otherwise the global queue (whoever pops
+    /// first runs it). The value is moved on the last edge it travels.
+    fn route_emissions(&mut self, from: PeId) {
         let engine = self.engine;
         let graph = engine.plan.exe.graph();
-        let used = &mut self.stats.retries_used;
-        let mut global_batch = Vec::new();
-        for (port, value) in buf.drain() {
-            let mut delivered = false;
-            for (conn_id, conn) in graph.outgoing_from_port(from, &port) {
-                delivered = true;
-                let slots = engine.slots_of(conn.to_pe);
-                let n = slots.len().max(1);
-                let route = self.router.route(conn_id, &conn.grouping, &value, n);
-                if slots.is_empty() {
-                    // The front doors reject one-to-all into an unpinned PE,
-                    // and any one instance of it means "any worker".
-                    let task = Task::new(conn.to_pe, conn.to_port.clone(), value.clone());
-                    global_batch.push(QueueItem::Task(task));
-                    continue;
-                }
-                let targets = match route {
-                    Route::One(i) => &slots[i..i + 1],
-                    Route::All => slots,
-                };
-                for slot in targets {
-                    let task =
-                        Task::pinned(conn.to_pe, slot.instance, &*conn.to_port, value.clone());
-                    engine.push(used, &*slot.queue, task)?;
-                }
-            }
-            if !delivered && graph.outgoing(from).next().is_some() {
+        let mut emissions = std::mem::take(&mut self.emit.emissions);
+        for (port, value) in emissions.drain(..) {
+            let mut conns = graph.outgoing_from_port(from, &port).peekable();
+            if conns.peek().is_none() && graph.outgoing(from).next().is_some() {
                 self.stats.dropped += 1;
             }
+            let mut value = Some(value);
+            while let Some((conn_id, conn)) = conns.next() {
+                let last_conn = conns.peek().is_none();
+                let pinned = engine.pinned[conn.to_pe.0].clone();
+                if pinned.is_empty() {
+                    // The front doors reject one-to-all into an unpinned PE,
+                    // and any one instance of it means "any worker".
+                    let task = Task::new(
+                        conn.to_pe,
+                        conn.to_port.clone(),
+                        hand_over(&mut value, last_conn),
+                    );
+                    self.global_out.push(QueueItem::Task(task));
+                    continue;
+                }
+                let routed = value.as_ref().expect("moved only on the last edge");
+                let route = self
+                    .router
+                    .route(conn_id, &conn.grouping, routed, pinned.len());
+                let targets = match route {
+                    Route::One(i) => pinned.start + i..pinned.start + i + 1,
+                    Route::All => pinned,
+                };
+                let last_target = targets.end - 1;
+                for s in targets {
+                    let instance = engine.plan.slots[s].instance;
+                    let value = hand_over(&mut value, last_conn && s == last_target);
+                    let task = Task::pinned(conn.to_pe, instance, &*conn.to_port, value);
+                    self.slot_out[s].push(QueueItem::Task(task));
+                }
+            }
         }
-        if !global_batch.is_empty() {
-            engine.outstanding.fetch_add(global_batch.len(), SeqCst);
+        if emissions.capacity() <= EMIT_KEEP {
+            self.emit.emissions = emissions;
+        }
+    }
+
+    /// Writes the outgoing buffers out — one `push_batch` per destination
+    /// queue — after settling the window in `outstanding` with one update:
+    /// the buffered children in, the tasks that ran out.
+    fn write_out(&mut self) -> Result<(), CoreError> {
+        let engine = self.engine;
+        let children = self.global_out.len() + self.slot_out.iter().map(Vec::len).sum::<usize>();
+        let retired = std::mem::take(&mut self.retired);
+        self.unwritten_service = Duration::ZERO;
+        if children != retired {
+            // Saturating: an at-least-once queue may re-deliver a task, and
+            // a second retirement must not wrap the counter.
+            let settle = |n: usize| Some((n + children).saturating_sub(retired));
+            let _ = engine.outstanding.fetch_update(SeqCst, SeqCst, settle);
+        }
+        if children == 0 {
+            return Ok(());
+        }
+        let used = &mut self.stats.retries_used;
+        for (slot, out) in engine.plan.slots.iter().zip(&mut self.slot_out) {
+            if !out.is_empty() {
+                let out = std::mem::take(out);
+                engine.send(used, out, |b| slot.queue.push_batch(None, b))?;
+            }
+        }
+        if !self.global_out.is_empty() {
+            // Tagged with a pool worker's consumer index so a work-stealing
+            // queue can keep the fan-out local.
             let producer = self.slot.is_none().then_some(self.coords.0);
-            engine.send(used, global_batch, |b| {
-                engine.plan.global.push_batch(producer, b)
-            })?;
+            let out = std::mem::take(&mut self.global_out);
+            engine.send(used, out, |b| engine.plan.global.push_batch(producer, b))?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mappings::dynamic::run_dynamic;
+    use crate::mappings::hybrid::{run_hybrid, QueueFactory};
+    use crate::pe::{Context, CountingSink, FnSource, FnTransform};
+    use crate::queue::ChannelQueue;
+    use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
+    use d4py_sync::Mutex;
+
+    /// What a [`Watched`] queue and the PEs of a test write down, in order.
+    #[derive(Debug, PartialEq)]
+    enum Event {
+        /// A `push` or `push_batch` call carrying these task payloads.
+        Pushed(Vec<i64>),
+        /// A `pop_batch` call that delivered this many items.
+        Popped(usize),
+        /// The watched PE started on this payload.
+        Started(i64),
+    }
+
+    type Log = Arc<Mutex<Vec<Event>>>;
+
+    /// A channel queue that logs every call that moved something.
+    struct Watched {
+        inner: ChannelQueue,
+        log: Log,
+    }
+
+    fn payloads(items: &[QueueItem]) -> Vec<i64> {
+        let ints = items.iter().filter_map(|item| match item {
+            QueueItem::Task(task) => task.value.as_int(),
+            _ => None,
+        });
+        ints.collect()
+    }
+
+    impl TaskQueue for Watched {
+        fn push(&self, item: QueueItem) -> Result<(), CoreError> {
+            let pushed = payloads(std::slice::from_ref(&item));
+            self.log.lock().push(Event::Pushed(pushed));
+            self.inner.push(item)
+        }
+        fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
+            self.inner.pop(consumer, timeout)
+        }
+        fn push_batch(&self, from: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
+            self.log.lock().push(Event::Pushed(payloads(&items)));
+            self.inner.push_batch(from, items)
+        }
+        fn pop_batch(
+            &self,
+            consumer: usize,
+            max: usize,
+            timeout: Duration,
+        ) -> Result<Vec<QueueItem>, CoreError> {
+            let batch = self.inner.pop_batch(consumer, max, timeout)?;
+            if !batch.is_empty() {
+                self.log.lock().push(Event::Popped(batch.len()));
+            }
+            Ok(batch)
+        }
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+    }
+
+    impl QueueFactory for Log {
+        fn make(&self, _name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+            Ok(Arc::new(Watched {
+                inner: ChannelQueue::new(consumers),
+                log: self.clone(),
+            }))
+        }
+    }
+
+    /// source → `hops` stages → counting sink over `0..items`; each stage
+    /// runs `stage` on the payload before passing it on.
+    fn chain(
+        items: i64,
+        hops: usize,
+        stage: impl Fn(i64) + Clone + Send + Sync + 'static,
+    ) -> (Executable, Arc<AtomicU64>) {
+        let mut g = WorkflowGraph::new("chain");
+        let source = g.add_pe(PeSpec::source("source", "out"));
+        let stages: Vec<PeId> = (0..hops)
+            .map(|i| g.add_pe(PeSpec::transform(format!("hop{i}"), "in", "out")))
+            .collect();
+        let sink = g.add_pe(PeSpec::sink("sink", "in"));
+        let mut prev = source;
+        for &next in stages.iter().chain([&sink]) {
+            g.connect(prev, "out", next, "in", Grouping::Shuffle)
+                .expect("declared ports");
+            prev = next;
+        }
+        let mut exe = Executable::new(g).expect("a chain is valid");
+        exe.register(source, move || {
+            Box::new(FnSource(move |ctx: &mut dyn Context| {
+                (0..items).for_each(|i| ctx.emit("out", Value::Int(i)));
+            }))
+        });
+        for pe in stages {
+            let stage = stage.clone();
+            exe.register(pe, move || {
+                let stage = stage.clone();
+                Box::new(FnTransform(
+                    move |_: &str, v: Value, ctx: &mut dyn Context| {
+                        stage(v.as_int().expect("the source emits ints"));
+                        ctx.emit("out", v);
+                    },
+                ))
+            });
+        }
+        let (_, count) = CountingSink::new();
+        let handle = count.clone();
+        exe.register(sink, move || {
+            Box::new(CountingSink::into_handle(handle.clone()))
+        });
+        (exe.seal().expect("every PE registered"), count)
+    }
+
+    /// Queue traffic is per popped batch, not per task, through both front
+    /// doors: a popped batch is answered by at most one write per
+    /// destination (here one, the global queue). The service-time rule may
+    /// split the batch of a worker that was descheduled mid-batch, hence the
+    /// factor two; a push per task is thirty times over the bound.
+    #[test]
+    fn pushes_follow_popped_batches_not_tasks() {
+        const WORKERS: usize = 3;
+        type Door = fn(&Executable, &ExecutionOptions, &Log) -> Result<RunReport, CoreError>;
+        let runs: [(&str, Door); 2] = [
+            ("run_dynamic", |exe, opts, log| {
+                run_dynamic(exe, opts, log.make("global", WORKERS)?, "dyn_test", None)
+            }),
+            ("run_hybrid", |exe, opts, log| {
+                run_hybrid(exe, opts, log, "hybrid_test")
+            }),
+        ];
+        for (door, run) in runs {
+            let (exe, count) = chain(2_000, 4, |_| {});
+            let log = Log::default();
+            let report = run(&exe, &ExecutionOptions::new(WORKERS), &log)
+                .unwrap_or_else(|e| panic!("{door}: {e}"));
+            assert_eq!(count.load(SeqCst), 2_000, "{door}");
+            assert_eq!(report.tasks_executed, 1 + 2_000 * 5, "{door}");
+            let log = log.lock();
+            let pushes = log.iter().filter(|e| matches!(e, Event::Pushed(_))).count();
+            let pops = log.iter().filter(|e| matches!(e, Event::Popped(_))).count();
+            // Per worker: its pill; once: the seed and the source's burst.
+            assert!(
+                pushes <= 2 * pops + WORKERS + 2,
+                "{door}: {pushes} pushes for {pops} delivering pops"
+            );
+        }
+    }
+
+    /// The early write: a PE whose tasks each outlast [`FLUSH_AFTER`] has
+    /// every emission on the queue before the next task of the same popped
+    /// batch starts, as with a push per task.
+    #[test]
+    fn slow_tasks_are_written_out_one_by_one() {
+        let log = Log::default();
+        let seen = log.clone();
+        let (exe, count) = chain(8, 1, move |i| {
+            seen.lock().push(Event::Started(i));
+            // sleep: simulated PE compute, well past FLUSH_AFTER.
+            std::thread::sleep(FLUSH_AFTER * 10);
+        });
+        let queue = log.make("global", 1).expect("queue");
+        run_dynamic(&exe, &ExecutionOptions::new(1), queue, "dyn_test", None).expect("run");
+        assert_eq!(count.load(SeqCst), 8);
+        let log = log.lock();
+        let at = |wanted: &Event| log.iter().position(|e| e == wanted);
+        assert!(
+            log.contains(&Event::Popped(8)),
+            "one worker pops the source's eight items as one batch: {log:?}"
+        );
+        for i in 0..7 {
+            // The source's burst carries all eight; the hop's own write of
+            // `i` is the single-payload one.
+            let written = at(&Event::Pushed(vec![i])).expect("the hop's emission is pushed");
+            let next = at(&Event::Started(i + 1)).expect("the next task runs");
+            assert!(
+                written < next,
+                "emission {i} waited for task {}: {log:?}",
+                i + 1
+            );
+        }
     }
 }

@@ -27,7 +27,7 @@ pub trait Context {
 /// A buffering [`Context`] implementation used by every mapping.
 #[derive(Debug, Default)]
 pub struct EmitBuffer {
-    emissions: Vec<(String, Value)>,
+    pub(crate) emissions: Vec<(String, Value)>,
     instance: usize,
     instance_count: usize,
 }

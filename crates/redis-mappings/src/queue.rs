@@ -4,18 +4,26 @@
 //! scheduling replaced by a Redis stream with one consumer group. Mapping of
 //! queue operations onto commands:
 //!
-//! * `push`  → `XADD key * task <codec bytes>`
-//! * `pop`   → `XREADGROUP GROUP g w<i> COUNT 1 BLOCK <ms> NOACK STREAMS key >`
-//!   followed by `XDEL` of the delivered id, so `XLEN` stays an accurate
-//!   live-depth metric and memory stays bounded
-//! * `depth` → `XLEN`
+//! * `push` → `XADD key * task <codec bytes>`; `push_batch` → the same, one
+//!   pipelined write per [`PUSH_PIPELINE`] items
+//! * `pop_batch` → one pipelined write per popped batch:
+//!   `XDEL key <ids of the previous batch>` then
+//!   `XREADGROUP GROUP g w<i> COUNT n BLOCK <ms> NOACK STREAMS key >`.
+//!   A consumer deletes what it read with its *next* read instead of paying
+//!   a second round trip per batch; a batch that carries a pill is deleted at
+//!   once, because its consumer is about to stop reading. `pop` is a batch
+//!   of one
+//! * `depth` → `XLEN` minus the entries delivered and not yet deleted, so it
+//!   stays the live depth and memory stays bounded by one batch per consumer
 //! * `idle_times` → `XINFO CONSUMERS` (the consumer-group idle metadata the
 //!   `dyn_auto_redis` strategy monitors)
 //!
 //! `NOACK` is used because workers are threads of one process: there is no
 //! crash-recovery consumer to hand pending entries to, so at-most-once
 //! delivery inside the process is the honest semantic (real dispel4py's
-//! Redis mapping makes the same choice for its task queue reads).
+//! Redis mapping makes the same choice for its task queue reads). Reliable
+//! mode ([`RedisQueue::new_reliable`]) keeps one tracked entry per consumer
+//! and reads one entry per round trip.
 
 use crate::backend::RedisBackend;
 use crate::pool::{ConnectionPool, PoolConfig};
@@ -24,13 +32,19 @@ use d4py_core::error::CoreError;
 use d4py_core::queue::TaskQueue;
 use d4py_core::task::QueueItem;
 use d4py_sync::Mutex;
-use redis_lite::client::{parse_claim_reply, ClientError, Connection, RedisOps};
+use redis_lite::client::{parse_claim_reply, parse_read_reply, ClientError, Connection, RedisOps};
 use redis_lite::resp::Frame;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering::{self, SeqCst};
 use std::time::{Duration, Instant};
 
 const GROUP: &[u8] = b"d4py";
 const FIELD: &[u8] = b"task";
+
+/// XADDs per pipelined write of `push_batch`. A source's whole stream
+/// arrives as one batch; this bounds the encoded payloads, the argument
+/// table and the wire buffer the client holds at once, whatever its length.
+const PUSH_PIPELINE: usize = 512;
 
 /// True for errors where the connection itself is suspect (vs. a server
 /// reply the connection carried back fine).
@@ -51,13 +65,26 @@ fn decode_payload(pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<QueueItem, CoreError
     Ok(codec::decode_item(&payload)?)
 }
 
+/// One consumer's reading end.
+struct Reader {
+    /// Dedicated connection (blocking reads must not share).
+    conn: Box<dyn Connection>,
+    /// `w<i>`: the consumer's name in the group.
+    name: Vec<u8>,
+    /// NOACK mode: ids of the entries the last read delivered, still in the
+    /// stream until the next read's pipeline deletes them.
+    undeleted: Vec<String>,
+    /// Reliable mode: the entry popped last, acknowledged by the next pop.
+    unacked: Option<String>,
+}
+
 /// A Redis-stream-backed [`TaskQueue`].
 pub struct RedisQueue {
     key: Vec<u8>,
-    /// Dedicated connection per consumer (blocking reads must not share).
-    readers: Vec<Mutex<Box<dyn Connection>>>,
-    /// In reliable mode: the not-yet-acknowledged entry id per consumer.
-    unacked: Vec<Mutex<Option<String>>>,
+    readers: Vec<Mutex<Reader>>,
+    /// Entries across all readers' `undeleted`: what `XLEN` counts beyond
+    /// the live depth.
+    undeleted: AtomicUsize,
     /// Bounded, health-checked pool for pushes / monitoring queries.
     pool: ConnectionPool,
     /// Last successfully observed depth, held across transient backend
@@ -72,7 +99,7 @@ pub struct RedisQueue {
 impl RedisQueue {
     /// Creates the stream + consumer group and `consumers` reader
     /// connections, in the fast NOACK mode (at-most-once within the
-    /// process; entries are XDELed as they are read).
+    /// process; a consumer's next read deletes what its last delivered).
     pub fn new(
         backend: &RedisBackend,
         key: impl Into<Vec<u8>>,
@@ -106,15 +133,18 @@ impl RedisQueue {
             .xgroup_create(&key, GROUP)
             .map_err(|e| CoreError::Queue(format!("XGROUP CREATE failed: {e}")))?;
         let mut readers = Vec::with_capacity(consumers);
-        let mut unacked = Vec::with_capacity(consumers);
-        for _ in 0..consumers {
-            readers.push(Mutex::new(backend.connect()?));
-            unacked.push(Mutex::new(None));
+        for consumer in 0..consumers {
+            readers.push(Mutex::new(Reader {
+                conn: backend.connect()?,
+                name: format!("w{consumer}").into_bytes(),
+                undeleted: Vec::new(),
+                unacked: None,
+            }));
         }
         Ok(Self {
             key,
             readers,
-            unacked,
+            undeleted: AtomicUsize::new(0),
             pool: ConnectionPool::new(backend.clone(), PoolConfig::default()),
             last_depth: AtomicUsize::new(0),
             created: Instant::now(),
@@ -152,6 +182,91 @@ impl RedisQueue {
         }
         Ok(())
     }
+
+    fn reader(&self, consumer: usize) -> Result<&Mutex<Reader>, CoreError> {
+        self.readers.get(consumer).ok_or_else(|| {
+            CoreError::Queue(format!("no reader connection for consumer {consumer}"))
+        })
+    }
+
+    /// NOACK mode: deletes what the previous read delivered and reads up to
+    /// `max` entries, in one pipelined write.
+    fn pop_noack(
+        &self,
+        consumer: usize,
+        max: usize,
+        timeout: Duration,
+    ) -> Result<Vec<QueueItem>, CoreError> {
+        let mut reader = self.reader(consumer)?.lock();
+        let Reader {
+            conn,
+            name,
+            undeleted,
+            ..
+        } = &mut *reader;
+        let count = max.to_string();
+        let block_ms = timeout.as_millis().max(1).to_string();
+        let read: [&[u8]; 12] = [
+            b"XREADGROUP",
+            b"GROUP",
+            GROUP,
+            name,
+            b"COUNT",
+            count.as_bytes(),
+            b"BLOCK",
+            block_ms.as_bytes(),
+            b"NOACK",
+            b"STREAMS",
+            &self.key,
+            b">",
+        ];
+        let del = self.xdel(undeleted);
+        let cmds: [&[&[u8]]; 2] = [&del, &read];
+        let settled = undeleted.len();
+        let mut replies = conn
+            .request_many(&cmds[usize::from(settled == 0)..])
+            // Outcome unknown: the ids stay, XDEL is idempotent.
+            .map_err(|e| CoreError::Queue(e.to_string()))?;
+        let read_reply = replies
+            .pop()
+            .ok_or_else(|| CoreError::Queue("empty pipeline reply".into()))?;
+        let entries = parse_read_reply(read_reply).map_err(|e| CoreError::Queue(e.to_string()))?;
+        let (ids, bodies): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
+        *undeleted = ids;
+        // Only now, with the reply in hand: until then `depth()` keeps
+        // subtracting ids the server may already have deleted, so a probe
+        // racing this read can report too little, never a phantom backlog.
+        let delivered = undeleted.len();
+        let settle = |n: usize| Some(n + delivered - settled);
+        let _ = self.undeleted.fetch_update(SeqCst, SeqCst, settle);
+        if let Some(reply) = replies.first() {
+            Self::frame_ok(reply, "batched XDEL")?;
+        }
+        let items = bodies
+            .into_iter()
+            .map(decode_payload)
+            .collect::<Result<Vec<_>, _>>()?;
+        if items.contains(&QueueItem::Pill) {
+            // This consumer was told to stop and may never read again:
+            // settle now. Best effort — on failure the ids wait for a next
+            // read as they otherwise would.
+            let del = self.xdel(undeleted);
+            if matches!(conn.request(&del), Ok(reply) if !reply.is_error()) {
+                self.undeleted.fetch_sub(delivered, SeqCst);
+                undeleted.clear();
+            }
+        }
+        Ok(items)
+    }
+
+    /// `XDEL key <ids>`.
+    fn xdel<'a>(&'a self, ids: &'a [String]) -> Vec<&'a [u8]> {
+        let mut del: Vec<&[u8]> = Vec::with_capacity(2 + ids.len());
+        del.push(b"XDEL");
+        del.push(&self.key);
+        del.extend(ids.iter().map(|id| id.as_bytes()));
+        del
+    }
 }
 
 impl TaskQueue for RedisQueue {
@@ -164,97 +279,84 @@ impl TaskQueue for RedisQueue {
     }
 
     fn push_batch(&self, _producer: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        // One pipelined XADD burst: N commands, one write, one read.
-        let payloads: Vec<Vec<u8>> = items.iter().map(codec::encode_item).collect();
-        let owned: Vec<[&[u8]; 5]> = payloads
-            .iter()
-            .map(|p| [b"XADD".as_ref(), &self.key, b"*", FIELD, p.as_slice()])
-            .collect();
-        let cmds: Vec<&[&[u8]]> = owned.iter().map(|c| c.as_slice()).collect();
-        let replies = self.with_pool(|c| c.request_many(&cmds))?;
-        for reply in &replies {
-            Self::frame_ok(reply, "pipelined XADD")?;
+        // Pipelined XADD bursts: N commands, one write, one read each. A
+        // failure leaves the earlier bursts appended.
+        for burst in items.chunks(PUSH_PIPELINE) {
+            let payloads: Vec<Vec<u8>> = burst.iter().map(codec::encode_item).collect();
+            let owned: Vec<[&[u8]; 5]> = payloads
+                .iter()
+                .map(|p| [b"XADD".as_ref(), &self.key, b"*", FIELD, p.as_slice()])
+                .collect();
+            let cmds: Vec<&[&[u8]]> = owned.iter().map(|c| c.as_slice()).collect();
+            let replies = self.with_pool(|c| c.request_many(&cmds))?;
+            for reply in &replies {
+                Self::frame_ok(reply, "pipelined XADD")?;
+            }
         }
         Ok(())
     }
 
     fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
-        let Some(reader) = self.readers.get(consumer) else {
-            return Err(CoreError::Queue(format!(
-                "no reader connection for consumer {consumer}"
-            )));
+        let Some(reclaim_idle) = self.reliable else {
+            return Ok(self.pop_noack(consumer, 1, timeout)?.pop());
         };
-        let consumer_name = format!("w{consumer}");
-        let mut conn = reader.lock();
+        let mut reader = self.reader(consumer)?.lock();
+        let Reader {
+            conn,
+            name,
+            unacked: pending,
+            ..
+        } = &mut *reader;
 
-        if let Some(reclaim_idle) = self.reliable {
-            // Ack-on-next-pop, folded into ONE round-trip: [XACK prev,
-            // XDEL prev,] XAUTOCLAIM ride a single pipeline instead of the
-            // three sequential round-trips this path used to pay.
-            let mut pending = self.unacked[consumer].lock();
-            let idle_ms = reclaim_idle.as_millis().to_string();
-            let claim: [&[u8]; 8] = [
-                b"XAUTOCLAIM",
-                &self.key,
-                GROUP,
-                consumer_name.as_bytes(),
-                idle_ms.as_bytes(),
-                b"0",
-                b"COUNT",
-                b"1",
-            ];
-            // `pending` is only cleared AFTER the ack round-trip succeeds;
-            // clearing it eagerly lost the id on error, leaving the entry
-            // in the PEL to double-deliver via a later XAUTOCLAIM.
-            let replies = if let Some(prev) = pending.as_deref() {
-                let ack: [&[u8]; 4] = [b"XACK", &self.key, GROUP, prev.as_bytes()];
-                let del: [&[u8]; 3] = [b"XDEL", &self.key, prev.as_bytes()];
-                let cmds: [&[&[u8]]; 3] = [&ack, &del, &claim];
-                conn.request_many(&cmds)
-                    .map_err(|e| CoreError::Queue(e.to_string()))?
-            } else {
-                conn.request_many(&[&claim])
-                    .map_err(|e| CoreError::Queue(e.to_string()))?
-            };
-            let (ack_replies, claim_reply) = replies.split_at(replies.len() - 1);
-            for reply in ack_replies {
-                Self::frame_ok(reply, "ack of previous entry")?;
-            }
-            *pending = None; // ack landed (or there was nothing to ack)
-
-            // Rescue entries a stalled consumer left pending.
-            let claimed = parse_claim_reply(claim_reply[0].clone())
+        // Ack-on-next-pop, folded into ONE round-trip: [XACK prev,
+        // XDEL prev,] XAUTOCLAIM ride a single pipeline instead of the
+        // three sequential round-trips this path used to pay.
+        let idle_ms = reclaim_idle.as_millis().to_string();
+        let claim: [&[u8]; 8] = [
+            b"XAUTOCLAIM",
+            &self.key,
+            GROUP,
+            name,
+            idle_ms.as_bytes(),
+            b"0",
+            b"COUNT",
+            b"1",
+        ];
+        // `pending` is only cleared AFTER the ack round-trip succeeds;
+        // clearing it eagerly lost the id on error, leaving the entry
+        // in the PEL to double-deliver via a later XAUTOCLAIM.
+        let replies = if let Some(prev) = pending.as_deref() {
+            let ack: [&[u8]; 4] = [b"XACK", &self.key, GROUP, prev.as_bytes()];
+            let del: [&[u8]; 3] = [b"XDEL", &self.key, prev.as_bytes()];
+            let cmds: [&[&[u8]]; 3] = [&ack, &del, &claim];
+            conn.request_many(&cmds)
                 .map_err(|e| CoreError::Queue(e.to_string()))?
-                .into_iter()
-                .next();
-            let read = match claimed {
-                Some(entry) => Some(entry),
-                None => conn
-                    .xreadgroup_one(&self.key, GROUP, consumer_name.as_bytes(), timeout, false)
-                    .map_err(|e| CoreError::Queue(e.to_string()))?,
-            };
-            let Some((id, pairs)) = read else {
-                return Ok(None);
-            };
-            *pending = Some(id);
-            drop(pending);
-            drop(conn);
-            return decode_payload(pairs).map(Some);
+        } else {
+            conn.request_many(&[&claim])
+                .map_err(|e| CoreError::Queue(e.to_string()))?
+        };
+        let (ack_replies, claim_reply) = replies.split_at(replies.len() - 1);
+        for reply in ack_replies {
+            Self::frame_ok(reply, "ack of previous entry")?;
         }
+        *pending = None; // ack landed (or there was nothing to ack)
 
-        let read = conn
-            .xreadgroup_one(&self.key, GROUP, consumer_name.as_bytes(), timeout, true)
-            .map_err(|e| CoreError::Queue(e.to_string()))?;
+        // Rescue entries a stalled consumer left pending.
+        let claimed = parse_claim_reply(claim_reply[0].clone())
+            .map_err(|e| CoreError::Queue(e.to_string()))?
+            .into_iter()
+            .next();
+        let read = match claimed {
+            Some(entry) => Some(entry),
+            None => conn
+                .xreadgroup_one(&self.key, GROUP, name, timeout, false)
+                .map_err(|e| CoreError::Queue(e.to_string()))?,
+        };
         let Some((id, pairs)) = read else {
             return Ok(None);
         };
-        // Remove the consumed entry so XLEN tracks live depth.
-        conn.request(&[b"XDEL", &self.key, id.as_bytes()])
-            .map_err(|e| CoreError::Queue(e.to_string()))?;
-        drop(conn);
+        *pending = Some(id);
+        drop(reader);
         decode_payload(pairs).map(Some)
     }
 
@@ -269,50 +371,20 @@ impl TaskQueue for RedisQueue {
         }
         // Reliable mode tracks exactly one unacked id per consumer, so its
         // at-least-once contract only admits single-entry reads.
-        if self.reliable.is_some() || max == 1 {
+        if self.reliable.is_some() {
             return Ok(self.pop(consumer, timeout)?.into_iter().collect());
         }
-        let Some(reader) = self.readers.get(consumer) else {
-            return Err(CoreError::Queue(format!(
-                "no reader connection for consumer {consumer}"
-            )));
-        };
-        let consumer_name = format!("w{consumer}");
-        let mut conn = reader.lock();
-        // One COUNT-max read plus one multi-id XDEL: two round-trips per
-        // batch instead of two per item.
-        let entries = conn
-            .xreadgroup_many(
-                &self.key,
-                GROUP,
-                consumer_name.as_bytes(),
-                max,
-                timeout,
-                true,
-            )
-            .map_err(|e| CoreError::Queue(e.to_string()))?;
-        if entries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut del: Vec<&[u8]> = Vec::with_capacity(2 + entries.len());
-        del.push(b"XDEL");
-        del.push(&self.key);
-        del.extend(entries.iter().map(|(id, _)| id.as_bytes()));
-        let reply = conn
-            .request(&del)
-            .map_err(|e| CoreError::Queue(e.to_string()))?;
-        Self::frame_ok(&reply, "batched XDEL")?;
-        drop(conn);
-        entries
-            .into_iter()
-            .map(|(_, pairs)| decode_payload(pairs))
-            .collect()
+        self.pop_noack(consumer, max, timeout)
     }
 
     fn depth(&self) -> usize {
+        // Delivered entries wait in the stream for their consumer's next
+        // read to delete them; they are not queued work. Read before XLEN:
+        // an entry delivered in between is still some pop's to return.
+        let delivered = self.undeleted.load(SeqCst);
         match self.with_pool(|c| c.xlen(&self.key)) {
             Ok(n) => {
-                let depth = n.max(0) as usize;
+                let depth = (n.max(0) as usize).saturating_sub(delivered);
                 // relaxed: monitoring metric, no ordering dependencies.
                 self.last_depth.store(depth, Ordering::Relaxed);
                 depth
@@ -621,6 +693,126 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..32).collect::<Vec<_>>());
+    }
+
+    /// Connection wrapper counting the calls made through it: each
+    /// `request` or `request_many` is one round trip on a real wire.
+    struct Counting {
+        inner: Box<dyn Connection>,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl Connection for Counting {
+        fn request(&mut self, args: &[&[u8]]) -> Result<Frame, ClientError> {
+            self.calls.fetch_add(1, SeqCst);
+            self.inner.request(args)
+        }
+        fn request_many(&mut self, cmds: &[&[&[u8]]]) -> Result<Vec<Frame>, ClientError> {
+            self.calls.fetch_add(1, SeqCst);
+            self.inner.request_many(cmds)
+        }
+    }
+
+    /// Runs `check` with a plain backend, the same backend minting counted
+    /// connections and the call counter — over the in-process engine, one
+    /// TCP server, and a two-shard cluster.
+    fn over_counted_backends(check: impl Fn(&str, &RedisBackend, &RedisBackend, &AtomicUsize)) {
+        let servers: Vec<Server> = (0..3).map(|_| Server::start(0).unwrap()).collect();
+        for plain in [
+            RedisBackend::in_proc(),
+            RedisBackend::Tcp(servers[0].addr()),
+            RedisBackend::cluster(vec![servers[1].addr(), servers[2].addr()]),
+        ] {
+            let calls = Arc::new(AtomicUsize::new(0));
+            let (mint, counter) = (plain.clone(), calls.clone());
+            let counted = RedisBackend::custom(move || {
+                Ok(Box::new(Counting {
+                    inner: mint.connect()?,
+                    calls: counter.clone(),
+                }))
+            });
+            check(plain.label(), &plain, &counted, &calls);
+        }
+    }
+
+    /// Entries left in the stream, decoded.
+    fn leftovers(backend: &RedisBackend, key: &[u8]) -> Vec<QueueItem> {
+        let mut conn = backend.connect().unwrap();
+        let reply = conn.request(&[b"XRANGE", key, b"-", b"+"]).unwrap();
+        let entries = reply.as_array().expect("XRANGE replies with an array");
+        let decoded = entries.iter().map(|entry| {
+            let fields = entry.as_array().and_then(|e| e.get(1)?.as_array());
+            match fields.expect("[id, [field, value]]") {
+                [_, Frame::Bulk(payload)] => codec::decode_item(payload).unwrap(),
+                other => panic!("unexpected entry body {other:?}"),
+            }
+        });
+        decoded.collect()
+    }
+
+    #[test]
+    fn noack_pop_batch_is_one_round_trip_and_depth_stays_live() {
+        over_counted_backends(|label, plain, counted, calls| {
+            let q = RedisQueue::new(counted, "rt", 1).unwrap();
+            q.push_batch(None, (0..70).map(task).collect()).unwrap();
+            // Every pop is one call on the reader's connection: the first
+            // has nothing to delete, the later ones carry the XDEL of the
+            // batch before in the same pipelined write, the last comes back
+            // empty and still settles what the third delivered.
+            for (expect, depth_after) in [(32, 38), (32, 6), (6, 0), (0, 0)] {
+                let before = calls.load(SeqCst);
+                let got = q.pop_batch(0, 32, Duration::from_millis(20)).unwrap();
+                assert_eq!(calls.load(SeqCst) - before, 1, "{label}: one round trip");
+                assert_eq!(got.len(), expect, "{label}");
+                assert_eq!(q.depth(), depth_after, "{label}: depth is the live depth");
+            }
+            assert!(leftovers(plain, b"rt").is_empty(), "{label}: drained");
+        });
+    }
+
+    #[test]
+    fn completed_run_leaves_no_task_in_the_stream() {
+        use d4py_core::executable::Executable;
+        use d4py_core::mappings::dynamic::run_dynamic;
+        use d4py_core::options::ExecutionOptions;
+        use d4py_core::pe::{Context, CountingSink, FnSource, FnTransform};
+        use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
+
+        over_counted_backends(|label, plain, counted, _| {
+            let mut g = WorkflowGraph::new("t");
+            let a = g.add_pe(PeSpec::source("a", "out"));
+            let b = g.add_pe(PeSpec::transform("b", "in", "out"));
+            let c = g.add_pe(PeSpec::sink("c", "in"));
+            g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+            g.connect(b, "out", c, "in", Grouping::Shuffle).unwrap();
+            let (_, count) = CountingSink::new();
+            let n = count.clone();
+            let mut exe = Executable::new(g).unwrap();
+            exe.register(a, || {
+                Box::new(FnSource(|ctx: &mut dyn Context| {
+                    (0..500).for_each(|i| ctx.emit("out", Value::Int(i)));
+                }))
+            });
+            exe.register(b, || {
+                Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                    ctx.emit("out", v)
+                }))
+            });
+            exe.register(c, move || Box::new(CountingSink::into_handle(n.clone())));
+            let exe = exe.seal().unwrap();
+
+            let q = Arc::new(RedisQueue::new(counted, "run", 3).unwrap());
+            let report = run_dynamic(&exe, &ExecutionOptions::new(3), q, "t", None);
+            assert_eq!(report.unwrap().tasks_executed, 1001, "{label}");
+            assert_eq!(count.load(Ordering::Relaxed), 500, "{label}");
+            // Every delivered entry is deleted, the last batches included
+            // (a pill's batch at once). What may remain is the protocol's
+            // own surplus: each worker that runs out of retries broadcasts a
+            // pill per worker, and pills nobody was left to read stay.
+            let left = leftovers(plain, b"run");
+            assert!(left.len() <= 3 * 3, "{label}: {left:?}");
+            assert!(left.iter().all(|it| *it == QueueItem::Pill), "{label}");
+        });
     }
 
     #[test]

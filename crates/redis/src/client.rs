@@ -121,9 +121,23 @@ impl Default for ClientConfig {
 pub struct Client {
     addr: SocketAddr,
     stream: TcpStream,
-    inbox: ByteBuf,
+    /// Reply bytes: `inbox[head..tail]` is received and not yet decoded,
+    /// everything past `tail` is scratch the socket reads straight into.
+    inbox: Vec<u8>,
+    head: usize,
+    tail: usize,
     config: ClientConfig,
+    /// The read deadline the socket currently carries.
+    read_timeout_set: Option<Duration>,
 }
+
+/// Room a socket read is offered at least: one `read` takes a whole
+/// pipelined reply of a few KiB instead of one syscall per 4 KiB.
+const READ_STEP: usize = 16 * 1024;
+
+/// An inbox that grew past this for one large reply is given back once the
+/// reply is decoded.
+const INBOX_KEEP: usize = 256 * 1024;
 
 impl Client {
     /// Connects to a redis-lite (or Redis) server with default timeouts.
@@ -137,8 +151,11 @@ impl Client {
         Ok(Client {
             addr,
             stream,
-            inbox: ByteBuf::with_capacity(4096),
+            inbox: Vec::new(),
+            head: 0,
+            tail: 0,
             config,
+            read_timeout_set: config.read_timeout,
         })
     }
 
@@ -154,41 +171,35 @@ impl Client {
     /// buffered from the dead connection is stale and must be discarded.
     fn reconnect(&mut self) -> Result<(), ClientError> {
         self.stream = Self::open(self.addr, &self.config)?;
-        self.inbox.clear();
+        self.read_timeout_set = self.config.read_timeout;
+        (self.head, self.tail) = (0, 0);
         Ok(())
     }
 
-    /// Temporarily widens the read deadline for a command that legitimately
-    /// blocks server-side; restores the configured deadline afterwards.
-    fn with_block_hint<T>(
-        &mut self,
-        hint: BlockHint,
-        f: impl FnOnce(&mut Self) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let widened = match (hint, self.config.read_timeout) {
-            (BlockHint::None, _) | (_, None) => None,
-            (BlockHint::Forever, Some(_)) => Some(None),
-            (BlockHint::Extra(d), Some(base)) => Some(Some(base.saturating_add(d))),
+    /// Gives the socket the read deadline a command with this hint needs:
+    /// the configured one, widened past the time the command may
+    /// legitimately block server-side. The socket is touched only when the
+    /// deadline differs from the one it carries, so a connection that
+    /// repeats one blocking read pays for it once.
+    fn apply_block_hint(&mut self, hint: BlockHint) -> Result<(), ClientError> {
+        let wanted = match (hint, self.config.read_timeout) {
+            (BlockHint::None, base) => base,
+            (_, None) | (BlockHint::Forever, _) => None,
+            (BlockHint::Extra(d), Some(base)) => Some(base.saturating_add(d)),
         };
-        if let Some(t) = widened {
-            self.stream.set_read_timeout(t)?;
+        if wanted != self.read_timeout_set {
+            self.stream.set_read_timeout(wanted)?;
+            self.read_timeout_set = wanted;
         }
-        let result = f(self);
-        if widened.is_some() {
-            // Best-effort restore: if it fails the next request errors and
-            // the reconnect path re-applies the configured timeouts.
-            let _ = self.stream.set_read_timeout(self.config.read_timeout);
-        }
-        result
+        Ok(())
     }
 
     fn request_once(&mut self, args: &[&[u8]]) -> Result<Frame, ClientError> {
-        self.with_block_hint(block_hint(args), |this| {
-            let mut out = ByteBuf::with_capacity(64);
-            resp::encode_command(args, &mut out);
-            this.stream.write_all(&out)?;
-            this.read_frame()
-        })
+        self.apply_block_hint(block_hint(args))?;
+        let mut out = ByteBuf::with_capacity(64);
+        resp::encode_command(args, &mut out);
+        self.stream.write_all(&out)?;
+        self.read_frame()
     }
 
     fn request_many_once(&mut self, cmds: &[&[&[u8]]]) -> Result<Vec<Frame>, ClientError> {
@@ -196,39 +207,51 @@ impl Client {
             .iter()
             .map(|c| block_hint(c))
             .fold(BlockHint::None, BlockHint::max);
-        self.with_block_hint(hint, |this| {
-            let mut out = ByteBuf::with_capacity(64 * cmds.len());
-            for cmd in cmds {
-                resp::encode_command(cmd, &mut out);
-            }
-            this.stream.write_all(&out)?;
-            let mut replies = Vec::with_capacity(cmds.len());
-            for _ in 0..cmds.len() {
-                replies.push(this.read_frame()?);
-            }
-            Ok(replies)
-        })
+        self.apply_block_hint(hint)?;
+        let mut out = ByteBuf::with_capacity(64 * cmds.len());
+        for cmd in cmds {
+            resp::encode_command(cmd, &mut out);
+        }
+        self.stream.write_all(&out)?;
+        let mut replies = Vec::with_capacity(cmds.len());
+        for _ in 0..cmds.len() {
+            replies.push(self.read_frame()?);
+        }
+        Ok(replies)
     }
 
     fn read_frame(&mut self) -> Result<Frame, ClientError> {
-        let mut chunk = [0u8; 4096];
         loop {
-            match resp::decode(&self.inbox).map_err(ClientError::Protocol)? {
-                Some((frame, used)) => {
-                    let _ = self.inbox.split_to(used);
-                    return Ok(frame);
-                }
-                None => {
-                    let n = self.stream.read(&mut chunk)?;
-                    if n == 0 {
-                        return Err(ClientError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "server closed connection",
-                        )));
+            let received = &self.inbox[self.head..self.tail];
+            if let Some((frame, used)) = resp::decode(received).map_err(ClientError::Protocol)? {
+                self.head += used;
+                if self.head == self.tail {
+                    (self.head, self.tail) = (0, 0);
+                    if self.inbox.len() > INBOX_KEEP {
+                        self.inbox.truncate(READ_STEP);
+                        self.inbox.shrink_to_fit();
                     }
-                    self.inbox.extend_from_slice(&chunk[..n]);
+                }
+                return Ok(frame);
+            }
+            if self.inbox.len() - self.tail < READ_STEP {
+                // Make room: first by reclaiming the decoded prefix, then
+                // by growing (zeroed once, reused for every later read).
+                self.inbox.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+                if self.inbox.len() - self.tail < READ_STEP {
+                    self.inbox.resize(self.tail + READ_STEP, 0);
                 }
             }
+            let n = self.stream.read(&mut self.inbox[self.tail..])?;
+            if n == 0 {
+                return Err(ClientError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed connection",
+                )));
+            }
+            self.tail += n;
         }
     }
 }

@@ -21,6 +21,7 @@ use crate::resp::Frame;
 use crate::store::Db;
 use d4py_sync::{Condvar, Mutex, SharedBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Shared server state: one keyspace + wakeup machinery.
@@ -30,6 +31,9 @@ pub struct Shared {
     /// Bumped on every completed write; blocked commands compare it to the
     /// value they last attempted under.
     write_epoch: AtomicU64,
+    /// Called after the epoch moves: the reactor server's way to learn of a
+    /// write without a thread parked on `wakeup`.
+    write_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
     epoch: Instant,
     aof: Option<Aof>,
 }
@@ -83,6 +87,7 @@ impl Shared {
             db: Mutex::new(Db::new()),
             wakeup: Condvar::new(),
             write_epoch: AtomicU64::new(0),
+            write_hook: OnceLock::new(),
             epoch: Instant::now(),
             aof: None,
         }
@@ -137,15 +142,26 @@ impl Shared {
     /// The current write epoch. Moves exactly when a write completes, so a
     /// stable value across two reads means no data arrived in between.
     pub fn write_epoch(&self) -> u64 {
-        self.write_epoch.load(Ordering::Acquire)
+        self.write_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Installs the hook [`mark_write`](Self::mark_write) calls; the first
+    /// caller wins (one server per `Shared`).
+    pub(crate) fn set_write_hook(&self, hook: impl Fn() + Send + Sync + 'static) {
+        let _ = self.write_hook.set(Box::new(hook));
     }
 
     /// Marks a completed write: bump the epoch (the keyspace mutation is
     /// already unlocked, so any epoch observer also observes the data),
-    /// then pulse parked threads.
+    /// then pulse parked threads and reactor workers. SeqCst: a reactor
+    /// worker raises its parked flag and then re-reads the epoch, this bumps
+    /// the epoch and then reads the flag — one of the two sees the other.
     fn mark_write(&self) {
-        self.write_epoch.fetch_add(1, Ordering::Release);
+        self.write_epoch.fetch_add(1, Ordering::SeqCst);
         self.wakeup.notify_all();
+        if let Some(hook) = self.write_hook.get() {
+            hook();
+        }
     }
 
     /// Executes one client command, parking the calling thread for blocking

@@ -28,7 +28,7 @@ use d4py_sync::{ByteBuf, Condvar, Mutex};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,8 +44,9 @@ const READ_BUDGET: usize = 64 * 1024;
 const IDLE_SPINS: u32 = 64;
 
 /// How long a worker parks when there is nothing to do. This bounds the
-/// latency of two things that arrive without a readiness signal: bytes on an
-/// idle socket, and engine writes that unblock a parked command.
+/// latency of what arrives without a signal: bytes on an idle socket. (An
+/// engine write that may unblock a parked command pokes the worker, see
+/// [`WorkerShared::wake_if_parked`].)
 const PARK: Duration = Duration::from_millis(1);
 
 /// One client connection as a state machine owned by a single worker.
@@ -221,6 +222,11 @@ impl Conn {
 pub(crate) struct WorkerShared {
     inbox: Mutex<Vec<Conn>>,
     signal: Condvar,
+    /// Up while the worker waits on `signal`; raised and lowered under the
+    /// inbox lock.
+    parked: AtomicBool,
+    /// Times a write found the worker parked and woke it.
+    write_wakes: AtomicU64,
 }
 
 impl WorkerShared {
@@ -228,6 +234,8 @@ impl WorkerShared {
         WorkerShared {
             inbox: Mutex::new(Vec::new()),
             signal: Condvar::new(),
+            parked: AtomicBool::new(false),
+            write_wakes: AtomicU64::new(0),
         }
     }
 
@@ -242,16 +250,40 @@ impl WorkerShared {
         self.signal.notify_one();
     }
 
+    /// A write completed: a blocked command on one of this worker's
+    /// connections may be ready, and a parked worker would learn it only
+    /// when [`PARK`] expires. The flag is up only between taking the inbox
+    /// lock and waiting, so taking the lock first means the notify cannot
+    /// fall between the worker's epoch check and its wait.
+    pub(crate) fn wake_if_parked(&self) {
+        if self.parked.load(Ordering::SeqCst) {
+            drop(self.inbox.lock());
+            self.signal.notify_one();
+            // relaxed: a statistic, publishes nothing.
+            self.write_wakes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    pub(crate) fn write_wakes(&self) -> u64 {
+        // relaxed: a statistic, publishes nothing.
+        self.write_wakes.load(Ordering::Relaxed)
+    }
+
     fn drain(&self) -> Vec<Conn> {
         let mut q = self.inbox.lock();
         std::mem::take(&mut *q)
     }
 
-    fn park(&self) {
+    /// Parks unless a connection was handed over or the write epoch moved
+    /// since `epoch_swept`, the value read before the sweep that found
+    /// nothing to do.
+    fn park(&self, shared: &Shared, epoch_swept: u64) {
         let mut q = self.inbox.lock();
-        if q.is_empty() {
+        self.parked.store(true, Ordering::SeqCst);
+        if q.is_empty() && shared.write_epoch() == epoch_swept {
             let _ = self.signal.wait_for(&mut q, PARK);
         }
+        self.parked.store(false, Ordering::SeqCst);
     }
 }
 
@@ -268,6 +300,7 @@ pub(crate) fn worker_loop(
     let mut idle_spins = 0u32;
     loop {
         let mut progressed = false;
+        let epoch_swept = shared.write_epoch();
         let fresh = ws.drain();
         if !fresh.is_empty() {
             progressed = true;
@@ -303,7 +336,7 @@ pub(crate) fn worker_loop(
             std::thread::yield_now();
             continue;
         }
-        ws.park();
+        ws.park(&shared, epoch_swept);
     }
 }
 

@@ -185,6 +185,8 @@ impl Server {
                 }));
                 worker_shared.push(ws);
             }
+            let parked = worker_shared.clone();
+            shared.set_write_hook(move || parked.iter().for_each(|ws| ws.wake_if_parked()));
         }
 
         let accept_shared = shared.clone();
@@ -268,6 +270,12 @@ impl Server {
     /// Number of currently tracked live connections (tests/ops visibility).
     pub fn live_connections(&self) -> usize {
         self.conns.len()
+    }
+
+    /// Times a completed write found a reactor worker parked and woke it
+    /// (tests/ops visibility).
+    pub fn reactor_write_wakes(&self) -> u64 {
+        self.worker_shared.iter().map(|ws| ws.write_wakes()).sum()
     }
 
     /// Chaos knob: force-closes every live connection while the server

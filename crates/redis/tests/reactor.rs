@@ -302,3 +302,54 @@ fn xread_block_wakes_across_reactor_connections() {
         "XREAD from $ must not replay history"
     );
 }
+
+/// A write on one reactor worker's connection wakes the *other* worker when
+/// that one is parked holding a blocked reader — it does not wait out the
+/// park. Asserted on the wake count, not on wall time: a round whose write
+/// lands in the few microseconds the reader's worker spends between two
+/// parks is released by its sweep instead and counts nothing, so the test
+/// takes a few rounds and needs one counted wake.
+#[test]
+fn write_on_one_worker_wakes_a_reader_parked_on_the_other() {
+    let config = ServerConfig {
+        workers: 2,
+        ..reactor_config()
+    };
+    let server = Server::start_with(0, config).expect("server");
+    let addr = server.addr();
+    // Connections are dealt round-robin: the writer on worker 0, the
+    // reader on worker 1.
+    let mut writer = Client::connect(addr).expect("writer");
+    writer.xgroup_create(b"q", b"g").expect("group");
+    let mut reader = Client::connect(addr).expect("reader");
+
+    let mut woken = false;
+    for round in 0..20 {
+        let before = server.reactor_write_wakes();
+        let epoch = server.shared().write_epoch();
+        let blocked = std::thread::spawn(move || {
+            let got = reader.xreadgroup_one(b"q", b"g", b"w0", Duration::from_secs(5), true);
+            (reader, got.expect("blocked read"))
+        });
+        // sleep: lets the reader's worker find nothing to do, run out of
+        // spins and park; nothing is measured against this.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            server.shared().write_epoch(),
+            epoch,
+            "round {round}: the read must still be blocked, not answered"
+        );
+        writer.xadd(b"q", b"task", b"x").expect("xadd");
+        let (back, got) = blocked.join().expect("reader thread");
+        reader = back;
+        assert!(got.is_some(), "round {round}: the write releases the read");
+        woken = server.reactor_write_wakes() > before;
+        if woken {
+            break;
+        }
+    }
+    assert!(
+        woken,
+        "no write ever found the reader's worker parked and woke it"
+    );
+}

@@ -95,6 +95,24 @@ benchmark_summary="$(cargo run --release --offline --quiet \
 grep -q '"failed": 0,' <<<"$benchmark_summary" \
     || { echo "verify: FAIL — benchmark smoke: items_failed != 0" >&2; exit 1; }
 
+# A count gate, not a timing gate: on the redis path the unit of queue
+# traffic is the popped batch (one read carrying the previous batch's XDEL,
+# one pipelined write), so a traced chain9_redis run makes ~0.06 round trips
+# per task on any machine. One round trip per task — a push per emission, a
+# second trip per pop — reads ~1.0 and fails here.
+redis_summary="$(cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- run --quick --seconds 2 \
+    --workload chain9_redis --trace \
+    --out target/bench/BENCHMARK_smoke_redis.json | tail -n 1)" \
+    || { echo "verify: FAIL — benchmark redis smoke run failed" >&2; exit 1; }
+grep -q '"failed": 0,' <<<"$redis_summary" \
+    || { echo "verify: FAIL — benchmark redis smoke: items_failed != 0" >&2; exit 1; }
+round_trips="$(sed -n \
+    's/.*"redis\.client\.round_trips_per_task": {"value": \([0-9.eE+-]*\).*/\1/p' \
+    <<<"$redis_summary")"
+awk -v x="$round_trips" 'BEGIN { exit !(x != "" && x + 0 < 0.25) }' \
+    || { echo "verify: FAIL — chain9_redis round_trips_per_task = '$round_trips', want < 0.25" >&2; exit 1; }
+
 for bench in ablation_queue redis_backend connections chaos_matrix; do
     baseline="bench/baselines/BENCH_${bench}.json"
     current="target/bench/BENCH_${bench}.json"

@@ -121,19 +121,22 @@ fn clean_runs_report_zero_failures() {
 }
 
 /// Queue wrapper whose N-th `push_batch` fails once with a transport error,
-/// then behaves normally: a worker dies holding a task whose outstanding
-/// count never drains.
+/// then behaves normally: a worker dies holding the tasks of its flush
+/// window, whose outstanding count never drains.
 struct FailingPush {
     inner: Arc<dyn TaskQueue>,
     /// `push_batch` calls left before the failing one.
     countdown: AtomicU64,
+    /// Items the failing call was handed.
+    lost: AtomicU64,
 }
 
 impl FailingPush {
-    fn nth(inner: Arc<dyn TaskQueue>, n: u64) -> Arc<dyn TaskQueue> {
+    fn nth(inner: Arc<dyn TaskQueue>, n: u64) -> Arc<Self> {
         Arc::new(Self {
             inner,
             countdown: AtomicU64::new(n),
+            lost: AtomicU64::new(0),
         })
     }
 }
@@ -147,6 +150,7 @@ impl TaskQueue for FailingPush {
     }
     fn push_batch(&self, producer: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
         if self.countdown.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.lost.store(items.len() as u64, Ordering::SeqCst);
             return Err(CoreError::Queue("injected: push_batch failed".into()));
         }
         self.inner.push_batch(producer, items)
@@ -180,12 +184,22 @@ fn must_return(run: impl FnOnce() -> Result<RunReport, CoreError> + Send + 'stat
 
 #[test]
 fn dynamic_run_returns_when_a_worker_dies_holding_a_task() {
-    let (exe, _) = poisoned_exe(50, 0);
-    let err = must_return(move || {
-        let queue = FailingPush::nth(Arc::new(WorkStealQueue::new(4)), 4);
-        run_dynamic(&exe, &ExecutionOptions::new(4), queue, "dyn_test", None)
-    });
+    // The source's burst is the first `push_batch`; the second is a worker
+    // writing out the emissions of the batch it popped.
+    let (exe, count) = poisoned_exe(50, 0);
+    let queue = FailingPush::nth(Arc::new(WorkStealQueue::new(4)), 2);
+    let q = queue.clone();
+    let err =
+        must_return(move || run_dynamic(&exe, &ExecutionOptions::new(4), q, "dyn_test", None));
     assert!(matches!(err, CoreError::Queue(_)), "unexpected: {err}");
+    // The dying worker's buffer is dropped, not written out by anyone: what
+    // it held never reaches the sink.
+    let lost = queue.lost.load(Ordering::SeqCst);
+    assert!(lost >= 1, "the failing write carried the worker's buffer");
+    assert!(
+        count.load(Ordering::Relaxed) + lost <= 50,
+        "an aborted run must not deliver the dead worker's unwritten emissions"
+    );
 }
 
 #[test]
@@ -195,7 +209,7 @@ fn hybrid_run_returns_when_a_worker_dies_holding_a_task() {
         fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
             let queue = ChannelQueueFactory.make(name, consumers)?;
             Ok(match name {
-                "global" => FailingPush::nth(queue, 4),
+                "global" => FailingPush::nth(queue, 2),
                 _ => queue,
             })
         }

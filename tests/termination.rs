@@ -144,3 +144,71 @@ fn many_repeated_runs_never_hang() {
         );
     }
 }
+
+/// source → two branches that each triple their input → one sink: every
+/// popped batch of thirty-two tasks writes ninety-six children back.
+fn fan_out(items: i64) -> (Executable, Arc<std::sync::atomic::AtomicU64>) {
+    let mut g = WorkflowGraph::new("fan");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let left = g.add_pe(PeSpec::transform("left", "in", "out"));
+    let right = g.add_pe(PeSpec::transform("right", "in", "out"));
+    let d = g.add_pe(PeSpec::sink("d", "in"));
+    for branch in [left, right] {
+        g.connect(a, "out", branch, "in", Grouping::Shuffle)
+            .unwrap();
+        g.connect(branch, "out", d, "in", Grouping::Shuffle)
+            .unwrap();
+    }
+    let (_, count) = CountingSink::new();
+    let n = count.clone();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(a, move || {
+        Box::new(FnSource(move |ctx: &mut dyn Context| {
+            for i in 0..items {
+                ctx.emit("out", Value::Int(i));
+            }
+        }))
+    });
+    for branch in [left, right] {
+        exe.register(branch, || {
+            Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                for _ in 0..3 {
+                    ctx.emit("out", v.clone());
+                }
+            }))
+        });
+    }
+    exe.register(d, move || Box::new(CountingSink::into_handle(n.clone())));
+    (exe.seal().unwrap(), count)
+}
+
+#[test]
+fn batched_emission_loses_nothing_in_either_termination_mode() {
+    // Workers hold their emissions until the popped batch is done: neither
+    // the outstanding count (strict) nor generous retries on an empty queue
+    // (the paper's original check) may end the run while a buffer is full.
+    let mappings: [(&str, Box<dyn Mapping>); 2] = [
+        ("dyn_multi", Box::new(DynMulti)),
+        (
+            "dyn_redis",
+            Box::new(DynRedis::new(RedisBackend::in_proc())),
+        ),
+    ];
+    for (name, mapping) in &mappings {
+        for strict in [true, false] {
+            let (exe, count) = fan_out(400);
+            let opts = ExecutionOptions::new(4).with_termination(TerminationConfig {
+                poll_timeout: Duration::from_millis(25),
+                max_retries: 4,
+                strict,
+            });
+            let report = mapping.execute(&exe, &opts).unwrap();
+            assert_eq!(
+                count.load(std::sync::atomic::Ordering::Relaxed),
+                400 * 2 * 3,
+                "{name}, strict={strict}: a task was lost"
+            );
+            assert_eq!(report.tasks_executed, 1 + 400 * 2 + 400 * 2 * 3);
+        }
+    }
+}
