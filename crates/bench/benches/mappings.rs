@@ -38,44 +38,38 @@ fn build_pipeline() -> Executable {
     exe.seal().unwrap()
 }
 
-fn fast_opts(workers: usize) -> ExecutionOptions {
-    ExecutionOptions::new(workers).with_termination(TerminationConfig {
-        poll_timeout: Duration::from_millis(2),
-        max_retries: 2,
-        strict: true,
-    })
-}
-
 fn bench_mappings(c: &mut Criterion) {
     let mut group = c.benchmark_group("mapping_overhead_200_items");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(4));
+    // The users' defaults, termination included.
+    let (one, four) = (ExecutionOptions::new(1), ExecutionOptions::new(4));
 
     group.bench_function("simple", |b| {
         b.iter_batched(
             build_pipeline,
-            |exe| Simple.execute(&exe, &fast_opts(1)).unwrap(),
+            |exe| Simple.execute(&exe, &one).unwrap(),
             BatchSize::PerIteration,
         )
     });
     group.bench_function("multi", |b| {
         b.iter_batched(
             build_pipeline,
-            |exe| Multi.execute(&exe, &fast_opts(4)).unwrap(),
+            |exe| Multi.execute(&exe, &four).unwrap(),
             BatchSize::PerIteration,
         )
     });
     group.bench_function("dyn_multi", |b| {
         b.iter_batched(
             build_pipeline,
-            |exe| DynMulti.execute(&exe, &fast_opts(4)).unwrap(),
+            |exe| DynMulti.execute(&exe, &four).unwrap(),
             BatchSize::PerIteration,
         )
     });
     group.bench_function("dyn_auto_multi", |b| {
         b.iter_batched(
             build_pipeline,
-            |exe| DynAutoMulti::new().execute(&exe, &fast_opts(4)).unwrap(),
+            |exe| DynAutoMulti::new().execute(&exe, &four).unwrap(),
             BatchSize::PerIteration,
         )
     });
@@ -84,7 +78,7 @@ fn bench_mappings(c: &mut Criterion) {
             build_pipeline,
             |exe| {
                 DynRedis::new(RedisBackend::in_proc())
-                    .execute(&exe, &fast_opts(4))
+                    .execute(&exe, &four)
                     .unwrap()
             },
             BatchSize::PerIteration,
@@ -93,7 +87,7 @@ fn bench_mappings(c: &mut Criterion) {
     group.bench_function("hybrid_multi", |b| {
         b.iter_batched(
             build_pipeline,
-            |exe| HybridMulti.execute(&exe, &fast_opts(4)).unwrap(),
+            |exe| HybridMulti.execute(&exe, &four).unwrap(),
             BatchSize::PerIteration,
         )
     });

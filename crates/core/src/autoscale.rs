@@ -22,7 +22,7 @@ use crate::queue::TaskQueue;
 use d4py_sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Auto-scaler parameters (Algorithm 1's constructor arguments).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -343,10 +343,27 @@ impl AutoScaler {
         }
     }
 
-    /// Requests shutdown and wakes every parked worker.
+    /// Requests shutdown and wakes every parked worker and the monitor.
     pub fn request_shutdown(&self) {
+        // Stored under the lock: a waiter between its check of the flag and
+        // its wait holds it, so the notification cannot fall in between.
+        let st = self.state.lock();
         self.shutdown.store(true, Ordering::SeqCst);
+        drop(st);
         self.changed.notify_all();
+    }
+
+    /// Sits out one sampling tick; `false` when a shutdown request cut it
+    /// short (or came before it), so a finished run does not wait for it.
+    fn tick_elapsed(&self, tick: Duration) -> bool {
+        let deadline = Instant::now() + tick;
+        let mut st = self.state.lock();
+        while !self.shutdown.load(Ordering::SeqCst) {
+            if self.changed.wait_until(&mut st, deadline).timed_out() {
+                return true;
+            }
+        }
+        false
     }
 
     /// The scaler loop: every `tick`, observes the strategy, applies the
@@ -356,13 +373,7 @@ impl AutoScaler {
         let mut iteration: u64 = 0;
         let mut prev_metric: Option<f64> = None;
         let mut prev_active = self.active_size();
-        while !self.shutdown.load(Ordering::SeqCst) {
-            // sleep: the autoscaler's sampling tick — a coarse periodic
-            // poll by design; shutdown is re-checked right after waking.
-            std::thread::sleep(tick);
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
+        while self.tick_elapsed(tick) {
             let active = self.active_size();
             let (metric, decision) = strategy.observe(active);
             self.apply(decision);

@@ -45,6 +45,11 @@ const POP_BATCH: usize = 32;
 /// only observed service time, never the queue kind or the workload.
 const FLUSH_AFTER: Duration = Duration::from_micros(100);
 
+/// What a strict run that could not end at quiescence says in its report.
+const INEXACT_WARNING: &str = "the outstanding-task count was not exact (a transport retry or a \
+    re-delivered task): the run ended by the retry protocol, max_retries × poll_timeout after \
+    the queue emptied";
+
 /// Emission-buffer capacity a worker keeps between tasks; a burst (a
 /// source's whole stream) gives its allocation back.
 const EMIT_KEEP: usize = 64;
@@ -59,8 +64,11 @@ pub(crate) struct Slot {
 
 /// Who decides that the run is over. Chosen by the front door.
 pub(crate) enum Driver {
-    /// §3.2.3: a pool worker that keeps finding the queue empty (and, in
-    /// strict mode, nothing outstanding) retries, then broadcasts pills.
+    /// The pool workers. In strict mode the worker whose settle takes
+    /// `outstanding` from non-zero to zero broadcasts the pills there and
+    /// then; §3.2.3's protocol — a worker that keeps finding the queue empty
+    /// retries, then broadcasts — is the only signal when `strict` is off
+    /// and the fallback once the counter is known not to be exact.
     WorkerRetries,
     /// The calling thread waits for quiescence, flushes the stateful PEs in
     /// topological order (each flush's work drains first), then pills.
@@ -95,6 +103,11 @@ struct Engine<'a> {
     /// tasks that produced them retired, so a parent is counted until its
     /// children are: 0 ⇒ quiescent.
     outstanding: AtomicUsize,
+    /// `outstanding` may read low: a queue operation absorbed a transport
+    /// error (a push may have appended twice), or a settle saturated (a
+    /// re-delivered task was retired twice). Stored before the retry, so
+    /// before a duplicate can be retired; zero no longer ends the run.
+    inexact: AtomicBool,
     flushes_pending: AtomicUsize,
     /// Stored before any legitimate pill is pushed: a pill seen while it is
     /// unset is injected or foreign, and is ignored (and counted).
@@ -207,6 +220,7 @@ impl<'a> Engine<'a> {
         Ok(Self {
             pinned,
             outstanding: AtomicUsize::new(0),
+            inexact: AtomicBool::new(false),
             flushes_pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
@@ -232,7 +246,8 @@ impl<'a> Engine<'a> {
     /// Runs one queue operation, absorbing up to `transport_retries`
     /// consecutive [`CoreError::Queue`] errors (counted in `used`). A blind
     /// retry is safe here: a re-delivered task is tolerated by the
-    /// saturating outstanding decrement (DESIGN.md §10).
+    /// saturating outstanding decrement, and the count is marked inexact
+    /// first (DESIGN.md §10).
     fn retrying<T>(
         &self,
         used: &mut u64,
@@ -244,6 +259,7 @@ impl<'a> Engine<'a> {
                 Err(CoreError::Queue(_)) if attempts < self.plan.opts.transport_retries => {
                     attempts += 1;
                     *used += 1;
+                    self.inexact.store(true, SeqCst);
                     // sleep: fixed backoff; the budget bounds total delay.
                     std::thread::sleep(Duration::from_millis(2));
                 }
@@ -294,11 +310,27 @@ impl<'a> Engine<'a> {
         if let Some(scaler) = &self.scaler {
             scaler.request_shutdown();
         }
-        for _ in 0..self.plan.pool {
-            self.send(used, QueueItem::Pill, |it| self.plan.global.push(it))?;
-        }
+        self.push_pills(used, &*self.plan.global, self.plan.pool)?;
         for slot in &self.plan.slots {
-            self.send(used, QueueItem::Pill, |it| slot.queue.push(it))?;
+            self.push_pills(used, &*slot.queue, 1)?;
+        }
+        Ok(())
+    }
+
+    /// One push per pill: each wakes a consumer of its own.
+    fn push_pills(&self, used: &mut u64, queue: &dyn TaskQueue, n: usize) -> Result<(), CoreError> {
+        (0..n).try_for_each(|_| self.send(used, QueueItem::Pill, |it| queue.push(it)))
+    }
+
+    /// A settle took `outstanding` from non-zero to zero: nothing is queued,
+    /// held or buffered anywhere, and nothing can be again. Under
+    /// [`Driver::WorkerRetries`] in strict mode that ends the run, unless
+    /// the count is not to be trusted — then the retries decide, as they
+    /// do when `strict` is off.
+    fn reached_zero(&self, used: &mut u64) -> Result<(), CoreError> {
+        let exact = self.plan.opts.termination.strict && !self.inexact.load(SeqCst);
+        if exact && matches!(self.plan.driver, Driver::WorkerRetries) {
+            self.broadcast_pills(used)?;
         }
         Ok(())
     }
@@ -343,7 +375,9 @@ impl<'a> Engine<'a> {
     }
 
     /// The per-worker loop: gate (auto-scaling), pop, then per item obey a
-    /// pill, flush, or run a task; under [`Driver::WorkerRetries`], end the run.
+    /// pill, flush, or run a task. Under [`Driver::WorkerRetries`] it also
+    /// ends the run: in `write_out` at quiescence, or here by §3.2.3's
+    /// retries.
     fn worker_loop(&self, w: usize) -> Result<WorkerStats, CoreError> {
         let abort_unless_ok = AbortOnDrop(self);
         let mut w = Worker::new(self, w)?;
@@ -355,7 +389,11 @@ impl<'a> Engine<'a> {
         // Process time: active from now until parked or done.
         let mut active_since = Instant::now();
         let mut retries: u32 = 0;
-        while !self.shutdown.load(SeqCst) {
+        // An aborted run is left at the next turn. One that ends in order is
+        // left by a pill — the worker that broadcast them reads its own like
+        // any other, so a queue that settles deliveries with the next read
+        // settles its last batch too — or at an empty pop after `shutdown`.
+        while !self.aborted.load(SeqCst) {
             if let (Some(scaler), None) = (&self.scaler, w.slot) {
                 let gate = scaler.gate(consumer, |parked| match parked {
                     true => w.stats.active += active_since.elapsed(),
@@ -369,11 +407,18 @@ impl<'a> Engine<'a> {
                 queue.pop_batch(consumer, POP_BATCH, term.poll_timeout)
             })?;
             if batch.is_empty() {
+                if self.shutdown.load(SeqCst) {
+                    // A peer drained this worker's pill along with its own.
+                    break;
+                }
                 let quiescent = !term.strict || self.outstanding.load(SeqCst) == 0;
                 if matches!(self.plan.driver, Driver::WorkerRetries) && quiescent {
                     retries += 1;
                     if retries > term.max_retries {
                         // This worker decides the workflow is done (§3.2.3).
+                        if term.strict && self.inexact.load(SeqCst) {
+                            w.stats.warnings.push(INEXACT_WARNING.into());
+                        }
                         self.broadcast_pills(&mut w.stats.retries_used)?;
                         break;
                     }
@@ -384,10 +429,10 @@ impl<'a> Engine<'a> {
             }
             // A pill may arrive mid-batch; finish the tasks drained alongside
             // it (their retirement must still happen) first.
-            let mut saw_pill = false;
+            let mut pills = 0;
             for item in batch {
                 match item {
-                    QueueItem::Pill if self.shutdown.load(SeqCst) => saw_pill = true,
+                    QueueItem::Pill if self.shutdown.load(SeqCst) => pills += 1,
                     QueueItem::Pill => w.stats.spurious_pills += 1,
                     QueueItem::Flush => w.flush()?,
                     QueueItem::Task(task) => {
@@ -399,7 +444,11 @@ impl<'a> Engine<'a> {
             // Nothing stays buffered across anything that can block: the
             // gate, the next pop, leaving the loop.
             w.write_out()?;
-            if saw_pill {
+            if pills > 0 {
+                // One is this worker's. The rest, drained in the same batch,
+                // go back: a peer they were meant for would otherwise sit
+                // out a whole `poll_timeout` before it noticed `shutdown`.
+                self.push_pills(&mut w.stats.retries_used, queue, pills - 1)?;
                 break;
             }
         }
@@ -638,16 +687,24 @@ impl<'e, 'a> Worker<'e, 'a> {
         let children = self.global_out.len() + self.slot_out.iter().map(Vec::len).sum::<usize>();
         let retired = std::mem::take(&mut self.retired);
         self.unwritten_service = Duration::ZERO;
+        let used = &mut self.stats.retries_used;
         if children != retired {
             // Saturating: an at-least-once queue may re-deliver a task, and
             // a second retirement must not wrap the counter.
             let settle = |n: usize| Some((n + children).saturating_sub(retired));
-            let _ = engine.outstanding.fetch_update(SeqCst, SeqCst, settle);
+            let before = engine.outstanding.fetch_update(SeqCst, SeqCst, settle);
+            let before = before.expect("the settle always yields a value");
+            match (before + children).checked_sub(retired) {
+                None => engine.inexact.store(true, SeqCst),
+                // No children and `retired` (non-zero) tasks were all that
+                // was counted: this settle is the one that reached zero.
+                Some(0) if children == 0 => return engine.reached_zero(used),
+                Some(_) => {}
+            }
         }
         if children == 0 {
             return Ok(());
         }
-        let used = &mut self.stats.retries_used;
         for (slot, out) in engine.plan.slots.iter().zip(&mut self.slot_out) {
             if !out.is_empty() {
                 let out = std::mem::take(out);

@@ -4,24 +4,36 @@ use crate::platform::{CoreLimiter, Platform};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The retry + poison-pill termination protocol for dynamic mappings
-/// (§3.2.3 of the paper).
+/// How a dynamic run ends: at quiescence, with the retry + poison-pill
+/// protocol of §3.2.3 of the paper underneath.
 ///
-/// A worker that finds the queue empty waits `poll_timeout` and retries up
-/// to `max_retries` times before deciding the workflow is finished; it then
-/// broadcasts poison pills so the other workers stop quickly instead of each
-/// independently exhausting their own retries.
+/// In strict mode (the default) the engine counts tasks pushed but not yet
+/// retired, and the worker whose update takes that count to zero broadcasts
+/// poison pills at once: the run ends when it is over, and neither
+/// `max_retries` nor `poll_timeout` is paid for. The paper's protocol — a
+/// worker that finds the queue empty waits `poll_timeout` and retries up to
+/// `max_retries` times before deciding the workflow is finished, then
+/// broadcasts the pills so the others stop quickly instead of each
+/// exhausting its own retries — is the only signal when `strict` is off, and
+/// the fallback whenever the engine has evidence that its count is not exact
+/// (a queue operation absorbed a transport retry, or a task was delivered
+/// twice); the report then carries a warning saying so.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TerminationConfig {
-    /// How long one empty-queue poll blocks before returning.
+    /// How long one empty-queue poll blocks before returning: one step of
+    /// the retry protocol, and the latency with which an idle worker notices
+    /// that the run was aborted.
     pub poll_timeout: Duration,
-    /// Empty polls tolerated before a worker initiates termination.
+    /// Empty polls tolerated before a worker initiates termination by the
+    /// retry protocol. Not consulted by a strict run whose count is exact.
     pub max_retries: u32,
-    /// When true (default), a worker only *begins* counting retries once the
-    /// engine's outstanding-task counter reads zero, making termination
-    /// sound rather than heuristic. Disabling reproduces the paper's
-    /// original purely queue-emptiness-based check (which it notes "is not
-    /// foolproof and could lead to unexpected exits in some extreme cases").
+    /// When true (default), the engine's outstanding-task counter decides:
+    /// reaching zero ends the run, and should the counter stop being exact,
+    /// a worker only *begins* counting retries while it reads zero, which
+    /// keeps termination sound rather than heuristic. Disabling reproduces
+    /// the paper's original purely queue-emptiness-based check (which it
+    /// notes "is not foolproof and could lead to unexpected exits in some
+    /// extreme cases").
     pub strict: bool,
 }
 

@@ -199,7 +199,11 @@ mod tests {
     use redis_lite::server::Server;
     use std::collections::HashMap;
 
-    fn stateless_exe(items: i64) -> (Executable, std::sync::Arc<d4py_sync::Mutex<Vec<Value>>>) {
+    /// source → `+1000` stage taking `stage_time` per item → collector.
+    fn stateless_exe(
+        items: i64,
+        stage_time: std::time::Duration,
+    ) -> (Executable, std::sync::Arc<d4py_sync::Mutex<Vec<Value>>>) {
         let mut g = WorkflowGraph::new("t");
         let a = g.add_pe(PeSpec::source("a", "out"));
         let b = g.add_pe(PeSpec::transform("b", "in", "out"));
@@ -216,10 +220,13 @@ mod tests {
                 }
             }))
         });
-        exe.register(b, || {
-            Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
-                ctx.emit("out", Value::Int(v.as_int().unwrap() + 1000));
-            }))
+        exe.register(b, move || {
+            Box::new(FnTransform(
+                move |_: &str, v: Value, ctx: &mut dyn Context| {
+                    std::thread::sleep(stage_time);
+                    ctx.emit("out", Value::Int(v.as_int().unwrap() + 1000));
+                },
+            ))
         });
         exe.register(c, move || Box::new(Collector::into_handle(h.clone())));
         (exe.seal().unwrap(), handle)
@@ -227,7 +234,7 @@ mod tests {
 
     #[test]
     fn dyn_redis_inproc_end_to_end() {
-        let (exe, results) = stateless_exe(50);
+        let (exe, results) = stateless_exe(50, std::time::Duration::ZERO);
         let mapping = DynRedis::new(RedisBackend::in_proc());
         let report = mapping.execute(&exe, &ExecutionOptions::new(4)).unwrap();
         let mut got: Vec<i64> = results.lock().iter().map(|v| v.as_int().unwrap()).collect();
@@ -239,7 +246,7 @@ mod tests {
     #[test]
     fn dyn_redis_over_tcp_end_to_end() {
         let server = Server::start(0).unwrap();
-        let (exe, results) = stateless_exe(20);
+        let (exe, results) = stateless_exe(20, std::time::Duration::ZERO);
         let mapping = DynRedis::new(RedisBackend::Tcp(server.addr()));
         mapping.execute(&exe, &ExecutionOptions::new(3)).unwrap();
         assert_eq!(results.lock().len(), 20);
@@ -247,7 +254,8 @@ mod tests {
 
     #[test]
     fn dyn_auto_redis_traces_idle_metric() {
-        let (exe, results) = stateless_exe(80);
+        // Tens of ticks long: a run is traced from the monitor's first tick.
+        let (exe, results) = stateless_exe(80, std::time::Duration::from_millis(1));
         let backend = RedisBackend::in_proc();
         let mapping = DynAutoRedis::with_config(
             backend,

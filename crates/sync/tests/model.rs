@@ -587,3 +587,118 @@ fn steal_batch_wakeup_reaches_every_parked_worker() {
             assert_eq!(q.len(), 0, "both items consumed exactly once");
         });
 }
+
+/// What travels the queue of [`quiescence_protocol`]: a task, named by what
+/// it emits, or a pill.
+#[derive(Debug, PartialEq)]
+enum Item {
+    Task(u8),
+    Pill,
+}
+
+/// A replica of how a strict dynamic run ends (`core::mappings::engine`,
+/// DESIGN.md §5): workers pop from one queue; a task's window is settled in
+/// `outstanding` with one update (`+ children − 1`) and its children pushed;
+/// the worker whose settle reaches zero raises the flag, pushes one pill per
+/// worker and, like its peers, leaves at the pill it pops. Task 3 emits 0
+/// and 1, task 1 emits 0, task 0 nothing: four tasks, two levels of
+/// emission. `settle_first` is the engine's order; `false` is the mutation.
+fn quiescence_protocol(settle_first: bool) {
+    const WORKERS: usize = 2;
+    const TASKS: usize = 4;
+    let (tx, rx) = unbounded::<Item>();
+    // Seeds are counted and queued before any worker exists.
+    let outstanding = Arc::new(AtomicUsize::new(1));
+    tx.send(Item::Task(3)).unwrap();
+    let popped = Arc::new(AtomicUsize::new(0));
+    let broadcasts = Arc::new(AtomicUsize::new(0));
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|_| {
+            let (tx, rx) = (tx.clone(), rx.clone());
+            let outstanding = outstanding.clone();
+            let popped = popped.clone();
+            let broadcasts = broadcasts.clone();
+            model::thread::spawn(move || loop {
+                let emits: &[u8] = match rx.recv().unwrap() {
+                    Item::Pill => {
+                        // Every task popped: none is queued, and none is in
+                        // a hand that has yet to push what it emits.
+                        let popped = popped.load(Ordering::SeqCst);
+                        assert_eq!(popped, TASKS, "left while a task was queued or held");
+                        return;
+                    }
+                    Item::Task(3) => &[0, 1],
+                    Item::Task(1) => &[0],
+                    Item::Task(_) => &[],
+                };
+                popped.fetch_add(1, Ordering::SeqCst);
+                let push = || {
+                    for &child in emits {
+                        tx.send(Item::Task(child)).unwrap();
+                    }
+                };
+                if !settle_first {
+                    push();
+                }
+                // As the engine: a window that emits what it retires does
+                // not touch the counter, and only one without children can
+                // reach zero.
+                let before = match emits.len() {
+                    1 => None,
+                    n => Some(outstanding.fetch_add(n.wrapping_sub(1), Ordering::SeqCst)),
+                };
+                if settle_first {
+                    push();
+                }
+                if emits.is_empty() && before == Some(1) {
+                    broadcasts.fetch_add(1, Ordering::SeqCst);
+                    for _ in 0..WORKERS {
+                        tx.send(Item::Pill).unwrap();
+                    }
+                }
+            })
+        })
+        .collect();
+    // Untimed receives: a schedule in which nobody broadcasts is a deadlock.
+    for w in workers {
+        w.join();
+    }
+    assert_eq!(
+        broadcasts.load(Ordering::SeqCst),
+        1,
+        "one worker broadcasts"
+    );
+    assert!(
+        rx.try_recv().is_err(),
+        "every pill was read, nothing is queued"
+    );
+}
+
+/// Settle before push: in every schedule the run ends, exactly one worker
+/// broadcasts, and no worker leaves while a task is queued or held.
+#[test]
+fn quiescence_zero_crossing_ends_the_run_exactly_once() {
+    Checker::new("quiescence-zero-crossing")
+        .iterations_env(3_000)
+        .check(|| quiescence_protocol(true));
+}
+
+/// The order the engine must not use — push, then settle — lets a peer
+/// retire a child before its parent's window is counted: the count touches
+/// zero with a task in hand, and the checker must find that schedule.
+#[test]
+fn quiescence_push_before_settle_is_caught_with_trace() {
+    // DFS reaches the preemption between push and settle a few thousand
+    // schedules in; the budget leaves room for the channel to change.
+    let report = Checker::new("quiescence-push-before-settle")
+        .iterations(20_000)
+        .report(|| quiescence_protocol(false));
+    let failure = report
+        .failure
+        .expect("a premature zero must be reachable when the push comes first");
+    assert_eq!(failure.kind, FailureKind::Panic, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}

@@ -36,7 +36,9 @@ cargo run -q --release --offline -p d4py-bench --bin repro -- check --all --json
 # Model-checker smoke: the instrumented --cfg d4py_model build of the
 # lock-free core — channel park/wakeup protocol plus the steal-queue
 # sweep (steal-vs-pop exactly-once, no lost wakeup after a failed sweep,
-# timeout-steal rewake) — explored under a small iteration budget (CI
+# timeout-steal rewake), and a replica of the rule that ends a dynamic run
+# (settle, push, pop; the zero-crossing broadcasts) with its mutation as a
+# failing trace — explored under a small iteration budget (CI
 # runs the full budget in a dedicated job). Separate target dir so the
 # cfg flip does not thrash the main build cache.
 D4PY_MODEL_ITERS="${D4PY_MODEL_ITERS:-150}" \
@@ -112,6 +114,18 @@ round_trips="$(sed -n \
     <<<"$redis_summary")"
 awk -v x="$round_trips" 'BEGIN { exit !(x != "" && x + 0 < 0.25) }' \
     || { echo "verify: FAIL — chain9_redis round_trips_per_task = '$round_trips', want < 0.25" >&2; exit 1; }
+
+# A second count on the same run: a strict dynamic run ends at the settle
+# that takes `outstanding` to zero, so it polls an empty stream only while
+# one worker runs the source (a handful at most). Ended by the retry
+# protocol instead, every worker adds max_retries + 1 = 6 empty polls.
+workers="$(grep -o '"workers": [0-9]*' target/bench/BENCHMARK_smoke_redis.json \
+    | head -n 1 | tr -dc '0-9')"
+empty_pops="$(sed -n \
+    's/.*"redis-mappings\.queue\.empty_pops": {"value": \([0-9.eE+-]*\).*/\1/p' \
+    <<<"$redis_summary")"
+awk -v x="$empty_pops" -v w="$workers" 'BEGIN { exit !(x != "" && w + 0 > 0 && x + 0 < 6 * w) }' \
+    || { echo "verify: FAIL — chain9_redis empty_pops = '$empty_pops' with '$workers' workers, want < 6 per worker" >&2; exit 1; }
 
 for bench in ablation_queue redis_backend connections chaos_matrix; do
     baseline="bench/baselines/BENCH_${bench}.json"

@@ -77,9 +77,30 @@ fn initial_active_size_defaults_to_half_the_pool() {
 
 #[test]
 fn idle_time_strategy_shrinks_when_work_dries_up() {
-    // A tiny workload on a big pool: the redis idle-time strategy must pull
-    // the active size down toward the minimum by the end of the run.
-    let (exe, _) = astro::build(&WorkloadConfig::standard().with_time_scale(0.02));
+    // A burst the pool clears in a few milliseconds, and one straggler that
+    // holds the run open for a hundred: while it runs the rest of the pool
+    // has nothing to pop, and the redis idle-time strategy must pull the
+    // active size down toward the minimum.
+    let mut g = WorkflowGraph::new("dries_up");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let b = g.add_pe(PeSpec::sink("b", "in"));
+    g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(a, || {
+        Box::new(FnSource(|ctx: &mut dyn Context| {
+            (0..20).for_each(|i| ctx.emit("out", Value::Int(i)));
+        }))
+    });
+    exe.register(b, || {
+        Box::new(FnTransform(|_: &str, v: Value, _: &mut dyn Context| {
+            // Emitted last, so nothing waits behind it in a popped batch.
+            if v.as_int() == Some(19) {
+                // sleep: the simulated straggler, ten idle thresholds long.
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        }))
+    });
+    let exe = exe.seal().unwrap();
     let mapping = DynAutoRedis::with_config(
         RedisBackend::in_proc(),
         AutoscaleConfig {

@@ -1,10 +1,18 @@
-//! Integration: the retry + poison-pill termination protocol (§3.2.3).
+//! Integration: how a dynamic run ends — at quiescence in strict mode, by
+//! the retry + poison-pill protocol (§3.2.3) otherwise.
 
+use d4py_sync::Mutex;
+use dispel4py::core::autoscale::QueueSizeStrategy;
+use dispel4py::core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
+use dispel4py::core::queue::{ChannelQueue, TaskQueue, WorkStealQueue};
+use dispel4py::core::task::QueueItem;
 use dispel4py::prelude::*;
+use dispel4py::redis::RedisQueue;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn pipeline(items: i64) -> (Executable, Arc<std::sync::atomic::AtomicU64>) {
+fn pipeline(items: i64) -> (Executable, Arc<AtomicU64>) {
     let mut g = WorkflowGraph::new("t");
     let a = g.add_pe(PeSpec::source("a", "out"));
     let b = g.add_pe(PeSpec::transform("b", "in", "out"));
@@ -35,20 +43,21 @@ fn dynamic_run_terminates_on_empty_workflow() {
     let (exe, count) = pipeline(0);
     let started = Instant::now();
     DynMulti.execute(&exe, &ExecutionOptions::new(8)).unwrap();
-    assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), 0);
+    assert_eq!(count.load(Ordering::Relaxed), 0);
     // timing: hang detector with a generous bound, not a performance gate.
     assert!(started.elapsed() < Duration::from_secs(3));
 }
 
 #[test]
 fn retry_parameters_bound_the_shutdown_tail() {
-    // Long poll + many retries → slower shutdown; short + few → faster.
+    // The paper's mode, where the retries are the only signal: long poll +
+    // many retries → slower shutdown; short + few → faster.
     let time_with = |poll_ms: u64, retries: u32| {
         let (exe, _) = pipeline(5);
         let opts = ExecutionOptions::new(4).with_termination(TerminationConfig {
             poll_timeout: Duration::from_millis(poll_ms),
             max_retries: retries,
-            strict: true,
+            strict: false,
         });
         let report = DynMulti.execute(&exe, &opts).unwrap();
         report.runtime
@@ -72,7 +81,7 @@ fn non_strict_termination_still_completes_simple_pipelines() {
         strict: false,
     });
     DynMulti.execute(&exe, &opts).unwrap();
-    assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), 100);
+    assert_eq!(count.load(Ordering::Relaxed), 100);
 }
 
 #[test]
@@ -113,11 +122,7 @@ fn strict_termination_never_loses_tasks_under_slow_stages() {
         strict: true,
     });
     DynMulti.execute(&exe, &opts).unwrap();
-    assert_eq!(
-        count.load(std::sync::atomic::Ordering::Relaxed),
-        10,
-        "no task may be lost"
-    );
+    assert_eq!(count.load(Ordering::Relaxed), 10, "no task may be lost");
 }
 
 #[test]
@@ -126,28 +131,46 @@ fn termination_works_across_the_redis_wire() {
     let mapping = DynRedis::new(RedisBackend::in_proc());
     let started = Instant::now();
     mapping.execute(&exe, &ExecutionOptions::new(4)).unwrap();
-    assert_eq!(count.load(std::sync::atomic::Ordering::Relaxed), 30);
+    assert_eq!(count.load(Ordering::Relaxed), 30);
     // timing: hang detector with a generous bound, not a performance gate.
     assert!(started.elapsed() < Duration::from_secs(5));
 }
 
 #[test]
 fn many_repeated_runs_never_hang() {
-    // Shake out termination races: 20 consecutive dynamic runs.
-    for i in 0..20 {
-        let (exe, count) = pipeline(20);
-        DynMulti.execute(&exe, &ExecutionOptions::new(6)).unwrap();
+    // Shake out termination races: a run ends the moment its last task
+    // retires, so 200 of them — three mappings by three workloads — take
+    // less than the 20 the retry tail used to allow.
+    type Workload = (fn(i64) -> (Executable, Arc<AtomicU64>), i64, u64);
+    let workloads: [Workload; 3] = [
+        (pipeline, 20, 20),
+        (fan_out, 20, 20 * 2 * 3),
+        (pipeline, 0, 0),
+    ];
+    let mappings: [(&str, Box<dyn Mapping>); 3] = [
+        ("dyn_multi", Box::new(DynMulti)),
+        (
+            "dyn_redis",
+            Box::new(DynRedis::new(RedisBackend::in_proc())),
+        ),
+        ("dyn_auto_multi", Box::new(DynAutoMulti::default())),
+    ];
+    for i in 0..200 {
+        let (name, mapping) = &mappings[i % 3];
+        let (build, items, expected) = workloads[i / 3 % 3];
+        let (exe, count) = build(items);
+        mapping.execute(&exe, &ExecutionOptions::new(6)).unwrap();
         assert_eq!(
-            count.load(std::sync::atomic::Ordering::Relaxed),
-            20,
-            "run {i} lost tasks"
+            count.load(Ordering::Relaxed),
+            expected,
+            "run {i} ({name}) lost tasks"
         );
     }
 }
 
 /// source → two branches that each triple their input → one sink: every
 /// popped batch of thirty-two tasks writes ninety-six children back.
-fn fan_out(items: i64) -> (Executable, Arc<std::sync::atomic::AtomicU64>) {
+fn fan_out(items: i64) -> (Executable, Arc<AtomicU64>) {
     let mut g = WorkflowGraph::new("fan");
     let a = g.add_pe(PeSpec::source("a", "out"));
     let left = g.add_pe(PeSpec::transform("left", "in", "out"));
@@ -204,11 +227,143 @@ fn batched_emission_loses_nothing_in_either_termination_mode() {
             });
             let report = mapping.execute(&exe, &opts).unwrap();
             assert_eq!(
-                count.load(std::sync::atomic::Ordering::Relaxed),
+                count.load(Ordering::Relaxed),
                 400 * 2 * 3,
                 "{name}, strict={strict}: a task was lost"
             );
             assert_eq!(report.tasks_executed, 1 + 400 * 2 + 400 * 2 * 3);
         }
     }
+}
+
+/// What a [`Logged`] queue writes down per `pop_batch`: `true` if it
+/// delivered a task, `false` if it came back empty. A pop that delivered
+/// only pills is not written down.
+type Pops = Arc<Mutex<Vec<bool>>>;
+
+/// A queue that logs its pops and can fail one `push_batch`.
+struct Logged {
+    inner: Arc<dyn TaskQueue>,
+    pops: Pops,
+    fail_next_push_batch: AtomicBool,
+}
+
+impl TaskQueue for Logged {
+    fn push(&self, item: QueueItem) -> Result<(), CoreError> {
+        self.inner.push(item)
+    }
+    fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
+        self.inner.pop(consumer, timeout)
+    }
+    fn push_batch(&self, from: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
+        if self.fail_next_push_batch.swap(false, Ordering::SeqCst) {
+            // Fails cleanly: nothing was appended.
+            return Err(CoreError::Queue("injected push failure".into()));
+        }
+        self.inner.push_batch(from, items)
+    }
+    fn pop_batch(
+        &self,
+        consumer: usize,
+        max: usize,
+        timeout: Duration,
+    ) -> Result<Vec<QueueItem>, CoreError> {
+        let batch = self.inner.pop_batch(consumer, max, timeout)?;
+        if batch.is_empty() {
+            self.pops.lock().push(false);
+        } else if batch.iter().any(|it| matches!(it, QueueItem::Task(_))) {
+            self.pops.lock().push(true);
+        }
+        Ok(batch)
+    }
+    fn depth(&self) -> usize {
+        self.inner.depth()
+    }
+    fn idle_times(&self) -> Option<Vec<Duration>> {
+        self.inner.idle_times()
+    }
+}
+
+/// Runs `pipeline(200)` on `inner` behind a [`Logged`] and returns the report
+/// with the number of empty pops made after the last pop that delivered a
+/// task: the polls the run spent on deciding that it was over.
+fn tail_polls(
+    inner: Arc<dyn TaskQueue>,
+    opts: &ExecutionOptions,
+    autoscaled: bool,
+    fail_a_push: bool,
+) -> (RunReport, usize) {
+    let (exe, count) = pipeline(200);
+    let pops = Pops::default();
+    let queue = Arc::new(Logged {
+        inner,
+        pops: pops.clone(),
+        fail_next_push_batch: AtomicBool::new(fail_a_push),
+    });
+    // Half the pool stays parked for the whole run: the threshold is out of
+    // reach, so the scaler never grows the active set.
+    let setup = autoscaled.then(|| AutoscaleSetup {
+        config: AutoscaleConfig {
+            initial_active: Some(opts.workers / 2),
+            min_active: opts.workers / 2,
+            tick: Duration::from_millis(1),
+            ..AutoscaleConfig::default()
+        },
+        strategy: Box::new(|q| Box::new(QueueSizeStrategy::new(q, 1e9))),
+    });
+    let report = run_dynamic(&exe, opts, queue, "dyn_test", setup).unwrap();
+    assert_eq!(count.load(Ordering::Relaxed), 200);
+    let pops = pops.lock();
+    let tail = pops.iter().rev().take_while(|delivered| !**delivered);
+    (report, tail.count())
+}
+
+#[test]
+fn a_strict_run_ends_at_quiescence_not_after_the_retries() {
+    // A count, not a timing: with an exact outstanding count the settle that
+    // reaches zero broadcasts the pills, so after the last task is popped a
+    // worker polls an empty queue at most once (a poll already in flight, or
+    // its pill went to a peer first). By retries every worker polls
+    // `max_retries + 1` times. Parked auto-scaled workers never pop at all:
+    // were they not released, the run would not return.
+    const POOL: usize = 4;
+    type Make = fn() -> Arc<dyn TaskQueue>;
+    let queues: [(&str, Make); 3] = [
+        ("channel", || Arc::new(ChannelQueue::new(POOL))),
+        ("work-steal", || Arc::new(WorkStealQueue::new(POOL))),
+        ("redis in-proc", || {
+            Arc::new(RedisQueue::new(&RedisBackend::in_proc(), "q", POOL).unwrap())
+        }),
+    ];
+    let opts = ExecutionOptions::new(POOL).with_termination(TerminationConfig {
+        poll_timeout: Duration::from_millis(50),
+        ..TerminationConfig::default()
+    });
+    for (name, make) in queues {
+        for autoscaled in [false, true] {
+            let (report, polls) = tail_polls(make(), &opts, autoscaled, false);
+            assert!(
+                polls <= POOL,
+                "{name}, autoscaled={autoscaled}: {polls} empty pops after the last task"
+            );
+            assert!(report.warnings.is_empty(), "{name}: {:?}", report.warnings);
+        }
+    }
+}
+
+#[test]
+fn an_absorbed_push_failure_falls_back_to_the_retries() {
+    // A retried push may have appended twice, so zero outstanding no longer
+    // proves the queue empty: the paper's protocol decides, and says so.
+    const POOL: usize = 2;
+    let opts = ExecutionOptions::new(POOL).with_transport_retries(1);
+    let inner = Arc::new(ChannelQueue::new(POOL));
+    let (report, polls) = tail_polls(inner, &opts, false, true);
+    assert!(
+        polls > opts.termination.max_retries as usize,
+        "{polls} empty pops: the run did not end by retries"
+    );
+    let said = |what: &str| report.warnings.iter().any(|w| w.contains(what));
+    assert!(said("1 transient transport error"), "{:?}", report.warnings);
+    assert!(said("ended by the retry protocol"), "{:?}", report.warnings);
 }
