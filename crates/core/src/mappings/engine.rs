@@ -8,6 +8,10 @@
 //! [`Driver`]; the worker loop, task execution, routing, the fault hooks of
 //! [`crate::fault`] and the worker-local statistics are here, once.
 //!
+//! A worker is the [`Context`] of every PE call it makes: what the PE emits
+//! is written out while it runs, and a source that gets [`CREDIT`] tasks
+//! ahead has its own worker run queued tasks before it emits more.
+//!
 //! A worker that leaves its loop with an error or a panic *aborts* the run:
 //! nobody waits for the tasks it held, nothing more is flushed, every
 //! worker is pilled and joined, and the first error is returned (an
@@ -19,7 +23,7 @@ use crate::executable::Executable;
 use crate::fault::FaultPlan;
 use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
-use crate::pe::{process_guarded, EmitBuffer, ProcessingElement};
+use crate::pe::{process_guarded, Context, ProcessingElement};
 use crate::queue::TaskQueue;
 use crate::routing::{Route, Router};
 use crate::state::{slot_name, StateStore};
@@ -50,9 +54,21 @@ const INEXACT_WARNING: &str = "the outstanding-task count was not exact (a trans
     re-delivered task): the run ended by the retry protocol, max_retries × poll_timeout after \
     the queue emptied";
 
-/// Emission-buffer capacity a worker keeps between tasks; a burst (a
-/// source's whole stream) gives its allocation back.
+/// Emissions a PE call may buffer: the one that reaches it is routed and
+/// written out with the rest while the call is still running, as is any
+/// emission that finds [`FLUSH_AFTER`] gone by since the last write.
 const EMIT_KEEP: usize = 64;
+
+/// `ctx.emit` reads the clock for the [`FLUSH_AFTER`] rule once per this
+/// many emissions of one call, so a call that emits once never reads it.
+const CLOCK_EVERY: usize = 8;
+
+/// Tasks a source may have outstanding before its worker stops emitting
+/// and runs queued tasks itself until half of them are gone (DESIGN.md §5,
+/// "bounded sources"). Large enough that a chain's workers never starve
+/// between two helping rounds; small enough to keep a stream's footprint
+/// in the megabytes.
+const CREDIT: usize = 4096;
 
 /// A stateful PE instance pinned to a dedicated worker with a private
 /// queue. A plan's slots are sorted by `(pe, instance)`.
@@ -476,7 +492,8 @@ impl Drop for AbortOnDrop<'_, '_> {
     }
 }
 
-/// One worker's private state.
+/// One worker's private state, and the [`Context`] of every PE call it
+/// makes.
 struct Worker<'e, 'a> {
     engine: &'e Engine<'a>,
     index: usize,
@@ -485,11 +502,13 @@ struct Worker<'e, 'a> {
     /// Instance coordinates its PEs see: the slot's, or (consumer, pool).
     coords: (usize, usize),
     /// PE copies by `PeId`: instantiated lazily, or the pinned instance.
+    /// The one being called is out of its place for the call.
     pes: Vec<Option<Box<dyn ProcessingElement>>>,
     router: Router,
     stats: WorkerStats,
-    /// Where every PE call emits; drained by `route_emissions`.
-    emit: EmitBuffer,
+    /// What the call in progress emitted and has not routed yet: fewer
+    /// than [`EMIT_KEEP`] emissions.
+    emissions: Vec<(String, Value)>,
     /// Routed tasks not yet pushed: for the global queue, and per slot (by
     /// index into the plan's slots). Each is FIFO and written out in order,
     /// so per-connection order is what it was with a push per task.
@@ -500,6 +519,36 @@ struct Worker<'e, 'a> {
     retired: usize,
     /// PE service time since the last write; see [`FLUSH_AFTER`].
     unwritten_service: Duration,
+    /// The PE call in progress.
+    call: Call,
+    /// Where the running call's unwritten service began: its start, its
+    /// last write or the end of its last helping round.
+    segment_start: Instant,
+    /// How a write `emit` made failed: its error, or its panic. `emit`
+    /// cannot return either; the call's end re-raises it.
+    halted: Option<std::thread::Result<CoreError>>,
+}
+
+/// The PE call a worker is making, as its emissions need it.
+#[derive(Clone, Copy)]
+struct Call {
+    /// Where the emissions are routed from.
+    pe: PeId,
+    /// A pool worker's source kickoff: its writes may help (see
+    /// [`CREDIT`]).
+    may_help: bool,
+    /// Time spent helping, not counted as this call's service.
+    helped: Duration,
+}
+
+impl Call {
+    fn of(pe: PeId, may_help: bool) -> Self {
+        Call {
+            pe,
+            may_help,
+            helped: Duration::ZERO,
+        }
+    }
 }
 
 impl<'e, 'a> Worker<'e, 'a> {
@@ -519,11 +568,14 @@ impl<'e, 'a> Worker<'e, 'a> {
             pes: (0..n).map(|_| None).collect(),
             router: Router::new(),
             stats: WorkerStats::new(n),
-            emit: EmitBuffer::new(coords.0, coords.1),
+            emissions: Vec::new(),
             global_out: Vec::new(),
             slot_out: plan.slots.iter().map(|_| Vec::new()).collect(),
             retired: 0,
             unwritten_service: Duration::ZERO,
+            call: Call::of(PeId(0), false),
+            segment_start: Instant::now(),
+            halted: None,
         };
         if let Some(slot) = slot {
             let mut pe = plan.exe.instantiate(slot.pe)?;
@@ -547,9 +599,10 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(w)
     }
 
-    /// Executes one task on this worker's copy of the PE and buffers its
-    /// routed output; writes the buffers out once [`FLUSH_AFTER`] of service
-    /// time has gone by since the last write.
+    /// Executes one task on this worker's copy of the PE, which is handed
+    /// this worker as its context: what it emits is routed and written out
+    /// as it goes, and the rest when it returns once [`FLUSH_AFTER`] of
+    /// service time has gone by since the last write.
     fn run_task(&mut self, task: Task) -> Result<(), CoreError> {
         let engine = self.engine;
         if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == task.pe) {
@@ -558,17 +611,30 @@ impl<'e, 'a> Worker<'e, 'a> {
             self.unwritten_service += extra;
         }
         let known = self.pes.get_mut(task.pe.0);
-        let pe = match known.ok_or(CoreError::MissingFactory(task.pe))? {
+        let mut pe = match known.ok_or(CoreError::MissingFactory(task.pe))?.take() {
             Some(pe) => pe,
-            empty => empty.insert(engine.plan.exe.instantiate(task.pe)?),
+            None => engine.plan.exe.instantiate(task.pe)?,
         };
+        // A task run inside a call that may help is a helped one: it never
+        // helps itself.
+        let may_help = task.is_kickoff() && self.slot.is_none() && !self.call.may_help;
+        let outer = std::mem::replace(&mut self.call, Call::of(task.pe, may_help));
         let started = Instant::now();
-        let ok = process_guarded(pe, &task.port, task.value, &mut self.emit);
-        let service = started.elapsed();
+        self.segment_start = started;
+        let ok = process_guarded(&mut *pe, &task.port, task.value, self);
+        let ended = Instant::now();
+        let service = (ended - started).saturating_sub(self.call.helped);
+        self.unwritten_service += ended - self.segment_start;
+        self.call = outer;
+        self.pes[task.pe.0] = Some(pe);
+        self.reraise()?;
         if ok {
             self.stats.latency.record(service);
             self.stats.per_pe[task.pe.0] += 1;
         } else {
+            // The item is lost with what it left buffered; what it already
+            // wrote out stays delivered.
+            self.emissions.clear();
             self.stats.failed += 1;
         }
         let processed = self.stats.per_pe[task.pe.0] + self.stats.failed;
@@ -587,7 +653,6 @@ impl<'e, 'a> Worker<'e, 'a> {
         }
         self.route_emissions(task.pe);
         self.retired += 1;
-        self.unwritten_service += service;
         if self.unwritten_service > FLUSH_AFTER {
             self.write_out()?;
         }
@@ -605,6 +670,15 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(())
     }
 
+    /// Re-raises what a write inside the last PE call met.
+    fn reraise(&mut self) -> Result<(), CoreError> {
+        match self.halted.take() {
+            None => Ok(()),
+            Some(Ok(error)) => Err(error),
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+        }
+    }
+
     /// Slot-only: the instance has seen its entire input. Externalize the
     /// final state before `on_done` may drain it, then flush.
     fn flush(&mut self) -> Result<(), CoreError> {
@@ -613,13 +687,18 @@ impl<'e, 'a> Worker<'e, 'a> {
         let Some(slot) = self.slot else {
             return Ok(());
         };
-        let pe = self.pes[slot.pe.0]
-            .as_mut()
+        let mut pe = self.pes[slot.pe.0]
+            .take()
             .expect("a slot worker holds its PE");
         if let (Some(store), Some(snapshot)) = (&engine.plan.state, pe.snapshot()) {
             store.save(&engine.slot_key(slot), &snapshot)?;
         }
-        pe.on_done(&mut self.emit);
+        let outer = std::mem::replace(&mut self.call, Call::of(slot.pe, false));
+        self.segment_start = Instant::now();
+        pe.on_done(self);
+        self.call = outer;
+        self.pes[slot.pe.0] = Some(pe);
+        self.reraise()?;
         self.route_emissions(slot.pe);
         // The flush's emissions are counted outstanding before the flush
         // stops being pending: the coordinator never sees both at zero
@@ -629,14 +708,15 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(())
     }
 
-    /// Routes everything the last PE call emitted into this worker's
-    /// outgoing buffers: the private queue the connection's grouping selects
-    /// when the target is pinned, otherwise the global queue (whoever pops
-    /// first runs it). The value is moved on the last edge it travels.
+    /// Routes everything the current PE call emitted so far into this
+    /// worker's outgoing buffers: the private queue the connection's
+    /// grouping selects when the target is pinned, otherwise the global
+    /// queue (whoever pops first runs it). The value is moved on the last
+    /// edge it travels.
     fn route_emissions(&mut self, from: PeId) {
         let engine = self.engine;
         let graph = engine.plan.exe.graph();
-        let mut emissions = std::mem::take(&mut self.emit.emissions);
+        let mut emissions = std::mem::take(&mut self.emissions);
         for (port, value) in emissions.drain(..) {
             let mut conns = graph.outgoing_from_port(from, &port).peekable();
             if conns.peek().is_none() && graph.outgoing(from).next().is_some() {
@@ -674,36 +754,39 @@ impl<'e, 'a> Worker<'e, 'a> {
                 }
             }
         }
-        if emissions.capacity() <= EMIT_KEEP {
-            self.emit.emissions = emissions;
-        }
+        self.emissions = emissions;
     }
 
     /// Writes the outgoing buffers out — one `push_batch` per destination
     /// queue — after settling the window in `outstanding` with one update:
-    /// the buffered children in, the tasks that ran out.
-    fn write_out(&mut self) -> Result<(), CoreError> {
+    /// the buffered children in, the tasks that ran out. Returns the count
+    /// the settle left, if there was one.
+    fn write_out(&mut self) -> Result<Option<usize>, CoreError> {
         let engine = self.engine;
         let children = self.global_out.len() + self.slot_out.iter().map(Vec::len).sum::<usize>();
         let retired = std::mem::take(&mut self.retired);
         self.unwritten_service = Duration::ZERO;
         let used = &mut self.stats.retries_used;
+        let mut left = None;
         if children != retired {
             // Saturating: an at-least-once queue may re-deliver a task, and
             // a second retirement must not wrap the counter.
             let settle = |n: usize| Some((n + children).saturating_sub(retired));
             let before = engine.outstanding.fetch_update(SeqCst, SeqCst, settle);
             let before = before.expect("the settle always yields a value");
-            match (before + children).checked_sub(retired) {
+            left = (before + children).checked_sub(retired);
+            match left {
                 None => engine.inexact.store(true, SeqCst),
                 // No children and `retired` (non-zero) tasks were all that
-                // was counted: this settle is the one that reached zero.
-                Some(0) if children == 0 => return engine.reached_zero(used),
-                Some(_) => {}
+                // was counted: this settle is the one that reached zero. A
+                // call still running is counted, so a write it makes never
+                // gets here.
+                Some(0) if children == 0 => return engine.reached_zero(used).map(|()| left),
+                Some(n) => self.stats.peak_outstanding = self.stats.peak_outstanding.max(n),
             }
         }
         if children == 0 {
-            return Ok(());
+            return Ok(left);
         }
         for (slot, out) in engine.plan.slots.iter().zip(&mut self.slot_out) {
             if !out.is_empty() {
@@ -718,7 +801,92 @@ impl<'e, 'a> Worker<'e, 'a> {
             let out = std::mem::take(&mut self.global_out);
             engine.send(used, out, |b| engine.plan.global.push_batch(producer, b))?;
         }
+        Ok(left)
+    }
+
+    /// The write a PE call makes while it runs: what it emitted so far and
+    /// whatever the window holds, through the same settle-before-push as
+    /// any write. The call stays counted until it returns, so this settle
+    /// never reaches zero.
+    fn write_mid_call(&mut self) -> Result<(), CoreError> {
+        self.route_emissions(self.call.pe);
+        let left = self.write_out()?;
+        if self.call.may_help && left.is_some_and(|n| n > CREDIT) {
+            let started = Instant::now();
+            self.help(CREDIT / 2)?;
+            self.call.helped += started.elapsed();
+        }
+        self.segment_start = Instant::now();
         Ok(())
+    }
+
+    /// Caller-runs backpressure (DESIGN.md §5): a source that left more
+    /// than [`CREDIT`] tasks outstanding runs queued ones on its own worker
+    /// — popped without blocking from the queue the worker serves — until
+    /// `outstanding` is down to `until` or nothing is there for it to pop.
+    /// No worker ever waits on credit, so a bounded pipeline cannot
+    /// deadlock, and a one-worker run is bounded too.
+    fn help(&mut self, until: usize) -> Result<(), CoreError> {
+        let engine = self.engine;
+        let queue = &*engine.plan.global;
+        let consumer = self.coords.0;
+        while engine.outstanding.load(SeqCst) > until && !engine.aborted.load(SeqCst) {
+            let batch = engine.retrying(&mut self.stats.retries_used, || {
+                queue.pop_batch(consumer, POP_BATCH, Duration::ZERO)
+            })?;
+            if batch.is_empty() {
+                break;
+            }
+            let mut pills = 0;
+            for item in batch {
+                match item {
+                    QueueItem::Pill if engine.shutdown.load(SeqCst) => pills += 1,
+                    QueueItem::Pill => self.stats.spurious_pills += 1,
+                    QueueItem::Flush => self.flush()?,
+                    QueueItem::Task(task) => self.run_task(task)?,
+                }
+            }
+            self.write_out()?;
+            if pills > 0 {
+                // The run is ending: the pills go back for the loop to obey.
+                engine.push_pills(&mut self.stats.retries_used, queue, pills)?;
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Context for Worker<'_, '_> {
+    /// Buffers the emission. The [`EMIT_KEEP`]-th, or one that finds
+    /// [`FLUSH_AFTER`] gone by since the last write (read every
+    /// [`CLOCK_EVERY`]), writes them out while the call goes on.
+    fn emit(&mut self, port: &str, value: Value) {
+        if self.halted.is_some() {
+            // The run is being given up: nothing more is written.
+            return;
+        }
+        self.emissions.push((port.to_string(), value));
+        let n = self.emissions.len();
+        let due = n >= EMIT_KEEP
+            || n.is_multiple_of(CLOCK_EVERY)
+                && self.unwritten_service + self.segment_start.elapsed() > FLUSH_AFTER;
+        if due {
+            // The PE's own panic guard must not swallow the engine's.
+            let wrote =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.write_mid_call()));
+            self.halted = match wrote {
+                Ok(Ok(())) => None,
+                Ok(Err(error)) => Some(Ok(error)),
+                Err(panic) => Some(Err(panic)),
+            };
+        }
+    }
+    fn instance(&self) -> usize {
+        self.coords.0
+    }
+    fn instance_count(&self) -> usize {
+        self.coords.1
     }
 }
 
@@ -845,7 +1013,8 @@ mod tests {
 
     /// Queue traffic is per popped batch, not per task, through both front
     /// doors: a popped batch is answered by at most one write per
-    /// destination (here one, the global queue). The service-time rule may
+    /// destination (here one, the global queue), and a running source
+    /// writes once per [`EMIT_KEEP`] emissions. The service-time rule may
     /// split the batch of a worker that was descheduled mid-batch, hence the
     /// factor two; a push per task is thirty times over the bound.
     #[test]
@@ -870,11 +1039,54 @@ mod tests {
             let log = log.lock();
             let pushes = log.iter().filter(|e| matches!(e, Event::Pushed(_))).count();
             let pops = log.iter().filter(|e| matches!(e, Event::Popped(_))).count();
-            // Per worker: its pill; once: the seed and the source's burst.
+            // Per worker: its pill; once: the seed; per EMIT_KEEP emissions:
+            // a write the source makes while it runs.
+            let source_writes = 2_000usize.div_ceil(EMIT_KEEP);
             assert!(
-                pushes <= 2 * pops + WORKERS + 2,
+                pushes <= 2 * pops + WORKERS + 1 + source_writes,
                 "{door}: {pushes} pushes for {pops} delivering pops"
             );
+        }
+    }
+
+    /// The clock rule mid-call: a source slower than [`FLUSH_AFTER`] per
+    /// emission has its stream written out [`CLOCK_EVERY`] emissions at a
+    /// time while it runs, not in one write when it returns.
+    #[test]
+    fn a_slow_source_is_written_out_while_it_runs() {
+        let mut g = WorkflowGraph::new("slow");
+        let source = g.add_pe(PeSpec::source("source", "out"));
+        let sink = g.add_pe(PeSpec::sink("sink", "in"));
+        g.connect(source, "out", sink, "in", Grouping::Shuffle)
+            .expect("declared ports");
+        let mut exe = Executable::new(g).expect("valid");
+        exe.register(source, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                for i in 0..2 * CLOCK_EVERY as i64 {
+                    // sleep: simulated production time, past FLUSH_AFTER.
+                    std::thread::sleep(FLUSH_AFTER);
+                    ctx.emit("out", Value::Int(i));
+                }
+            }))
+        });
+        let (_, count) = CountingSink::new();
+        let handle = count.clone();
+        exe.register(sink, move || {
+            Box::new(CountingSink::into_handle(handle.clone()))
+        });
+        let exe = exe.seal().expect("every PE registered");
+        let log = Log::default();
+        let queue = log.make("global", 1).expect("queue");
+        run_dynamic(&exe, &ExecutionOptions::new(1), queue, "dyn_test", None).expect("run");
+        assert_eq!(count.load(SeqCst), 2 * CLOCK_EVERY as u64);
+        let log = log.lock();
+        let windows = [
+            0..CLOCK_EVERY as i64,
+            CLOCK_EVERY as i64..2 * CLOCK_EVERY as i64,
+        ];
+        for window in windows {
+            let pushed = Event::Pushed(window.collect());
+            assert!(log.contains(&pushed), "{pushed:?} is one write: {log:?}");
         }
     }
 

@@ -16,7 +16,7 @@ use crate::executable::Executable;
 use crate::mapping::Mapping;
 use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
-use crate::pe::EmitBuffer;
+use crate::pe::{process_guarded, EmitBuffer, ProcessingElement};
 use crate::routing::{Route, Router};
 use crate::task::KICKOFF_PORT;
 use crate::value::Value;
@@ -120,7 +120,7 @@ fn expected_pills(graph: &WorkflowGraph, plan: &PartitionPlan, pe: PeId) -> usiz
 
 fn instance_worker(
     inst: InstanceId,
-    mut pe_impl: Box<dyn crate::pe::ProcessingElement>,
+    mut pe_impl: Box<dyn ProcessingElement>,
     rx: Receiver<Msg>,
     expected_pills: usize,
     graph: &WorkflowGraph,
@@ -131,28 +131,30 @@ fn instance_worker(
     let mut stats = WorkerStats::new(graph.pe_count());
     let mut router = Router::new();
     let n_instances = plan.instances_of(inst.pe);
+    // One guarded call into a fresh buffer; a panicking call's emissions
+    // are discarded with its item.
+    let guarded = |pe: &mut dyn ProcessingElement, port: &str, value, stats: &mut WorkerStats| {
+        let mut buf = EmitBuffer::new(inst.index, n_instances);
+        if process_guarded(pe, port, value, &mut buf) {
+            stats.per_pe[inst.pe.0] += 1;
+        } else {
+            stats.failed += 1;
+            buf.drain();
+        }
+        buf
+    };
 
     let is_source = expected_pills == 0;
     if is_source {
         // Sources receive a synthetic kickoff and emit their stream.
-        let mut buf = EmitBuffer::new(inst.index, n_instances);
-        if crate::pe::process_guarded(&mut pe_impl, KICKOFF_PORT, Value::Null, &mut buf) {
-            stats.per_pe[inst.pe.0] += 1;
-        } else {
-            stats.failed += 1;
-        }
+        let buf = guarded(&mut *pe_impl, KICKOFF_PORT, Value::Null, &mut stats);
         deliver(graph, plan, inst.pe, buf, &mut router, senders);
     } else {
         let mut pills = 0usize;
         while pills < expected_pills {
             match rx.recv() {
                 Ok(Msg::Data(port, value)) => {
-                    let mut buf = EmitBuffer::new(inst.index, n_instances);
-                    if crate::pe::process_guarded(&mut pe_impl, &port, value, &mut buf) {
-                        stats.per_pe[inst.pe.0] += 1;
-                    } else {
-                        stats.failed += 1;
-                    }
+                    let buf = guarded(&mut *pe_impl, &port, value, &mut stats);
                     deliver(graph, plan, inst.pe, buf, &mut router, senders);
                 }
                 Ok(Msg::Pill) => pills += 1,

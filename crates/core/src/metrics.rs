@@ -163,6 +163,8 @@ pub struct WorkerStats {
     pub latency: LatencyHistogram,
     /// Time this worker was active (not parked by the auto-scaler).
     pub active: Duration,
+    /// Highest tasks-outstanding count a settle of this worker left.
+    pub peak_outstanding: usize,
     /// Non-fatal degradations it worked around, one reason each.
     pub warnings: Vec<String>,
 }
@@ -187,6 +189,7 @@ impl WorkerStats {
         self.retries_used += other.retries_used;
         self.latency.merge(&other.latency);
         self.active += other.active;
+        self.peak_outstanding = self.peak_outstanding.max(other.peak_outstanding);
         self.warnings.extend_from_slice(&other.warnings);
     }
 }
@@ -229,6 +232,12 @@ pub struct RunReport {
     /// on a steal topology means the fan-out is badly balanced across
     /// workers.
     pub queue_steals: u64,
+    /// High-water mark of the tasks pushed and not yet retired — queued,
+    /// held by a worker, or running — as the dynamic-family engines
+    /// (`dyn_*`, `hybrid_*`) count them. A source may run at most a fixed
+    /// credit ahead of its consumers, so this stays bounded however long
+    /// the stream is. `simple` and `multi` report 0.
+    pub peak_outstanding: usize,
     /// Non-fatal degradations the run worked around, one human-readable
     /// reason each — e.g. a warm start skipped because the stored snapshot
     /// frame was damaged or from an unknown future format version. An
@@ -281,6 +290,7 @@ impl RunReport {
             per_pe_tasks,
             task_latency: stats.latency.summary(),
             queue_steals: 0,
+            peak_outstanding: stats.peak_outstanding,
             warnings,
         }
     }
@@ -333,6 +343,7 @@ mod tests {
             stats.retries_used = w;
             stats.latency.record(Duration::from_micros(100));
             stats.active = Duration::from_millis(10);
+            stats.peak_outstanding = 7 - tasks as usize;
             total.merge(&stats);
         }
         let report = RunReport::new("test", 2, Duration::from_millis(10), &g, total);
@@ -340,6 +351,7 @@ mod tests {
         assert_eq!(report.failed_tasks, 2);
         assert_eq!(report.process_time, Duration::from_millis(20));
         assert_eq!(report.task_latency.count, 2);
+        assert_eq!(report.peak_outstanding, 6, "merged by max, not summed");
         // Sorted by name; PEs that ran nothing are left out.
         assert_eq!(
             report.per_pe_tasks,
@@ -380,6 +392,7 @@ mod tests {
             per_pe_tasks: vec![],
             task_latency: LatencySummary::default(),
             queue_steals: 0,
+            peak_outstanding: 0,
             warnings: vec![],
         };
         assert!((report.mean_active_workers() - 4.0).abs() < 1e-9);
@@ -399,6 +412,7 @@ mod tests {
             per_pe_tasks: vec![],
             task_latency: LatencySummary::default(),
             queue_steals: 0,
+            peak_outstanding: 0,
             warnings: vec![],
         };
         assert_eq!(report.mean_active_workers(), 0.0);

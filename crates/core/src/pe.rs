@@ -12,8 +12,12 @@ use crate::value::Value;
 
 /// Execution context handed to a PE while it processes an item.
 ///
-/// Emissions are buffered by the engine and routed after `process` returns;
-/// a PE never blocks on downstream backpressure inside its own logic.
+/// What the PE emits is buffered in emission order. `simple` and `multi`
+/// route the buffer after `process` returns. The dynamic-family engine
+/// routes and writes it out *during* the call, every few dozen emissions
+/// (DESIGN.md §5), so a source's stream reaches the workers while it is
+/// still being produced. A PE never blocks inside `emit`: a source that
+/// runs too far ahead has its own worker run queued tasks there instead.
 pub trait Context {
     /// Emits `value` on the PE's output port `port`.
     fn emit(&mut self, port: &str, value: Value);
@@ -24,7 +28,8 @@ pub trait Context {
     fn instance_count(&self) -> usize;
 }
 
-/// A buffering [`Context`] implementation used by every mapping.
+/// A buffering [`Context`]: what `simple`, `multi` and fused stages emit
+/// into, routed once the call returns.
 #[derive(Debug, Default)]
 pub struct EmitBuffer {
     pub(crate) emissions: Vec<(String, Value)>,
@@ -103,25 +108,19 @@ pub trait ProcessingElement: Send {
 }
 
 /// Runs one `process()` call with panic containment: a panicking PE loses
-/// the item (its partial emissions are discarded) but cannot take the
-/// worker — and with it the whole workflow — down. Returns `false` when the
-/// call panicked. Engines count failures into
+/// the item but cannot take the worker — and with it the whole workflow —
+/// down. Returns `false` when the call panicked; the caller then discards
+/// what `ctx` still buffers. Emissions an engine already wrote out during
+/// the call stay delivered. Engines count failures into
 /// [`RunReport::failed_tasks`](crate::metrics::RunReport::failed_tasks).
 pub fn process_guarded(
-    pe: &mut Box<dyn ProcessingElement>,
+    pe: &mut dyn ProcessingElement,
     port: &str,
-    value: crate::value::Value,
-    buf: &mut EmitBuffer,
+    value: Value,
+    ctx: &mut dyn Context,
 ) -> bool {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pe.process(port, value, buf)
-    }));
-    if result.is_err() {
-        buf.drain(); // discard whatever the PE emitted before dying
-        false
-    } else {
-        true
-    }
+    let call = std::panic::AssertUnwindSafe(|| pe.process(port, value, ctx));
+    std::panic::catch_unwind(call).is_ok()
 }
 
 /// A source PE built from a closure that produces the whole stream.

@@ -233,6 +233,9 @@ fn main() {
                             p50, p99, report.task_latency.count
                         );
                     }
+                    if report.peak_outstanding > 0 {
+                        println!("peak outstanding tasks: {}", report.peak_outstanding);
+                    }
                     println!("per-PE breakdown:");
                     for (pe, n) in &report.per_pe_tasks {
                         println!("  {pe:<20} {n:>8} items");

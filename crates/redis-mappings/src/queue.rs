@@ -8,7 +8,8 @@
 //!   pipelined write per [`PUSH_PIPELINE`] items
 //! * `pop_batch` → one pipelined write per popped batch:
 //!   `XDEL key <ids of the previous batch>` then
-//!   `XREADGROUP GROUP g w<i> COUNT n BLOCK <ms> NOACK STREAMS key >`.
+//!   `XREADGROUP GROUP g w<i> COUNT n BLOCK <ms> NOACK STREAMS key >`,
+//!   without `BLOCK` for a zero timeout (a try-read).
 //!   A consumer deletes what it read with its *next* read instead of paying
 //!   a second round trip per batch; a batch that carries a pill is deleted at
 //!   once, because its consumer is about to stop reading. `pop` is a batch
@@ -190,7 +191,9 @@ impl RedisQueue {
     }
 
     /// NOACK mode: deletes what the previous read delivered and reads up to
-    /// `max` entries, in one pipelined write.
+    /// `max` entries, in one pipelined write. A zero `timeout` sends no
+    /// `BLOCK` — Redis reads `BLOCK 0` as "forever" — so the read is a
+    /// try-read that never parks.
     fn pop_noack(
         &self,
         consumer: usize,
@@ -206,20 +209,18 @@ impl RedisQueue {
         } = &mut *reader;
         let count = max.to_string();
         let block_ms = timeout.as_millis().max(1).to_string();
-        let read: [&[u8]; 12] = [
+        let mut read: Vec<&[u8]> = vec![
             b"XREADGROUP",
             b"GROUP",
             GROUP,
             name,
             b"COUNT",
             count.as_bytes(),
-            b"BLOCK",
-            block_ms.as_bytes(),
-            b"NOACK",
-            b"STREAMS",
-            &self.key,
-            b">",
         ];
+        if !timeout.is_zero() {
+            read.extend([b"BLOCK".as_ref(), block_ms.as_bytes()]);
+        }
+        read.extend([b"NOACK".as_ref(), b"STREAMS", &self.key, b">"]);
         let del = self.xdel(undeleted);
         let cmds: [&[&[u8]]; 2] = [&del, &read];
         let settled = undeleted.len();
@@ -768,6 +769,68 @@ mod tests {
             }
             assert!(leftovers(plain, b"rt").is_empty(), "{label}: drained");
         });
+    }
+
+    /// Connection wrapper writing down every command sent through it.
+    struct Logged {
+        inner: Box<dyn Connection>,
+        sent: Arc<Mutex<Vec<Vec<Vec<u8>>>>>,
+    }
+
+    impl Logged {
+        fn log(&self, args: &[&[u8]]) {
+            self.sent
+                .lock()
+                .push(args.iter().map(|a| a.to_vec()).collect());
+        }
+    }
+
+    impl Connection for Logged {
+        fn request(&mut self, args: &[&[u8]]) -> Result<Frame, ClientError> {
+            self.log(args);
+            self.inner.request(args)
+        }
+        fn request_many(&mut self, cmds: &[&[&[u8]]]) -> Result<Vec<Frame>, ClientError> {
+            cmds.iter().for_each(|args| self.log(args));
+            self.inner.request_many(cmds)
+        }
+    }
+
+    /// A zero-timeout pop is a try-read: it sends no `BLOCK` (Redis reads
+    /// `BLOCK 0` as "forever", so it used to be clamped to `BLOCK 1` and
+    /// park a millisecond on an empty stream). A timed pop still blocks.
+    #[test]
+    fn zero_timeout_pop_sends_no_block() {
+        let shared = Arc::new(redis_lite::engine::Shared::new());
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let log = sent.clone();
+        let backend = RedisBackend::custom(move || {
+            Ok(Box::new(Logged {
+                inner: Box::new(redis_lite::client::InProcClient::new(shared.clone())),
+                sent: log.clone(),
+            }))
+        });
+        for reliable in [false, true] {
+            let q = match reliable {
+                false => RedisQueue::new(&backend, "z", 1).unwrap(),
+                true => {
+                    RedisQueue::new_reliable(&backend, "zr", 1, Duration::from_secs(5)).unwrap()
+                }
+            };
+            let read_block = |timeout: Duration| {
+                sent.lock().clear();
+                assert!(q.pop_batch(0, 8, timeout).unwrap().is_empty());
+                let sent = sent.lock();
+                let reads = sent.iter().filter(|c| c[0] == b"XREADGROUP");
+                let reads: Vec<_> = reads.collect();
+                assert_eq!(reads.len(), 1, "reliable={reliable}: one read per pop");
+                let at = reads[0].iter().position(|a| a == b"BLOCK");
+                at.map(|i| String::from_utf8_lossy(&reads[0][i + 1]).into_owned())
+            };
+            assert_eq!(read_block(Duration::ZERO), None, "reliable={reliable}");
+            let block = read_block(Duration::from_millis(1));
+            assert_eq!(block.as_deref(), Some("1"), "reliable={reliable}");
+        }
     }
 
     #[test]

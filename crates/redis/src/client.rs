@@ -489,7 +489,8 @@ pub trait RedisOps: Connection {
     }
 
     /// `XREADGROUP GROUP g c COUNT n BLOCK ms [NOACK] STREAMS key >` — up
-    /// to `count` entries in one round-trip; empty on timeout.
+    /// to `count` entries in one round-trip; empty on timeout. A zero
+    /// `block` sends no `BLOCK` (`BLOCK 0` is "forever"): a try-read.
     #[allow(clippy::type_complexity)]
     fn xreadgroup_many(
         &mut self,
@@ -509,9 +510,10 @@ pub trait RedisOps: Connection {
             consumer,
             b"COUNT",
             count.as_bytes(),
-            b"BLOCK",
-            block_ms.as_bytes(),
         ];
+        if !block.is_zero() {
+            cmd.extend_from_slice(&[b"BLOCK", block_ms.as_bytes()]);
+        }
         if noack {
             cmd.push(b"NOACK");
         }

@@ -12,7 +12,7 @@
 //! because its thresholds are the acceptance criterion.
 #![cfg(d4py_model)]
 
-use d4py_sync::channel::unbounded;
+use d4py_sync::channel::{unbounded, Receiver, Sender};
 use d4py_sync::model::shim::{AtomicUsize, Ordering};
 use d4py_sync::model::{self, Checker, FailureKind, Mode};
 use d4py_sync::segqueue::SegQueue;
@@ -596,67 +596,127 @@ enum Item {
     Pill,
 }
 
-/// A replica of how a strict dynamic run ends (`core::mappings::engine`,
-/// DESIGN.md §5): workers pop from one queue; a task's window is settled in
-/// `outstanding` with one update (`+ children − 1`) and its children pushed;
-/// the worker whose settle reaches zero raises the flag, pushes one pill per
-/// worker and, like its peers, leaves at the pill it pops. Task 3 emits 0
-/// and 1, task 1 emits 0, task 0 nothing: four tasks, two levels of
-/// emission. `settle_first` is the engine's order; `false` is the mutation.
-fn quiescence_protocol(settle_first: bool) {
+/// How [`quiescence_protocol`] orders a write: the engine's way, or one of
+/// the mutations the checker must catch.
+#[derive(Clone, Copy, PartialEq)]
+enum Variant {
+    /// Settle, then push; the source is retired by its last write.
+    Engine,
+    /// Push, then settle.
+    PushBeforeSettle,
+    /// The source is retired by its first, mid-task write.
+    RetireAtFirstWrite,
+}
+
+/// One worker of [`quiescence_protocol`], with the run's shared state.
+struct Replica {
+    tx: Sender<Item>,
+    rx: Receiver<Item>,
+    outstanding: Arc<AtomicUsize>,
+    popped: Arc<AtomicUsize>,
+    broadcasts: Arc<AtomicUsize>,
+    variant: Variant,
+}
+
+impl Replica {
     const WORKERS: usize = 2;
     const TASKS: usize = 4;
+
+    /// Pops until a pill, which it may only meet once every task was
+    /// popped: none is queued, and none is in a hand that has yet to push
+    /// what it emits.
+    fn work(&self) {
+        loop {
+            match self.rx.recv().unwrap() {
+                Item::Pill => {
+                    let popped = self.popped.load(Ordering::SeqCst);
+                    assert_eq!(popped, Self::TASKS, "left while a task was queued or held");
+                    return;
+                }
+                Item::Task(task) => self.run(task, true),
+            }
+        }
+    }
+
+    /// Task 3 is the source: it writes child 0 mid-task, then — as the
+    /// engine's caller-runs backpressure does — tries one pop and runs
+    /// what it got, then writes child 1 and retires. Task 1 emits 0, task
+    /// 0 nothing: four tasks, two levels of emission. A helped task never
+    /// helps.
+    fn run(&self, task: u8, may_help: bool) {
+        self.popped.fetch_add(1, Ordering::SeqCst);
+        match task {
+            3 => {
+                self.write(&[0], self.variant == Variant::RetireAtFirstWrite);
+                if may_help {
+                    match self.rx.try_recv() {
+                        Ok(Item::Task(child)) => self.run(child, false),
+                        // The run is ending: the pill goes back.
+                        Ok(Item::Pill) => self.tx.send(Item::Pill).unwrap(),
+                        Err(_) => {}
+                    }
+                }
+                self.write(&[1], self.variant != Variant::RetireAtFirstWrite);
+            }
+            1 => self.write(&[0], true),
+            _ => self.write(&[], true),
+        }
+    }
+
+    /// One write window: settle `outstanding` with one update
+    /// (`+ children − retired`) and push the children; the settle that
+    /// reaches zero raises the flag's equivalent and pushes one pill per
+    /// worker.
+    fn write(&self, children: &[u8], retires: bool) {
+        let push = || {
+            for &child in children {
+                self.tx.send(Item::Task(child)).unwrap();
+            }
+        };
+        let settle_first = self.variant != Variant::PushBeforeSettle;
+        if !settle_first {
+            push();
+        }
+        // As the engine: a window that emits what it retires does not
+        // touch the counter, and only one without children can reach zero.
+        let delta = children.len().wrapping_sub(usize::from(retires));
+        let before = (delta != 0).then(|| self.outstanding.fetch_add(delta, Ordering::SeqCst));
+        if settle_first {
+            push();
+        }
+        if children.is_empty() && before == Some(1) {
+            self.broadcasts.fetch_add(1, Ordering::SeqCst);
+            for _ in 0..Self::WORKERS {
+                self.tx.send(Item::Pill).unwrap();
+            }
+        }
+    }
+}
+
+/// A replica of how a strict dynamic run ends (`core::mappings::engine`,
+/// DESIGN.md §5): workers pop from one queue; each write window is settled
+/// in `outstanding` with one update and its children pushed; the worker
+/// whose settle reaches zero pushes one pill per worker and, like its
+/// peers, leaves at the pill it pops. The source writes in two windows and
+/// runs a popped child in between; it stays counted until its last one.
+fn quiescence_protocol(variant: Variant) {
     let (tx, rx) = unbounded::<Item>();
     // Seeds are counted and queued before any worker exists.
     let outstanding = Arc::new(AtomicUsize::new(1));
     tx.send(Item::Task(3)).unwrap();
     let popped = Arc::new(AtomicUsize::new(0));
     let broadcasts = Arc::new(AtomicUsize::new(0));
-    let workers: Vec<_> = (0..WORKERS)
+    let workers: Vec<_> = (0..Replica::WORKERS)
         .map(|_| {
-            let (tx, rx) = (tx.clone(), rx.clone());
-            let outstanding = outstanding.clone();
-            let popped = popped.clone();
-            let broadcasts = broadcasts.clone();
-            model::thread::spawn(move || loop {
-                let emits: &[u8] = match rx.recv().unwrap() {
-                    Item::Pill => {
-                        // Every task popped: none is queued, and none is in
-                        // a hand that has yet to push what it emits.
-                        let popped = popped.load(Ordering::SeqCst);
-                        assert_eq!(popped, TASKS, "left while a task was queued or held");
-                        return;
-                    }
-                    Item::Task(3) => &[0, 1],
-                    Item::Task(1) => &[0],
-                    Item::Task(_) => &[],
-                };
-                popped.fetch_add(1, Ordering::SeqCst);
-                let push = || {
-                    for &child in emits {
-                        tx.send(Item::Task(child)).unwrap();
-                    }
-                };
-                if !settle_first {
-                    push();
-                }
-                // As the engine: a window that emits what it retires does
-                // not touch the counter, and only one without children can
-                // reach zero.
-                let before = match emits.len() {
-                    1 => None,
-                    n => Some(outstanding.fetch_add(n.wrapping_sub(1), Ordering::SeqCst)),
-                };
-                if settle_first {
-                    push();
-                }
-                if emits.is_empty() && before == Some(1) {
-                    broadcasts.fetch_add(1, Ordering::SeqCst);
-                    for _ in 0..WORKERS {
-                        tx.send(Item::Pill).unwrap();
-                    }
-                }
-            })
+            let replica = Replica {
+                tx: tx.clone(),
+                rx: rx.clone(),
+                outstanding: outstanding.clone(),
+                popped: popped.clone(),
+                broadcasts: broadcasts.clone(),
+                variant,
+            };
+            model::thread::spawn(move || replica.work())
         })
         .collect();
     // Untimed receives: a schedule in which nobody broadcasts is a deadlock.
@@ -674,13 +734,14 @@ fn quiescence_protocol(settle_first: bool) {
     );
 }
 
-/// Settle before push: in every schedule the run ends, exactly one worker
+/// Settle before push, the source retired by its last write: in every
+/// schedule — helping included — the run ends, exactly one worker
 /// broadcasts, and no worker leaves while a task is queued or held.
 #[test]
 fn quiescence_zero_crossing_ends_the_run_exactly_once() {
     Checker::new("quiescence-zero-crossing")
         .iterations_env(3_000)
-        .check(|| quiescence_protocol(true));
+        .check(|| quiescence_protocol(Variant::Engine));
 }
 
 /// The order the engine must not use — push, then settle — lets a peer
@@ -692,10 +753,28 @@ fn quiescence_push_before_settle_is_caught_with_trace() {
     // schedules in; the budget leaves room for the channel to change.
     let report = Checker::new("quiescence-push-before-settle")
         .iterations(20_000)
-        .report(|| quiescence_protocol(false));
+        .report(|| quiescence_protocol(Variant::PushBeforeSettle));
     let failure = report
         .failure
         .expect("a premature zero must be reachable when the push comes first");
+    assert_eq!(failure.kind, FailureKind::Panic, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}
+
+/// A source retired at its first mid-task write is no longer counted while
+/// it still holds a child to write: a peer's settle can reach zero first,
+/// and the checker must find that schedule.
+#[test]
+fn quiescence_retiring_the_source_early_is_caught_with_trace() {
+    let report = Checker::new("quiescence-retire-at-first-write")
+        .iterations(20_000)
+        .report(|| quiescence_protocol(Variant::RetireAtFirstWrite));
+    let failure = report
+        .failure
+        .expect("a premature zero must be reachable when the source retires early");
     assert_eq!(failure.kind, FailureKind::Panic, "{}", failure.message);
     assert!(
         !failure.trace.is_empty(),

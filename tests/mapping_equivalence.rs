@@ -208,3 +208,65 @@ fn platform_limiter_changes_timing_not_results() {
     capped.sort_by_key(|(id, _)| *id);
     assert_eq!(unlimited, capped);
 }
+
+/// A stream longer than a source's credit (4 096 outstanding tasks in the
+/// dynamic-family engine) with a fan-out behind it: the engine writes the
+/// source's emissions out while it runs and makes its worker help, and
+/// every mapping must still deliver exactly what `simple` does.
+#[test]
+fn a_stream_longer_than_the_credit_agrees_across_mappings() {
+    const ITEMS: i64 = 10_000;
+    let build = || {
+        let mut g = WorkflowGraph::new("long");
+        let src = g.add_pe(PeSpec::source("src", "out"));
+        let split = g.add_pe(PeSpec::transform("split", "in", "out"));
+        let sink = g.add_pe(PeSpec::sink("sink", "in"));
+        g.connect(src, "out", split, "in", Grouping::Shuffle)
+            .unwrap();
+        g.connect(split, "out", sink, "in", Grouping::Shuffle)
+            .unwrap();
+        let (_, got) = Collector::new();
+        let into = got.clone();
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(src, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                (0..ITEMS).for_each(|i| ctx.emit("out", Value::Int(i)));
+            }))
+        });
+        exe.register(split, || {
+            Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                let x = v.as_int().unwrap();
+                ctx.emit("out", Value::Int(2 * x));
+                ctx.emit("out", Value::Int(2 * x + 1));
+            }))
+        });
+        exe.register(sink, move || Box::new(Collector::into_handle(into.clone())));
+        (exe.seal().unwrap(), got)
+    };
+    let run = |mapping: &dyn Mapping, workers: usize| {
+        let (exe, got) = build();
+        mapping
+            .execute(&exe, &ExecutionOptions::new(workers))
+            .unwrap();
+        let mut ints: Vec<i64> = got.lock().iter().map(|v| v.as_int().unwrap()).collect();
+        ints.sort_unstable();
+        ints
+    };
+    let reference = run(&Simple, 1);
+    assert_eq!(reference, (0..2 * ITEMS).collect::<Vec<_>>());
+    let backend = RedisBackend::in_proc();
+    let mappings: Vec<(Box<dyn Mapping>, usize)> = vec![
+        (Box::new(Multi), 4),
+        (Box::new(DynMulti), 1),
+        (Box::new(DynMulti), 3),
+        (Box::new(DynAutoMulti::new()), 3),
+        (Box::new(HybridMulti), 2),
+        (Box::new(DynRedis::new(backend.clone())), 2),
+        (Box::new(DynAutoRedis::new(backend.clone())), 3),
+        (Box::new(HybridRedis::new(backend)), 2),
+    ];
+    for (mapping, workers) in mappings {
+        let got = run(mapping.as_ref(), workers);
+        assert_eq!(got, reference, "{} × {workers} diverged", mapping.name());
+    }
+}
