@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::fusion::{fuse, fuse_staged};
     pub use crate::mapping::Mapping;
-    pub use crate::mappings::dyn_auto_multi::ScalingStrategyKind;
+    pub use crate::mappings::dynamic::ScalingStrategyKind;
     pub use crate::mappings::{DynAutoMulti, DynMulti, HybridMulti, Multi, Simple};
     pub use crate::metrics::RunReport;
     pub use crate::options::{ExecutionOptions, TerminationConfig};

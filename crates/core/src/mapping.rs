@@ -4,8 +4,8 @@
 //! some substrate (Figure 1 of the paper). Mappings in this crate:
 //! [`Simple`](crate::mappings::simple::Simple) (sequential),
 //! [`Multi`](crate::mappings::multi::Multi) (static multiprocessing),
-//! [`DynMulti`](crate::mappings::dyn_multi::DynMulti) (dynamic scheduling),
-//! and [`DynAutoMulti`](crate::mappings::dyn_auto_multi::DynAutoMulti)
+//! [`DynMulti`](crate::mappings::dynamic::DynMulti) (dynamic scheduling),
+//! and [`DynAutoMulti`](crate::mappings::dynamic::DynAutoMulti)
 //! (dynamic scheduling + auto-scaling). The Redis-backed mappings live in
 //! the `d4py-redis` crate and implement the same trait.
 

@@ -4,9 +4,17 @@
 //! workers pull `(PE, data)` tasks from a queue and push what the PE emits
 //! back — under different *placements*: a global queue with a pool of
 //! workers, plus zero or more [`Slot`]s. The front doors
-//! ([`super::dynamic`], [`super::hybrid`]) build the placement and pick the
-//! [`Driver`]; the worker loop, task execution, routing, the fault hooks of
+//! ([`super::dynamic`], [`super::hybrid`]) build the placement; the worker
+//! loop, task execution, routing, termination, the fault hooks of
 //! [`crate::fault`] and the worker-local statistics are here, once.
+//!
+//! A run ends by one rule, taken by the worker whose settle leaves the
+//! outstanding-task count at zero ([`Engine::at_zero`]): it flushes the next
+//! stateful stage — a pinned PE's slots, in topological order — whose
+//! Flushes are counted like tasks, so their `on_done` work drives the next
+//! zero-crossing; once no stage is left, it sends the pills. A plan with
+//! slots trusts the count; one without ends there only in strict mode while
+//! the count is exact, and otherwise by §3.2.3's retries in the worker loop.
 //!
 //! A worker is the [`Context`] of every PE call it makes: what the PE emits
 //! is written out while it runs, and a source that gets [`CREDIT`] tasks
@@ -78,19 +86,6 @@ pub(crate) struct Slot {
     pub queue: Arc<dyn TaskQueue>,
 }
 
-/// Who decides that the run is over. Chosen by the front door.
-pub(crate) enum Driver {
-    /// The pool workers. In strict mode the worker whose settle takes
-    /// `outstanding` from non-zero to zero broadcasts the pills there and
-    /// then; §3.2.3's protocol — a worker that keeps finding the queue empty
-    /// retries, then broadcasts — is the only signal when `strict` is off
-    /// and the fallback once the counter is known not to be exact.
-    WorkerRetries,
-    /// The calling thread waits for quiescence, flushes the stateful PEs in
-    /// topological order (each flush's work drains first), then pills.
-    Coordinator,
-}
-
 /// One run, as a front door hands it over.
 pub(crate) struct Plan<'a> {
     pub exe: &'a Executable,
@@ -101,7 +96,6 @@ pub(crate) struct Plan<'a> {
     /// Workers popping the global queue.
     pub pool: usize,
     pub slots: Vec<Slot>,
-    pub driver: Driver,
     pub state: Option<Arc<dyn StateStore>>,
     pub faults: &'a FaultPlan,
     /// Pre-flight warnings, to lead the report's list.
@@ -124,7 +118,10 @@ struct Engine<'a> {
     /// re-delivered task was retired twice). Stored before the retry, so
     /// before a duplicate can be retired; zero no longer ends the run.
     inexact: AtomicBool,
-    flushes_pending: AtomicUsize,
+    /// The stateful stages: per pinned PE, in topological order, its slots.
+    stages: Vec<Range<usize>>,
+    /// Stages flushed so far; one past the last, the pills were sent.
+    next_stage: AtomicUsize,
     /// Stored before any legitimate pill is pushed: a pill seen while it is
     /// unset is injected or foreign, and is ignored (and counted).
     shutdown: AtomicBool,
@@ -145,7 +142,7 @@ pub(crate) fn run(
     mut plan: Plan<'_>,
     autoscale: Option<AutoscaleSetup>,
 ) -> Result<RunReport, CoreError> {
-    // The calling thread's share: pre-flight warnings, its own retries.
+    // The calling thread's share: pre-flight warnings, the seed's retries.
     let mut total = WorkerStats::new(plan.exe.graph().pe_count());
     total.warnings = std::mem::take(&mut plan.warnings);
     let config = autoscale.as_ref().map(|setup| &setup.config);
@@ -154,7 +151,7 @@ pub(crate) fn run(
     let plan = &engine.plan;
     engine.seed(&mut total.retries_used)?;
 
-    let (driven, joined) = std::thread::scope(|s| {
+    let joined: Vec<_> = std::thread::scope(|s| {
         if let (Some(scaler), Some(setup)) = (&engine.scaler, autoscale) {
             let strategy = (setup.strategy)(plan.global.clone());
             s.spawn(move || scaler.run_monitor(strategy, setup.config.tick));
@@ -162,18 +159,11 @@ pub(crate) fn run(
         let handles: Vec<_> = (0..plan.slots.len() + plan.pool)
             .map(|w| s.spawn(move || engine.worker_loop(w)))
             .collect();
-        let driven = match plan.driver {
-            Driver::WorkerRetries => Ok(()),
-            Driver::Coordinator => engine.coordinate(&mut total.retries_used),
-        };
-        if driven.is_err() {
-            engine.abort();
-        }
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let joined = handles.into_iter().map(|h| h.join()).collect();
         if let Some(scaler) = &engine.scaler {
             scaler.request_shutdown();
         }
-        (driven, joined)
+        joined
     });
 
     let mut error = None;
@@ -189,7 +179,7 @@ pub(crate) fn run(
             Err(_) => error = error.or(Some(CoreError::WorkerPanic { worker })),
         }
     }
-    if let Some(e) = error.or(driven.err()) {
+    if let Some(e) = error {
         return Err(e);
     }
     let runtime = plan.started.elapsed();
@@ -232,12 +222,16 @@ impl<'a> Engine<'a> {
         };
         let upto = |pe: PeId| plan.slots.partition_point(|s| s.pe < pe);
         let pinned = graph.pe_ids().map(|pe| upto(pe)..upto(PeId(pe.0 + 1)));
-        let pinned = pinned.collect();
+        let pinned: Vec<_> = pinned.collect();
+        let stages = graph.topological_order()?.into_iter();
+        let stages = stages.map(|pe| pinned[pe.0].clone());
+        let stages = stages.filter(|slots| !slots.is_empty()).collect();
         Ok(Self {
             pinned,
             outstanding: AtomicUsize::new(0),
             inexact: AtomicBool::new(false),
-            flushes_pending: AtomicUsize::new(0),
+            stages,
+            next_stage: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
             scaler,
@@ -338,14 +332,30 @@ impl<'a> Engine<'a> {
         (0..n).try_for_each(|_| self.send(used, QueueItem::Pill, |it| queue.push(it)))
     }
 
-    /// A settle took `outstanding` from non-zero to zero: nothing is queued,
-    /// held or buffered anywhere, and nothing can be again. Under
-    /// [`Driver::WorkerRetries`] in strict mode that ends the run, unless
-    /// the count is not to be trusted — then the retries decide, as they
-    /// do when `strict` is off.
-    fn reached_zero(&self, used: &mut u64) -> Result<(), CoreError> {
+    /// A settle left `outstanding` at zero with no children: nothing is
+    /// queued, held or buffered anywhere, and nothing can be again. Flushes
+    /// the next stateful stage — counted before the push, like any task, so
+    /// the stage's `on_done` work drives the next zero-crossing — or, past
+    /// the last one, ends the run. A plan with slots ends here whatever
+    /// `strict` says (its workers never retry); one without only in strict
+    /// mode while the count is exact, leaving the rest to the retries.
+    /// After an abort nothing more is flushed, so no snapshot is written
+    /// past the fault and the state store keeps the last completed
+    /// checkpoint.
+    fn at_zero(&self, used: &mut u64) -> Result<(), CoreError> {
+        if self.aborted.load(SeqCst) {
+            return Ok(());
+        }
+        let stage = self.next_stage.fetch_add(1, SeqCst);
+        if let Some(slots) = self.stages.get(stage) {
+            self.outstanding.fetch_add(slots.len(), SeqCst);
+            for slot in &self.plan.slots[slots.clone()] {
+                self.send(used, QueueItem::Flush, |it| slot.queue.push(it))?;
+            }
+            return Ok(());
+        }
         let exact = self.plan.opts.termination.strict && !self.inexact.load(SeqCst);
-        if exact && matches!(self.plan.driver, Driver::WorkerRetries) {
+        if stage == self.stages.len() && (exact || !self.stages.is_empty()) {
             self.broadcast_pills(used)?;
         }
         Ok(())
@@ -358,42 +368,9 @@ impl<'a> Engine<'a> {
         let _ = self.broadcast_pills(&mut 0);
     }
 
-    /// Waits until nothing is in flight; `false` if the run aborted instead.
-    fn quiesced(&self) -> bool {
-        while self.outstanding.load(SeqCst) != 0 || self.flushes_pending.load(SeqCst) != 0 {
-            if self.aborted.load(SeqCst) {
-                return false;
-            }
-            // sleep: paces the poll; the counters are the real signal.
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        !self.aborted.load(SeqCst)
-    }
-
-    /// [`Driver::Coordinator`], on the calling thread. After an abort
-    /// nothing more is flushed: no snapshot is written past the fault, so
-    /// the state store keeps the last *completed* checkpoint.
-    fn coordinate(&self, used: &mut u64) -> Result<(), CoreError> {
-        for pe in self.plan.exe.graph().topological_order()? {
-            let slots = self.slots_of(pe);
-            if !slots.is_empty() && !self.quiesced() {
-                return Ok(());
-            }
-            self.flushes_pending.fetch_add(slots.len(), SeqCst);
-            for slot in slots {
-                self.send(used, QueueItem::Flush, |it| slot.queue.push(it))?;
-            }
-        }
-        if self.quiesced() {
-            self.broadcast_pills(used)?;
-        }
-        Ok(())
-    }
-
     /// The per-worker loop: gate (auto-scaling), pop, then per item obey a
-    /// pill, flush, or run a task. Under [`Driver::WorkerRetries`] it also
-    /// ends the run: in `write_out` at quiescence, or here by §3.2.3's
-    /// retries.
+    /// pill, flush, or run a task. A plan without slots may also be ended
+    /// here, by §3.2.3's retries.
     fn worker_loop(&self, w: usize) -> Result<WorkerStats, CoreError> {
         let abort_unless_ok = AbortOnDrop(self);
         let mut w = Worker::new(self, w)?;
@@ -428,7 +405,7 @@ impl<'a> Engine<'a> {
                     break;
                 }
                 let quiescent = !term.strict || self.outstanding.load(SeqCst) == 0;
-                if matches!(self.plan.driver, Driver::WorkerRetries) && quiescent {
+                if self.stages.is_empty() && quiescent {
                     retries += 1;
                     if retries > term.max_retries {
                         // This worker decides the workflow is done (§3.2.3).
@@ -680,7 +657,8 @@ impl<'e, 'a> Worker<'e, 'a> {
     }
 
     /// Slot-only: the instance has seen its entire input. Externalize the
-    /// final state before `on_done` may drain it, then flush.
+    /// final state before `on_done` may drain it, then retire the Flush
+    /// like a task: its `on_done` output is counted before it is.
     fn flush(&mut self) -> Result<(), CoreError> {
         let engine = self.engine;
         // A Flush on the global queue is a stray control item: ignore it.
@@ -700,12 +678,10 @@ impl<'e, 'a> Worker<'e, 'a> {
         self.pes[slot.pe.0] = Some(pe);
         self.reraise()?;
         self.route_emissions(slot.pe);
-        // The flush's emissions are counted outstanding before the flush
-        // stops being pending: the coordinator never sees both at zero
-        // while they sit in a buffer.
-        self.write_out()?;
-        engine.flushes_pending.fetch_sub(1, SeqCst);
-        Ok(())
+        // Retired only once `on_done` returned: a write it made while it
+        // ran settles its children, never the Flush.
+        self.retired += 1;
+        self.write_out().map(drop)
     }
 
     /// Routes everything the current PE call emitted so far into this
@@ -775,14 +751,19 @@ impl<'e, 'a> Worker<'e, 'a> {
             let before = engine.outstanding.fetch_update(SeqCst, SeqCst, settle);
             let before = before.expect("the settle always yields a value");
             left = (before + children).checked_sub(retired);
+            if left.is_none() {
+                engine.inexact.store(true, SeqCst);
+            }
             match left {
-                None => engine.inexact.store(true, SeqCst),
+                Some(n) if n > 0 => {
+                    self.stats.peak_outstanding = self.stats.peak_outstanding.max(n)
+                }
                 // No children and `retired` (non-zero) tasks were all that
-                // was counted: this settle is the one that reached zero. A
-                // call still running is counted, so a write it makes never
-                // gets here.
-                Some(0) if children == 0 => return engine.reached_zero(used).map(|()| left),
-                Some(n) => self.stats.peak_outstanding = self.stats.peak_outstanding.max(n),
+                // was counted — or more, if it saturated: this settle is a
+                // zero-crossing. A call still running is counted, so a write
+                // it makes never gets here.
+                _ if children == 0 => return engine.at_zero(used).map(|()| left),
+                _ => {}
             }
         }
         if children == 0 {

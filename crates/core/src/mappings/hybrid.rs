@@ -13,12 +13,14 @@
 //!   global → instance 0, …) — "eliminating the need for continuous state
 //!   synchronization".
 //!
-//! This module plans that placement over a [`QueueFactory`] (Redis streams
-//! for `hybrid_redis`, channels for the in-process ablation); the engine
-//! core (`mappings::engine`) runs it under a coordinator: at quiescence the
-//! stateful PEs are flushed in topological order, then pills stop everyone.
+//! This module only plans that placement over a [`QueueFactory`] (Redis
+//! streams for `hybrid_redis`, channels for the in-process ablation); the
+//! engine core (`mappings::engine`) runs and ends it: each settle that takes
+//! the outstanding-task count to zero flushes the next stateful PE's
+//! instances, in topological order, and the one after the last flush's work
+//! retired sends the pills.
 
-use super::engine::{self, Driver, Plan, Slot};
+use super::engine::{self, Plan, Slot};
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::fault::FaultPlan;
@@ -136,7 +138,6 @@ pub fn run_hybrid_with_faults(
         global,
         pool,
         slots,
-        driver: Driver::Coordinator,
         state,
         faults,
         warnings,

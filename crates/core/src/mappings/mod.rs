@@ -2,16 +2,13 @@
 //! and the dynamic family (dynamic, auto-scaling, hybrid): one private
 //! engine core behind the `dynamic` and `hybrid` front doors.
 
-pub mod dyn_auto_multi;
-pub mod dyn_multi;
 pub mod dynamic;
 mod engine;
 pub mod hybrid;
 pub mod multi;
 pub mod simple;
 
-pub use dyn_auto_multi::DynAutoMulti;
-pub use dyn_multi::DynMulti;
+pub use dynamic::{DynAutoMulti, DynMulti};
 pub use hybrid::{ChannelQueueFactory, HybridMulti, QueueFactory};
 pub use multi::Multi;
 pub use simple::Simple;

@@ -17,7 +17,9 @@ use std::time::Duration;
 /// exhausting its own retries — is the only signal when `strict` is off, and
 /// the fallback whenever the engine has evidence that its count is not exact
 /// (a queue operation absorbed a transport retry, or a task was delivered
-/// twice); the report then carries a warning saying so.
+/// twice); the report then carries a warning saying so. A plan with stateful
+/// stages (the hybrid mappings) ends at its last zero-crossing, the one
+/// after its last stage's flush work retired, whatever these settings say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TerminationConfig {
     /// How long one empty-queue poll blocks before returning: one step of

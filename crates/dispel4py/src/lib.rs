@@ -86,7 +86,7 @@ pub mod prelude {
     pub use d4py_core::executable::Executable;
     pub use d4py_core::fusion::{fuse, fuse_staged};
     pub use d4py_core::mapping::Mapping;
-    pub use d4py_core::mappings::dyn_auto_multi::ScalingStrategyKind;
+    pub use d4py_core::mappings::dynamic::ScalingStrategyKind;
     pub use d4py_core::mappings::{DynAutoMulti, DynMulti, HybridMulti, Multi, Simple};
     pub use d4py_core::metrics::{RunReport, TracePoint};
     pub use d4py_core::options::{ExecutionOptions, TerminationConfig};

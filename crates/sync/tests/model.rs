@@ -781,3 +781,215 @@ fn quiescence_retiring_the_source_early_is_caught_with_trace() {
         "failing schedule must be replayed with a full trace"
     );
 }
+
+/// What travels a queue of [`staged_protocol`]: a task, named by what it
+/// is, a Flush, or a pill.
+#[derive(Debug, PartialEq)]
+enum Staged {
+    /// The source: one input for each stage.
+    Source,
+    /// An input of a stage: it only updates the stage's state.
+    Input,
+    /// What the flush of stage A (into B) or B (into the sink) emitted.
+    Output(usize),
+    Flush,
+    Pill,
+}
+
+/// How [`staged_protocol`] takes a zero-crossing: the engine's way, or one
+/// of the mutations the checker must catch.
+#[derive(Clone, Copy, PartialEq)]
+enum Staging {
+    /// The next stage per zero-crossing, its Flush counted before the push.
+    Engine,
+    /// Both stages flushed at the first zero-crossing.
+    FlushBothAtOnce,
+    /// A Flush pushed without being counted, A's `on_done` emitting nothing.
+    UncountedFlush,
+}
+
+/// The run [`staged_protocol`] replicates — a global queue with one pool
+/// worker and two stateful stages, A → B, each with its own queue and one
+/// slot worker — and what the checks read.
+struct Stages {
+    /// The global queue, then A's and B's.
+    queues: [(Sender<Staged>, Receiver<Staged>); 3],
+    outstanding: AtomicUsize,
+    /// Stages whose Flush was pushed; past the last, the pills were sent.
+    next_stage: AtomicUsize,
+    /// Per stage, the Flushes it popped.
+    flushes: [AtomicUsize; 2],
+    /// Per stage, the runs of its flush's output.
+    outputs_run: [AtomicUsize; 2],
+    broadcasts: AtomicUsize,
+    staging: Staging,
+}
+
+impl Stages {
+    const POOL: usize = 0;
+    const A: usize = 1;
+    const B: usize = 2;
+
+    /// The worker of queue `q`: pops until its pill. The source emits an
+    /// input into each stage; A's flush emits one task into B, B's one into
+    /// the global queue (the sink); every other task emits nothing.
+    fn work(&self, q: usize) {
+        loop {
+            match self.queues[q].1.recv().unwrap() {
+                Staged::Pill => {
+                    for flushes in &self.flushes {
+                        assert_eq!(flushes.load(Ordering::SeqCst), 1, "left unflushed");
+                    }
+                    return;
+                }
+                Staged::Source => self.write(&[Self::A, Self::B]),
+                Staged::Input => self.write(&[]),
+                Staged::Output(stage) => {
+                    self.outputs_run[stage].fetch_add(1, Ordering::SeqCst);
+                    self.write(&[]);
+                }
+                Staged::Flush => {
+                    let stage = q - Self::A;
+                    let before = self.flushes[stage].fetch_add(1, Ordering::SeqCst);
+                    assert_eq!(before, 0, "stage {stage} flushed twice");
+                    if q == Self::B {
+                        let ran = self.outputs_run[0].load(Ordering::SeqCst);
+                        assert_eq!(ran, 1, "B flushed before it ran A's flush output");
+                    }
+                    match (q, self.staging) {
+                        (Self::A, Staging::UncountedFlush) => self.write(&[]),
+                        (Self::A, _) => self.write_output(stage, Self::B),
+                        _ => self.write_output(stage, Self::POOL),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One write window retiring the item just run: settle `outstanding`
+    /// with one update, then push one input per queue in `into`; the settle
+    /// that reaches zero takes the zero-crossing step.
+    fn write(&self, into: &[usize]) {
+        self.settle_and_push(into.len(), || {
+            for &q in into {
+                self.queues[q].0.send(Staged::Input).unwrap();
+            }
+        });
+    }
+
+    /// [`write`](Self::write) for a flush that emits one task into `q`.
+    fn write_output(&self, stage: usize, q: usize) {
+        self.settle_and_push(1, || self.queues[q].0.send(Staged::Output(stage)).unwrap());
+    }
+
+    fn settle_and_push(&self, children: usize, push: impl FnOnce()) {
+        let delta = children.wrapping_sub(1);
+        let before = (delta != 0).then(|| self.outstanding.fetch_add(delta, Ordering::SeqCst));
+        push();
+        if children == 0 && before == Some(1) {
+            self.at_zero();
+        }
+    }
+
+    /// The engine's `at_zero`: flush the next stage — counted, then pushed
+    /// — or, past the last one, broadcast one pill per worker.
+    fn at_zero(&self) {
+        let take = match self.staging {
+            Staging::FlushBothAtOnce => 2,
+            _ => 1,
+        };
+        let stage = self.next_stage.fetch_add(take, Ordering::SeqCst);
+        if stage < self.flushes.len() {
+            if self.staging != Staging::UncountedFlush {
+                self.outstanding.fetch_add(take, Ordering::SeqCst);
+            }
+            for (tx, _) in &self.queues[Self::A + stage..Self::A + stage + take] {
+                tx.send(Staged::Flush).unwrap();
+            }
+        } else if stage == self.flushes.len() {
+            let sunk = self.outputs_run[1].load(Ordering::SeqCst);
+            assert_eq!(sunk, 1, "broadcast before the last flush's work retired");
+            self.broadcasts.fetch_add(1, Ordering::SeqCst);
+            for (tx, _) in &self.queues {
+                tx.send(Staged::Pill).unwrap();
+            }
+        }
+    }
+}
+
+/// A replica of how a hybrid run ends (`core::mappings::engine`, DESIGN.md
+/// §5): the source is counted and queued before any worker exists and feeds
+/// both stages; whichever slot worker's settle reaches zero flushes A, the
+/// settle after A's flush output retired (B's) flushes B, and the one after
+/// B's output retired (the pool worker's) sends the pills.
+fn staged_protocol(staging: Staging) {
+    let stages = Arc::new(Stages {
+        queues: [unbounded(), unbounded(), unbounded()],
+        outstanding: AtomicUsize::new(1),
+        next_stage: AtomicUsize::new(0),
+        flushes: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        outputs_run: [AtomicUsize::new(0), AtomicUsize::new(0)],
+        broadcasts: AtomicUsize::new(0),
+        staging,
+    });
+    stages.queues[Stages::POOL].0.send(Staged::Source).unwrap();
+    let workers: Vec<_> = [Stages::POOL, Stages::A, Stages::B]
+        .into_iter()
+        .map(|q| {
+            let stages = stages.clone();
+            model::thread::spawn(move || stages.work(q))
+        })
+        .collect();
+    // Untimed receives: a schedule in which nobody pushes is a deadlock.
+    for w in workers {
+        w.join();
+    }
+    assert_eq!(stages.broadcasts.load(Ordering::SeqCst), 1, "one broadcast");
+    for (_, rx) in &stages.queues {
+        assert!(rx.try_recv().is_err(), "every pill was read");
+    }
+}
+
+/// One stage per zero-crossing, each Flush counted before its push: in
+/// every schedule B is flushed only after it ran A's flush output, each
+/// stage exactly once, and one broadcast follows the last flush's work.
+#[test]
+fn staged_zero_crossings_flush_each_stage_once_then_pill() {
+    Checker::new("staged-zero-crossing")
+        .iterations_env(3_000)
+        .check(|| staged_protocol(Staging::Engine));
+}
+/// Flushing B at the zero-crossing that flushes A lets B's `on_done` run
+/// before A's output reached it: the checker must find that schedule.
+#[test]
+fn staged_flushing_both_at_once_is_caught_with_trace() {
+    let report = Checker::new("staged-flush-both-at-once")
+        .iterations(20_000)
+        .report(|| staged_protocol(Staging::FlushBothAtOnce));
+    let failure = report
+        .failure
+        .expect("B's flush must be reachable before A's output");
+    assert_eq!(failure.kind, FailureKind::Panic, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}
+
+/// A Flush pushed uncounted is retired from a count that is already zero:
+/// no settle crosses zero again, nothing flushes B or sends the pills, and
+/// the checker must report the stall as a deadlock.
+#[test]
+fn staged_uncounted_flush_is_caught_as_deadlock() {
+    let report = Checker::new("staged-uncounted-flush")
+        .iterations(20_000)
+        .report(|| staged_protocol(Staging::UncountedFlush));
+    let failure = report
+        .failure
+        .expect("an uncounted flush must stall the run");
+    assert_eq!(failure.kind, FailureKind::Deadlock, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}

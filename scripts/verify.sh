@@ -36,9 +36,10 @@ cargo run -q --release --offline -p d4py-bench --bin repro -- check --all --json
 # Model-checker smoke: the instrumented --cfg d4py_model build of the
 # lock-free core — channel park/wakeup protocol plus the steal-queue
 # sweep (steal-vs-pop exactly-once, no lost wakeup after a failed sweep,
-# timeout-steal rewake), and a replica of the rule that ends a dynamic run
-# (settle, push, pop; the zero-crossing broadcasts) with its mutation as a
-# failing trace — explored under a small iteration budget (CI
+# timeout-steal rewake), and replicas of the rule that ends a dynamic or
+# hybrid run (settle, push, pop; the zero-crossing flushes the next
+# stateful stage or broadcasts) with their mutations as failing traces —
+# explored under a small iteration budget (CI
 # runs the full budget in a dedicated job). Separate target dir so the
 # cfg flip does not thrash the main build cache.
 D4PY_MODEL_ITERS="${D4PY_MODEL_ITERS:-150}" \

@@ -1,13 +1,17 @@
 //! Integration: how a dynamic run ends — at quiescence in strict mode, by
-//! the retry + poison-pill protocol (§3.2.3) otherwise.
+//! the retry + poison-pill protocol (§3.2.3) otherwise — and how a hybrid
+//! run ends: each zero-crossing flushes the next stateful stage, the last
+//! one sends the pills.
 
 use d4py_sync::Mutex;
 use dispel4py::core::autoscale::QueueSizeStrategy;
 use dispel4py::core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
+use dispel4py::core::mappings::hybrid::{run_hybrid, QueueFactory};
 use dispel4py::core::queue::{ChannelQueue, TaskQueue, WorkStealQueue};
 use dispel4py::core::task::QueueItem;
 use dispel4py::prelude::*;
 use dispel4py::redis::RedisQueue;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,8 +143,9 @@ fn termination_works_across_the_redis_wire() {
 #[test]
 fn many_repeated_runs_never_hang() {
     // Shake out termination races: a run ends the moment its last task
-    // retires, so 200 of them — three mappings by three workloads — take
-    // less than the 20 the retry tail used to allow.
+    // retires, so 200 of them — three dynamic mappings by three workloads,
+    // and `hybrid_multi` flushing a two-stage stateful chain — take less
+    // than the 20 the retry tail used to allow.
     type Workload = (fn(i64) -> (Executable, Arc<AtomicU64>), i64, u64);
     let workloads: [Workload; 3] = [
         (pipeline, 20, 20),
@@ -155,17 +160,101 @@ fn many_repeated_runs_never_hang() {
         ),
         ("dyn_auto_multi", Box::new(DynAutoMulti::default())),
     ];
+    let opts = ExecutionOptions::new(6);
     for i in 0..200 {
-        let (name, mapping) = &mappings[i % 3];
-        let (build, items, expected) = workloads[i / 3 % 3];
+        let Some((name, mapping)) = mappings.get(i % 4) else {
+            let (exe, got) = stateful_chain();
+            HybridMulti.execute(&exe, &opts).unwrap();
+            assert_top_one(&got, &format!("run {i} (hybrid_multi)"));
+            continue;
+        };
+        let (build, items, expected) = workloads[i / 4 % 3];
         let (exe, count) = build(items);
-        mapping.execute(&exe, &ExecutionOptions::new(6)).unwrap();
+        mapping.execute(&exe, &opts).unwrap();
         assert_eq!(
             count.load(Ordering::Relaxed),
             expected,
             "run {i} ({name}) lost tasks"
         );
     }
+}
+
+/// How many keys [`stateful_chain`]'s source emits: `k<j>` `j` times each,
+/// so `k<TOP>` is the most frequent.
+const TOP: i64 = 12;
+
+/// Two stateful stages: a source emits key `k<j>` `j` times for each `j` in
+/// `1..=TOP` → a per-key counter (group-by, three instances) → a global
+/// top-1 → a stateless sink. Each stage emits only from `on_done`, so every
+/// stage's input is complete only once the stage before it was flushed.
+fn stateful_chain() -> (Executable, Arc<Mutex<Vec<Value>>>) {
+    struct Counter(HashMap<String, i64>);
+    impl ProcessingElement for Counter {
+        fn process(&mut self, _: &str, v: Value, _: &mut dyn Context) {
+            let key = v.get("k").and_then(Value::as_str).unwrap();
+            *self.0.entry(key.to_string()).or_default() += 1;
+        }
+        fn on_done(&mut self, ctx: &mut dyn Context) {
+            for (key, n) in self.0.drain() {
+                ctx.emit(
+                    "out",
+                    Value::map([("k", Value::Str(key)), ("n", Value::Int(n))]),
+                );
+            }
+        }
+    }
+    struct TopOne(Option<Value>);
+    impl ProcessingElement for TopOne {
+        fn process(&mut self, _: &str, v: Value, _: &mut dyn Context) {
+            let n = |v: &Value| v.get("n").and_then(Value::as_int).unwrap();
+            if self.0.as_ref().is_none_or(|best| n(&v) > n(best)) {
+                self.0 = Some(v);
+            }
+        }
+        fn on_done(&mut self, ctx: &mut dyn Context) {
+            if let Some(best) = self.0.take() {
+                ctx.emit("out", best);
+            }
+        }
+    }
+    let mut g = WorkflowGraph::new("stateful_chain");
+    let src = g.add_pe(PeSpec::source("src", "out"));
+    let count = g.add_pe(
+        PeSpec::transform("count", "in", "out")
+            .stateful()
+            .with_instances(3),
+    );
+    let top_one = g.add_pe(PeSpec::transform("top", "in", "out").stateful());
+    let sink = g.add_pe(PeSpec::sink("sink", "in"));
+    g.connect(src, "out", count, "in", Grouping::group_by("k"))
+        .unwrap();
+    g.connect(count, "out", top_one, "in", Grouping::Global)
+        .unwrap();
+    g.connect(top_one, "out", sink, "in", Grouping::Shuffle)
+        .unwrap();
+    let (_, got) = Collector::new();
+    let handle = got.clone();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(src, || {
+        Box::new(FnSource(|ctx: &mut dyn Context| {
+            for j in 1..=TOP {
+                (0..j).for_each(|_| ctx.emit("out", Value::map([("k", format!("k{j}"))])));
+            }
+        }))
+    });
+    exe.register(count, || Box::new(Counter(HashMap::new())));
+    exe.register(top_one, || Box::new(TopOne(None)));
+    exe.register(sink, move || {
+        Box::new(Collector::into_handle(handle.clone()))
+    });
+    (exe.seal().unwrap(), got)
+}
+
+/// [`stateful_chain`]'s exact output: one winner, `k<TOP>` × `TOP`.
+fn assert_top_one(got: &Mutex<Vec<Value>>, run: &str) {
+    let got = got.lock();
+    let winner = Value::map([("k", Value::Str(format!("k{TOP}"))), ("n", Value::Int(TOP))]);
+    assert_eq!(*got, [winner], "{run}: the stateful output is wrong");
 }
 
 /// source → two branches that each triple their input → one sink: every
@@ -248,6 +337,24 @@ struct Logged {
     fail_next_push_batch: AtomicBool,
 }
 
+impl Logged {
+    fn new(inner: Arc<dyn TaskQueue>, pops: &Pops, fail_a_push: bool) -> Arc<Self> {
+        Arc::new(Logged {
+            inner,
+            pops: pops.clone(),
+            fail_next_push_batch: AtomicBool::new(fail_a_push),
+        })
+    }
+}
+
+/// The number of empty pops logged after the last pop that delivered a
+/// task: the polls the run spent on deciding that it was over.
+fn tail(pops: &Pops) -> usize {
+    let pops = pops.lock();
+    let tail = pops.iter().rev().take_while(|delivered| !**delivered);
+    tail.count()
+}
+
 impl TaskQueue for Logged {
     fn push(&self, item: QueueItem) -> Result<(), CoreError> {
         self.inner.push(item)
@@ -285,8 +392,7 @@ impl TaskQueue for Logged {
 }
 
 /// Runs `pipeline(200)` on `inner` behind a [`Logged`] and returns the report
-/// with the number of empty pops made after the last pop that delivered a
-/// task: the polls the run spent on deciding that it was over.
+/// with its [`tail`].
 fn tail_polls(
     inner: Arc<dyn TaskQueue>,
     opts: &ExecutionOptions,
@@ -295,11 +401,7 @@ fn tail_polls(
 ) -> (RunReport, usize) {
     let (exe, count) = pipeline(200);
     let pops = Pops::default();
-    let queue = Arc::new(Logged {
-        inner,
-        pops: pops.clone(),
-        fail_next_push_batch: AtomicBool::new(fail_a_push),
-    });
+    let queue = Logged::new(inner, &pops, fail_a_push);
     // Half the pool stays parked for the whole run: the threshold is out of
     // reach, so the scaler never grows the active set.
     let setup = autoscaled.then(|| AutoscaleSetup {
@@ -313,9 +415,7 @@ fn tail_polls(
     });
     let report = run_dynamic(&exe, opts, queue, "dyn_test", setup).unwrap();
     assert_eq!(count.load(Ordering::Relaxed), 200);
-    let pops = pops.lock();
-    let tail = pops.iter().rev().take_while(|delivered| !**delivered);
-    (report, tail.count())
+    (report, tail(&pops))
 }
 
 #[test]
@@ -348,6 +448,68 @@ fn a_strict_run_ends_at_quiescence_not_after_the_retries() {
             );
             assert!(report.warnings.is_empty(), "{name}: {:?}", report.warnings);
         }
+    }
+}
+
+/// Makes one queue of a hybrid run: its name and consumer count.
+type MakeQueue = Box<dyn Fn(&str, usize) -> Arc<dyn TaskQueue> + Send + Sync>;
+
+/// A hybrid run's queues, made by `make`, with the global one [`Logged`].
+struct LoggedGlobal {
+    make: MakeQueue,
+    pops: Pops,
+}
+
+impl QueueFactory for LoggedGlobal {
+    fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+        let queue = (self.make)(name, consumers);
+        Ok(match name {
+            "global" => Logged::new(queue, &self.pops, false),
+            _ => queue,
+        })
+    }
+}
+
+#[test]
+fn a_hybrid_run_ends_at_its_last_zero_crossing() {
+    // The same count as above over a two-stage stateful chain: the settle
+    // that reaches zero flushes the counters, the one after their work
+    // retired flushes the top-1, and the one after the sink's task sends the
+    // pills. After that last task-delivering pop of the global queue a pool
+    // worker polls it empty at most once.
+    const POOL: usize = 2;
+    // Three counter instances and the top-1, each pinned to a worker.
+    const SLOTS: usize = 4;
+    type Make = fn() -> MakeQueue;
+    let queues: [(&str, Make); 2] = [
+        ("channel", || {
+            Box::new(|_, consumers| Arc::new(ChannelQueue::new(consumers)))
+        }),
+        ("redis in-proc", || {
+            let backend = RedisBackend::in_proc();
+            Box::new(move |name, consumers| {
+                Arc::new(RedisQueue::new(&backend, name, consumers).unwrap())
+            })
+        }),
+    ];
+    let opts = ExecutionOptions::new(SLOTS + POOL).with_termination(TerminationConfig {
+        poll_timeout: Duration::from_millis(50),
+        ..TerminationConfig::default()
+    });
+    for (name, make) in queues {
+        let (exe, got) = stateful_chain();
+        let factory = LoggedGlobal {
+            make: make(),
+            pops: Pops::default(),
+        };
+        let report = run_hybrid(&exe, &opts, &factory, "hybrid_test").unwrap();
+        assert_top_one(&got, name);
+        assert!(report.warnings.is_empty(), "{name}: {:?}", report.warnings);
+        let polls = tail(&factory.pops);
+        assert!(
+            polls <= POOL,
+            "{name}: {polls} empty pops after the last task"
+        );
     }
 }
 
