@@ -1,10 +1,9 @@
-//! Connection-scaling ablation: reactor vs thread-per-connection.
+//! Connection-scaling ablation: the reactor under many connections.
 //!
 //! N concurrent clients each drive unpipelined PING round-trips against a
-//! fresh server in each [`ServerMode`], so the cost under measurement is the
-//! per-connection machinery itself — OS threads, stacks, and wakeups for the
-//! baseline vs swept nonblocking state machines for the reactor. The full
-//! run sweeps 64 / 256 / 1024 clients; the committed baseline
+//! fresh server, so the cost under measurement is the per-connection
+//! machinery itself — swept nonblocking state machines on a fixed worker
+//! set. The full run sweeps 64 / 256 / 1024 clients; the committed baseline
 //! (`bench/baselines/BENCH_connections.json`) is what `bench-compare` gates
 //! against in CI.
 //!
@@ -14,10 +13,9 @@
 //!   the nightly soak uses these to hold 1024 connections under load far
 //!   longer than the per-PR path ever runs.
 
-use d4py_bench::connscale::{mode_slug, run_matrix, ConnScaleOpts};
+use d4py_bench::connscale::{cell_id, run_matrix, ConnScaleOpts};
 use d4py_sync::report::BenchReport;
 use d4py_sync::stats::Summary;
-use dispel4py::redis_lite::server::ServerMode;
 use std::path::PathBuf;
 
 fn fmt_rate(r: f64) -> String {
@@ -76,7 +74,7 @@ fn main() {
         opts.reps = reps;
     }
 
-    println!("== ablation_connections: reactor vs thread-per-connection ==");
+    println!("== ablation_connections: reactor throughput vs concurrent clients ==");
     println!(
         "   ({} unpipelined round-trips split across N clients, {} reps)\n",
         opts.ops_total, opts.reps
@@ -87,49 +85,20 @@ fn main() {
 
     let report = run_matrix(&opts);
 
-    print!("{:>14}", "mode \\ clients");
+    // Median ±σ and the 95% bootstrap CI of the median, per client count.
     for &c in &opts.counts {
-        print!("  {:>18}", format!("c{c} (median ±σ)"));
-    }
-    println!();
-    for mode in [ServerMode::ThreadPerConn, ServerMode::Reactor] {
-        print!("{:>14}", mode_slug(mode));
-        for &c in &opts.counts {
-            let id = format!("connections/{}/c{c}", mode_slug(mode));
-            let e = report
-                .benches
-                .iter()
-                .find(|b| b.id == id)
-                .expect("one entry per cell");
-            let fmt = |s: &Summary| format!("{} ±{}", fmt_rate(s.median), fmt_rate(s.stddev));
-            print!("  {:>18}", fmt(&e.summary));
-        }
-        println!();
-    }
-
-    // The paper-claim check: reactor vs thread CIs per client count.
-    println!("\nreactor vs thread (95% bootstrap CI of the median):");
-    for &c in &opts.counts {
-        let find = |m: ServerMode| {
-            report
-                .benches
-                .iter()
-                .find(|b| b.id == format!("connections/{}/c{c}", mode_slug(m)))
-                .expect("cell present")
-        };
-        let (r, t) = (find(ServerMode::Reactor), find(ServerMode::ThreadPerConn));
-        let disjoint = r.summary.ci_lo > t.summary.ci_hi;
+        let e = report
+            .benches
+            .iter()
+            .find(|b| b.id == cell_id(c))
+            .expect("one entry per cell");
+        let s: &Summary = &e.summary;
         println!(
-            "  c{c}: reactor [{} .. {}] vs thread [{} .. {}] -> {}",
-            fmt_rate(r.summary.ci_lo),
-            fmt_rate(r.summary.ci_hi),
-            fmt_rate(t.summary.ci_lo),
-            fmt_rate(t.summary.ci_hi),
-            if disjoint {
-                "reactor ahead, CIs disjoint"
-            } else {
-                "CIs overlap"
-            },
+            "  c{c:<5} {} ±{}  ci [{} .. {}]",
+            fmt_rate(s.median),
+            fmt_rate(s.stddev),
+            fmt_rate(s.ci_lo),
+            fmt_rate(s.ci_hi),
         );
     }
 

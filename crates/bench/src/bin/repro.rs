@@ -271,13 +271,11 @@ fn table_sentiment(sweeps: &[(&str, &Sweep)]) {
 
 /// Ablations over the design choices DESIGN.md §5 calls out:
 /// (1) auto-scaling strategy (none / naive queue-delta / proportional),
-/// (2) hybrid queue transport (in-process channels / Redis in-proc / TCP).
+/// (2) hybrid queue transport (in-process / Redis in-proc / TCP).
+/// The three rows of (1) share one queue, `dyn_multi`'s, so they differ
+/// only in the strategy.
 fn ablation(opts: &Opts) {
-    use dispel4py::core::autoscale::ProportionalStrategy;
-    use dispel4py::core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
-    use dispel4py::core::queue::ChannelQueue;
     use dispel4py::workflows::astro;
-    use std::sync::Arc;
 
     println!("== Ablation 1: auto-scaling strategy (galaxy 3X, 16 workers, server) ==\n");
     let cfg = base_cfg(opts)
@@ -311,21 +309,16 @@ fn ablation(opts: &Opts) {
     );
 
     let (exe, _) = astro::build(&cfg);
-    let queue = Arc::new(ChannelQueue::new(workers));
-    let setup = AutoscaleSetup {
-        config: AutoscaleConfig {
-            tick: std::time::Duration::from_millis(2),
-            ..AutoscaleConfig::default()
-        },
-        strategy: Box::new(|q| Box::new(ProportionalStrategy::new(q, 4.0, 0.5, 4))),
-    };
-    let prop = run_dynamic(
-        &exe,
-        &ExecutionOptions::new(workers),
-        queue,
-        "dyn_prop_multi",
-        Some(setup),
-    )
+    let prop = DynAutoMulti::with_config(AutoscaleConfig {
+        tick: std::time::Duration::from_millis(2),
+        ..AutoscaleConfig::default()
+    })
+    .with_strategy(ScalingStrategyKind::Proportional {
+        items_per_worker: 4.0,
+        alpha: 0.5,
+        max_step: 4,
+    })
+    .execute(&exe, &ExecutionOptions::new(workers))
     .unwrap();
     println!(
         "{:<24} runtime {:>7.3}s  process {:>8.3}s",
@@ -341,7 +334,7 @@ fn ablation(opts: &Opts) {
         .with_time_scale(opts.time_scale.max(0.5))
         .with_limiter(Platform::SERVER.limiter());
     let transports: Vec<(&str, Box<dyn Mapping>)> = vec![
-        ("channels (hybrid_multi)", Box::new(HybridMulti)),
+        ("in-process (hybrid_multi)", Box::new(HybridMulti)),
         (
             "redis in-proc",
             Box::new(HybridRedis::new(RedisBackend::in_proc())),

@@ -1,11 +1,12 @@
-//! Connection-scaling harness: reactor vs thread-per-connection.
+//! Connection-scaling harness for the reactor.
 //!
 //! Measures the cost of *connections themselves*: N concurrent clients each
-//! issue unpipelined round-trips, so per-connection machinery (threads vs
-//! swept state machines, wakeup herds vs readiness scans) dominates and
-//! per-command work is held constant. The matrix crosses client counts with
-//! both [`ServerMode`]s; the reactor's claim — flat worker count while
-//! connections grow — is exactly what the 256- and 1024-client cells gate.
+//! issue unpipelined round-trips, so per-connection machinery (swept state
+//! machines, readiness scans, wakeups) dominates and per-command work is
+//! held constant. The matrix sweeps client counts; the reactor's claim —
+//! flat worker count while connections grow — is exactly what the 256- and
+//! 1024-client cells gate. Entry ids keep the `connections/reactor/c{N}`
+//! form of the committed baseline.
 //!
 //! Shared by the `ablation_connections` bench binary (full runs, committed
 //! baseline `bench/baselines/BENCH_connections.json`) and the
@@ -15,7 +16,7 @@
 use d4py_sync::report::{BenchEntry, BenchReport, Better};
 use d4py_sync::stats::{summarize, StatsConfig};
 use dispel4py::redis_lite::client::{Client, RedisOps};
-use dispel4py::redis_lite::server::{Server, ServerConfig, ServerMode};
+use dispel4py::redis_lite::server::{Server, ServerConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -35,23 +36,19 @@ pub struct ConnScaleOpts {
     pub handicap: f64,
 }
 
-/// Display / id slug for a mode.
-pub fn mode_slug(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::Reactor => "reactor",
-        ServerMode::ThreadPerConn => "thread",
-    }
+/// The report entry id of one client count.
+pub fn cell_id(clients: usize) -> String {
+    format!("connections/reactor/c{clients}")
 }
 
 /// One timed run: `clients` connections hammer unpipelined PINGs, split
 /// `ops_total` ways. Connect setup happens before the clock starts; the
 /// window runs from barrier release until the last client finishes.
 /// Returns aggregate round-trips per second.
-pub fn run_once(mode: ServerMode, clients: usize, ops_total: usize) -> f64 {
+pub fn run_once(clients: usize, ops_total: usize) -> f64 {
     let mut server = Server::start_with(
         0,
         ServerConfig {
-            mode,
             max_connections: clients + 64,
             ..ServerConfig::default()
         },
@@ -124,27 +121,22 @@ pub fn run_once(mode: ServerMode, clients: usize, ops_total: usize) -> f64 {
     (per_client * clients) as f64 / elapsed
 }
 
-/// Runs the full mode × count matrix and returns the `connections` report.
+/// Runs one cell per client count and returns the `connections` report.
 /// Reps interleave round-robin over all cells so ambient drift lands on
 /// every cell instead of biasing whole cells.
 pub fn run_matrix(opts: &ConnScaleOpts) -> BenchReport {
-    let modes = [ServerMode::ThreadPerConn, ServerMode::Reactor];
-    let cells: Vec<(ServerMode, usize)> = modes
-        .iter()
-        .flat_map(|&m| opts.counts.iter().map(move |&c| (m, c)))
-        .collect();
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(opts.reps); cells.len()];
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(opts.reps); opts.counts.len()];
     for _ in 0..opts.reps {
-        for (i, &(mode, clients)) in cells.iter().enumerate() {
-            samples[i].push(run_once(mode, clients, opts.ops_total) / opts.handicap);
+        for (i, &clients) in opts.counts.iter().enumerate() {
+            samples[i].push(run_once(clients, opts.ops_total) / opts.handicap);
         }
     }
 
     let mut report = BenchReport::new("connections", opts.smoke);
-    for (&(mode, clients), s) in cells.iter().zip(samples) {
+    for (&clients, s) in opts.counts.iter().zip(samples) {
         let summary = summarize(&s, &StatsConfig::default());
         report.benches.push(BenchEntry {
-            id: format!("connections/{}/c{clients}", mode_slug(mode)),
+            id: cell_id(clients),
             unit: "ops/s".into(),
             better: Better::Higher,
             samples: s,
@@ -160,11 +152,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn both_modes_complete_a_tiny_run() {
-        for mode in [ServerMode::Reactor, ServerMode::ThreadPerConn] {
-            let rate = run_once(mode, 4, 64);
-            assert!(rate > 0.0, "{mode:?} must make progress");
-        }
+    fn reactor_completes_a_tiny_run() {
+        let rate = run_once(4, 64);
+        assert!(rate > 0.0, "the reactor must make progress");
     }
 
     #[test]
@@ -176,11 +166,9 @@ mod tests {
             smoke: true,
             handicap: 1.0,
         });
-        assert_eq!(report.benches.len(), 4);
         assert!(report.smoke);
         let ids: Vec<&str> = report.benches.iter().map(|b| b.id.as_str()).collect();
-        assert!(ids.contains(&"connections/reactor/c2"));
-        assert!(ids.contains(&"connections/thread/c4"));
+        assert_eq!(ids, ["connections/reactor/c2", "connections/reactor/c4"]);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`scenario`] — the chaos matrix: workloads × traffic shapes × faults,
 //!   with recovery time and invariant penalties as gateable metrics;
 //! * [`connscale`] — the connection-scaling ablation: N concurrent clients
-//!   against the reactor vs the thread-per-connection baseline;
+//!   against the reactor;
 //! * [`compare`] — the statistical regression gate over the versioned
-//!   `BENCH_<name>.json` reports the timing harness persists;
+//!   `BENCH_<name>.json` reports the ablation benches and the chaos matrix
+//!   persist;
 //! * [`check`] — `repro check`: static `D4PY` diagnostics over every
 //!   built-in workflow, gated at zero Error-severity findings.
 //!

@@ -396,7 +396,7 @@ impl AutoScaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ChannelQueue;
+    use crate::queue::WorkStealQueue;
     use crate::task::{QueueItem, Task};
     use crate::value::Value;
     use d4py_graph::PeId;
@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(s.gate(0, |_| {}), Gate::Proceed);
     }
 
-    fn push_tasks(q: &ChannelQueue, n: usize) {
+    fn push_tasks(q: &WorkStealQueue, n: usize) {
         for i in 0..n {
             q.push(QueueItem::Task(Task::new(
                 PeId(0),
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn queue_strategy_grows_on_rising_depth() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         let mut s = QueueSizeStrategy::new(q.clone(), 100.0);
         let (_, first) = s.observe(4);
         assert_eq!(
@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn queue_strategy_shrinks_on_falling_depth() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         push_tasks(&q, 5);
         let mut s = QueueSizeStrategy::new(q.clone(), 100.0);
         s.observe(4); // prev = 5
@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn queue_strategy_threshold_breaks_flat_ties() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         push_tasks(&q, 10);
         let mut s = QueueSizeStrategy::new(q.clone(), 4.0);
         s.observe(4); // prev = 10 (first: grows? no — first has no prev; depth 10 > threshold → Grow)
@@ -548,7 +548,7 @@ mod tests {
 
     #[test]
     fn idle_strategy_shrinks_when_idle_exceeds_threshold() {
-        let q = Arc::new(ChannelQueue::new(2));
+        let q = Arc::new(WorkStealQueue::new(2));
         std::thread::sleep(Duration::from_millis(30));
         let mut s = IdleTimeStrategy::new(q.clone(), 0.01); // 10ms threshold
         let (metric, d) = s.observe(2);
@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn idle_strategy_grows_when_consumers_busy() {
-        let q = Arc::new(ChannelQueue::new(2));
+        let q = Arc::new(WorkStealQueue::new(2));
         push_tasks(&q, 2);
         q.pop(0, Duration::from_millis(5)).unwrap();
         q.pop(1, Duration::from_millis(5)).unwrap();
@@ -569,7 +569,7 @@ mod tests {
 
     #[test]
     fn proportional_steps_toward_target() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         push_tasks(&q, 40);
         // Target = ceil(40 / 4) = 10 active; from 2, capped at step 3.
         let mut s = ProportionalStrategy::new(q.clone(), 4.0, 1.0, 3);
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn proportional_shrinks_on_drained_queue() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         let mut s = ProportionalStrategy::new(q.clone(), 4.0, 1.0, 2);
         let (_, d) = s.observe(8);
         assert_eq!(
@@ -598,7 +598,7 @@ mod tests {
 
     #[test]
     fn proportional_ewma_smooths_spikes() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         let mut s = ProportionalStrategy::new(q.clone(), 1.0, 0.5, 100);
         s.observe(1); // ewma = 0
         push_tasks(&q, 100);
@@ -609,13 +609,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "items_per_worker")]
     fn proportional_rejects_zero_ratio() {
-        let q = Arc::new(ChannelQueue::new(1));
+        let q = Arc::new(WorkStealQueue::new(1));
         ProportionalStrategy::new(q, 0.0, 0.5, 1);
     }
 
     #[test]
     fn monitor_loop_records_trace_and_stops() {
-        let q = Arc::new(ChannelQueue::new(2));
+        let q = Arc::new(WorkStealQueue::new(2));
         let s = Arc::new(AutoScaler::new(4, &cfg()));
         let strategy = Box::new(QueueSizeStrategy::new(q.clone(), 1.0));
         let s2 = s.clone();

@@ -172,7 +172,6 @@ impl Mapping for DynAutoMulti {
 mod tests {
     use super::*;
     use crate::pe::{Collector, Context, CountingSink, FnSource, FnTransform};
-    use crate::queue::ChannelQueue;
     use crate::value::Value;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
     use std::sync::atomic::Ordering;
@@ -204,7 +203,7 @@ mod tests {
     }
 
     fn run(exe: &Executable, workers: usize) -> RunReport {
-        let queue = Arc::new(ChannelQueue::new(workers));
+        let queue = Arc::new(WorkStealQueue::new(workers));
         run_dynamic(
             exe,
             &ExecutionOptions::new(workers),
@@ -246,7 +245,7 @@ mod tests {
             Box::new(FnTransform(|_: &str, _: Value, _: &mut dyn Context| {}))
         });
         let exe = exe.seal().unwrap();
-        let queue = Arc::new(ChannelQueue::new(2));
+        let queue = Arc::new(WorkStealQueue::new(2));
         let err =
             run_dynamic(&exe, &ExecutionOptions::new(2), queue, "dyn_test", None).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedWorkflow { .. }));
@@ -255,7 +254,7 @@ mod tests {
     #[test]
     fn zero_workers_rejected() {
         let (exe, _) = pipeline_exe(1);
-        let queue = Arc::new(ChannelQueue::new(1));
+        let queue = Arc::new(WorkStealQueue::new(1));
         assert!(matches!(
             run_dynamic(&exe, &ExecutionOptions::new(0), queue, "dyn_test", None),
             Err(CoreError::InvalidOptions(_))
@@ -300,7 +299,7 @@ mod tests {
     fn autoscaled_run_records_trace() {
         // The run must outlast the monitor's first tick to be traced at all.
         let workers = 8;
-        let queue = Arc::new(ChannelQueue::new(workers));
+        let queue = Arc::new(WorkStealQueue::new(workers));
         let setup = AutoscaleSetup {
             config: AutoscaleConfig {
                 tick: std::time::Duration::from_micros(500),
@@ -328,7 +327,7 @@ mod tests {
         let workers = 8;
 
         let plain = {
-            let queue = Arc::new(ChannelQueue::new(workers));
+            let queue = Arc::new(WorkStealQueue::new(workers));
             run_dynamic(
                 &trickle_exe(),
                 &ExecutionOptions::new(workers),
@@ -339,7 +338,7 @@ mod tests {
             .unwrap()
         };
         let auto = {
-            let queue = Arc::new(ChannelQueue::new(workers));
+            let queue = Arc::new(WorkStealQueue::new(workers));
             let setup = AutoscaleSetup {
                 config: AutoscaleConfig {
                     initial_active: Some(2),

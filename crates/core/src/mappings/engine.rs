@@ -877,7 +877,7 @@ mod tests {
     use crate::mappings::dynamic::run_dynamic;
     use crate::mappings::hybrid::{run_hybrid, QueueFactory};
     use crate::pe::{Context, CountingSink, FnSource, FnTransform};
-    use crate::queue::ChannelQueue;
+    use crate::queue::WorkStealQueue;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
     use d4py_sync::Mutex;
 
@@ -894,9 +894,9 @@ mod tests {
 
     type Log = Arc<Mutex<Vec<Event>>>;
 
-    /// A channel queue that logs every call that moved something.
+    /// An in-process queue that logs every call that moved something.
     struct Watched {
-        inner: ChannelQueue,
+        inner: WorkStealQueue,
         log: Log,
     }
 
@@ -941,7 +941,7 @@ mod tests {
     impl QueueFactory for Log {
         fn make(&self, _name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
             Ok(Arc::new(Watched {
-                inner: ChannelQueue::new(consumers),
+                inner: WorkStealQueue::new(consumers),
                 log: self.clone(),
             }))
         }

@@ -14,7 +14,7 @@
 //!   synchronization".
 //!
 //! This module only plans that placement over a [`QueueFactory`] (Redis
-//! streams for `hybrid_redis`, channels for the in-process ablation); the
+//! streams for `hybrid_redis`, work-stealing queues for [`HybridMulti`]); the
 //! engine core (`mappings::engine`) runs and ends it: each settle that takes
 //! the outstanding-task count to zero flushes the next stateful PE's
 //! instances, in topological order, and the one after the last flush's work
@@ -26,7 +26,7 @@ use crate::executable::Executable;
 use crate::fault::FaultPlan;
 use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::queue::{ChannelQueue, TaskQueue};
+use crate::queue::{TaskQueue, WorkStealQueue};
 use crate::state::StateStore;
 use d4py_graph::PeId;
 use std::sync::Arc;
@@ -39,17 +39,6 @@ pub trait QueueFactory: Send + Sync {
     /// `"private:<pe>:<instance>"`); `consumers` is how many workers will
     /// pop from it.
     fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError>;
-}
-
-/// In-process [`QueueFactory`] over [`ChannelQueue`]s (the ablation
-/// baseline for `hybrid_redis`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ChannelQueueFactory;
-
-impl QueueFactory for ChannelQueueFactory {
-    fn make(&self, _name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
-        Ok(Arc::new(ChannelQueue::new(consumers)))
-    }
 }
 
 /// Runs a (possibly stateful) workflow under the hybrid strategy.
@@ -146,9 +135,17 @@ pub fn run_hybrid_with_faults(
 }
 
 /// In-process hybrid mapping (ablation baseline: same strategy as
-/// `hybrid_redis` but over channels).
+/// `hybrid_redis`, every queue in process). It is its own [`QueueFactory`]:
+/// a [`WorkStealQueue`] for the global queue (one consumer per pool
+/// worker) and one for each private queue (one consumer).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HybridMulti;
+
+impl QueueFactory for HybridMulti {
+    fn make(&self, _name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
+        Ok(Arc::new(WorkStealQueue::new(consumers)))
+    }
+}
 
 impl crate::mapping::Mapping for HybridMulti {
     fn name(&self) -> &'static str {
@@ -156,7 +153,7 @@ impl crate::mapping::Mapping for HybridMulti {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        run_hybrid(exe, opts, &ChannelQueueFactory, self.name())
+        run_hybrid(exe, opts, self, self.name())
     }
 }
 
@@ -314,7 +311,7 @@ mod tests {
         let report = run_hybrid_with_faults(
             &exe,
             &ExecutionOptions::new(8),
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             None,
             &plan,
@@ -337,7 +334,7 @@ mod tests {
         let report = run_hybrid_with_faults(
             &exe,
             &ExecutionOptions::new(8),
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             None,
             &plan,
@@ -358,7 +355,7 @@ mod tests {
         let err = run_hybrid_with_faults(
             &exe,
             &ExecutionOptions::new(8),
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             None,
             &plan,
@@ -377,7 +374,7 @@ mod tests {
         let err = run_hybrid_with_faults(
             &exe,
             &ExecutionOptions::new(8),
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             None,
             &plan,
@@ -389,7 +386,7 @@ mod tests {
         let err = run_hybrid_with_faults(
             &exe,
             &ExecutionOptions::new(8),
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             None,
             &plan,
@@ -437,7 +434,7 @@ mod tests {
     }
     impl QueueFactory for FlakyFactory {
         fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
-            let inner: Arc<dyn TaskQueue> = Arc::new(ChannelQueue::new(consumers));
+            let inner: Arc<dyn TaskQueue> = Arc::new(WorkStealQueue::new(consumers));
             if name == "global" {
                 Ok(Arc::new(FlakyQueue {
                     inner,

@@ -9,6 +9,6 @@ pub mod multi;
 pub mod simple;
 
 pub use dynamic::{DynAutoMulti, DynMulti};
-pub use hybrid::{ChannelQueueFactory, HybridMulti, QueueFactory};
+pub use hybrid::{HybridMulti, QueueFactory};
 pub use multi::Multi;
 pub use simple::Simple;

@@ -1,25 +1,25 @@
 //! The global task queue abstraction behind dynamic scheduling.
 //!
 //! Dynamic mappings differ only in where the "Global Queue" of Figure 2
-//! lives: an in-process channel (`dyn_multi`) or a Redis stream
-//! (`dyn_redis`). [`TaskQueue`] abstracts over both so the engine core
-//! behind [`crate::mappings::dynamic`] and [`crate::mappings::hybrid`] is
-//! written once. The trait exposes the two
+//! lives: in process (`dyn_multi`, `hybrid_multi`) or in a Redis stream
+//! (`dyn_redis`, `hybrid_redis`). [`TaskQueue`] abstracts over both so the
+//! engine core behind [`crate::mappings::dynamic`] and
+//! [`crate::mappings::hybrid`] is written once. The trait exposes the two
 //! monitoring signals the auto-scaling strategies need: queue depth
 //! (multiprocessing strategy) and per-consumer idle times (Redis
 //! consumer-group strategy).
 //!
-//! Two in-process backends implement the trait: [`ChannelQueue`], the
-//! single global MPMC channel, and [`WorkStealQueue`], per-worker locals
-//! with stealing (see [`d4py_sync::steal`]) — the topology `dyn_multi`
-//! dispatches on since the global queue's cursor contention became the
-//! scaling wall. Batched operations ([`TaskQueue::push_batch`],
+//! One in-process backend implements the trait: [`WorkStealQueue`],
+//! per-worker locals with stealing (see [`d4py_sync::steal`]). It serves
+//! the global queue of `dyn_multi` and `dyn_auto_multi` and every queue of
+//! `hybrid_multi`; a private queue is simply one with a single consumer.
+//! Batched operations ([`TaskQueue::push_batch`],
 //! [`TaskQueue::pop_batch`]) have per-item default implementations so
 //! backends without a native batch path (the Redis stream) stay conformant.
 
 use crate::error::CoreError;
 use crate::task::QueueItem;
-use d4py_sync::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use d4py_sync::channel::RecvTimeoutError;
 use d4py_sync::steal::StealQueue;
 use d4py_sync::Mutex;
 use std::time::{Duration, Instant};
@@ -82,145 +82,20 @@ pub trait TaskQueue: Send + Sync {
     }
 }
 
-/// In-process [`TaskQueue`] over the lock-free MPMC channel, with
-/// per-consumer idle tracking.
-///
-/// This is the `dyn_multi` global queue: the direct translation of the
-/// Python `multiprocessing.Queue` the paper's dynamic scheduling uses.
-/// Depth delegates to the channel's single internal counter — there is no
-/// second count to drift out of step, so a monitor tick can never read a
-/// phantom backlog between an item leaving the channel and a duplicate
-/// counter catching up.
-pub struct ChannelQueue {
-    tx: Sender<QueueItem>,
-    rx: Receiver<QueueItem>,
-    /// When the queue was built; a consumer that has never popped has been
-    /// idle since this instant (mirrors `RedisQueue`'s `created`).
-    created: Instant,
-    /// Per-consumer last successful pop; `None` until the first pop.
-    last_pop: Mutex<Vec<Option<Instant>>>,
-}
-
-impl ChannelQueue {
-    /// Creates a queue serving `consumers` workers.
-    pub fn new(consumers: usize) -> Self {
-        let (tx, rx) = unbounded();
-        Self {
-            tx,
-            rx,
-            created: Instant::now(),
-            last_pop: Mutex::new(vec![None; consumers]),
-        }
-    }
-
-    /// Closes the queue: further pushes fail, pops drain what remains and
-    /// then report disconnection.
-    pub fn close(&self) {
-        self.tx.close();
-    }
-
-    /// Records one successful pop (or batch pop) for `consumer`.
-    ///
-    /// Consumers added by scale-up pop with indexes past the initial
-    /// allocation; grow the table instead of silently dropping their
-    /// idle-time signal. New slots backfill with `None` ("never popped"),
-    /// not the current instant — otherwise intermediate never-active
-    /// consumers would read as just-active and suppress legitimate Shrink
-    /// decisions.
-    fn note_activity(&self, consumer: usize) {
-        let mut last_pop = self.last_pop.lock();
-        if consumer >= last_pop.len() {
-            last_pop.resize(consumer + 1, None);
-        }
-        last_pop[consumer] = Some(Instant::now());
-    }
-}
-
-impl TaskQueue for ChannelQueue {
-    fn push(&self, item: QueueItem) -> Result<(), CoreError> {
-        // A failed send never enqueues, and depth() reads the channel's own
-        // counter, so there is no separate count to roll back.
-        self.tx
-            .send(item)
-            .map_err(|_| CoreError::Queue("channel closed".into()))
-    }
-
-    fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(item) => {
-                self.note_activity(consumer);
-                Ok(Some(item))
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CoreError::Queue("channel disconnected".into()))
-            }
-        }
-    }
-
-    fn push_batch(&self, _producer: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
-        // The single global channel has no per-worker locality, so the
-        // producer hint is moot; the batch still pays one wakeup total.
-        self.tx
-            .send_batch(items)
-            .map_err(|_| CoreError::Queue("channel closed".into()))
-    }
-
-    fn pop_batch(
-        &self,
-        consumer: usize,
-        max: usize,
-        timeout: Duration,
-    ) -> Result<Vec<QueueItem>, CoreError> {
-        match self.rx.recv_batch(max, timeout) {
-            Ok(batch) => {
-                if !batch.is_empty() {
-                    // One activity event per batch, not per item: the idle
-                    // signal measures "how long since this consumer did
-                    // anything", which a batch answers once.
-                    self.note_activity(consumer);
-                }
-                Ok(batch)
-            }
-            Err(RecvTimeoutError::Timeout) => Ok(Vec::new()),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CoreError::Queue("channel disconnected".into()))
-            }
-        }
-    }
-
-    fn depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    fn idle_times(&self) -> Option<Vec<Duration>> {
-        // A consumer that has never popped has been idle since the queue
-        // was created, same as `RedisQueue` reports it.
-        Some(
-            self.last_pop
-                .lock()
-                .iter()
-                .map(|t| t.map_or_else(|| self.created.elapsed(), |t| t.elapsed()))
-                .collect(),
-        )
-    }
-}
-
 /// Victim-selection seed for [`WorkStealQueue`]. Fixed, not sampled: the
 /// engine's behaviour must not vary run to run, and the PCG32 stream is
 /// decorrelated per worker/sweep inside [`StealQueue`] anyway.
 const STEAL_SEED: u64 = 0xd417_57ea;
 
-/// In-process [`TaskQueue`] over per-worker locals with work stealing —
-/// the topology that replaces the single global channel for `dyn_multi`
-/// dispatch.
+/// In-process [`TaskQueue`] over per-worker locals with work stealing.
 ///
 /// A worker's fan-out lands on its own local queue (`push_batch` with a
 /// producer identity) and is usually popped back by the same worker
 /// without touching any shared cursor; idle workers steal from a
 /// PCG32-chosen victim before parking. External pushes (workflow seeding,
-/// poison pills) go through the shared injector lane, so pills still
-/// reach whichever worker pops next, exactly as with [`ChannelQueue`].
+/// poison pills) and pushes by a producer with no worker identity go
+/// through the shared injector lane, so pills reach whichever worker pops
+/// next and a one-consumer queue delivers each producer's items in order.
 ///
 /// Depth and idle-time accounting keep the contract the auto-scaling
 /// strategies assume: `depth()` sums the single per-queue counters (no
@@ -230,7 +105,7 @@ const STEAL_SEED: u64 = 0xd417_57ea;
 pub struct WorkStealQueue {
     inner: StealQueue<QueueItem>,
     /// When the queue was built; a consumer that has never popped has been
-    /// idle since this instant (mirrors [`ChannelQueue`]).
+    /// idle since this instant (as `RedisQueue` reports it).
     created: Instant,
     /// Per-consumer last successful pop; `None` until the first pop.
     last_pop: Mutex<Vec<Option<Instant>>>,
@@ -252,9 +127,14 @@ impl WorkStealQueue {
         self.inner.close();
     }
 
-    /// Records one successful pop (or batch pop) for `consumer`; same
-    /// grow-on-demand, backfill-as-never-popped policy as
-    /// [`ChannelQueue::note_activity`].
+    /// Records one successful pop (or batch pop) for `consumer`.
+    ///
+    /// Consumers added by scale-up pop with indexes past the initial
+    /// allocation; grow the table instead of silently dropping their
+    /// idle-time signal. New slots backfill with `None` ("never popped"),
+    /// not the current instant — otherwise intermediate never-active
+    /// consumers would read as just-active and suppress legitimate Shrink
+    /// decisions.
     fn note_activity(&self, consumer: usize) {
         let mut last_pop = self.last_pop.lock();
         if consumer >= last_pop.len() {
@@ -299,7 +179,9 @@ impl TaskQueue for WorkStealQueue {
         match self.inner.pop_batch(consumer, max, timeout) {
             Ok(batch) => {
                 if !batch.is_empty() {
-                    // One activity event per batch (see ChannelQueue).
+                    // One activity event per batch, not per item: the idle
+                    // signal measures "how long since this consumer did
+                    // anything", which a batch answers once.
                     self.note_activity(consumer);
                 }
                 Ok(batch)
@@ -345,7 +227,7 @@ mod tests {
 
     #[test]
     fn fifo_within_single_consumer() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         q.push(task(1)).unwrap();
         q.push(task(2)).unwrap();
         assert_eq!(q.depth(), 2);
@@ -356,7 +238,7 @@ mod tests {
 
     #[test]
     fn pop_times_out_on_empty() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         let start = Instant::now();
         assert_eq!(q.pop(0, Duration::from_millis(20)).unwrap(), None);
         assert!(start.elapsed() >= Duration::from_millis(20));
@@ -364,7 +246,7 @@ mod tests {
 
     #[test]
     fn depth_tracks_pushes_and_pops() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         for i in 0..5 {
             q.push(task(i)).unwrap();
         }
@@ -375,7 +257,7 @@ mod tests {
 
     #[test]
     fn failed_push_does_not_leak_depth() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         q.push(task(1)).unwrap();
         q.close();
         assert!(q.push(task(2)).is_err());
@@ -384,7 +266,7 @@ mod tests {
 
     #[test]
     fn idle_times_reset_on_pop() {
-        let q = ChannelQueue::new(2);
+        let q = WorkStealQueue::new(2);
         std::thread::sleep(Duration::from_millis(20));
         q.push(task(1)).unwrap();
         q.pop(0, Duration::from_millis(10)).unwrap();
@@ -401,7 +283,7 @@ mod tests {
 
     #[test]
     fn late_joining_consumer_gets_idle_slot() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         q.push(task(1)).unwrap();
         q.pop(3, Duration::from_millis(10)).unwrap();
         let idles = q.idle_times().unwrap();
@@ -414,7 +296,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumers() {
-        let q = Arc::new(ChannelQueue::new(4));
+        let q = Arc::new(WorkStealQueue::new(4));
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let q = q.clone();
@@ -451,7 +333,7 @@ mod tests {
 
     #[test]
     fn pills_flow_through() {
-        let q = ChannelQueue::new(1);
+        let q = WorkStealQueue::new(1);
         q.push(QueueItem::Pill).unwrap();
         assert_eq!(
             q.pop(0, Duration::from_millis(10)).unwrap(),
@@ -502,7 +384,7 @@ mod tests {
             idles[1] >= Duration::from_millis(20),
             "consumer 1 never popped: idle since creation"
         );
-        // Late-joining consumer grows the table, like ChannelQueue.
+        // Late-joining consumer grows the table.
         q.push(task(3)).unwrap();
         q.pop(5, Duration::from_millis(10)).unwrap();
         assert_eq!(q.idle_times().unwrap().len(), 6);
@@ -520,10 +402,10 @@ mod tests {
 
     #[test]
     fn default_batch_impls_degrade_to_per_item() {
-        // A backend that only implements push/pop (here: ChannelQueue
+        // A backend that only implements push/pop (here: WorkStealQueue
         // viewed through the default methods via a thin wrapper) must stay
         // conformant through the trait defaults.
-        struct Minimal(ChannelQueue);
+        struct Minimal(WorkStealQueue);
         impl TaskQueue for Minimal {
             fn push(&self, item: QueueItem) -> Result<(), CoreError> {
                 self.0.push(item)
@@ -539,7 +421,7 @@ mod tests {
                 self.0.depth()
             }
         }
-        let q = Minimal(ChannelQueue::new(1));
+        let q = Minimal(WorkStealQueue::new(1));
         q.push_batch(Some(0), vec![task(1), task(2)]).unwrap();
         assert_eq!(q.depth(), 2);
         let batch = q.pop_batch(0, 8, Duration::from_millis(10)).unwrap();

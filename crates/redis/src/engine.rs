@@ -3,23 +3,29 @@
 //! [`Shared`] is the server's heart: the keyspace behind a mutex plus a
 //! condvar that write commands pulse so blocking reads (`BLPOP`, `XREAD
 //! BLOCK`, `XREADGROUP ... BLOCK`) can wake without polling — the same
-//! wait-for-data shape real Redis gives its blocked clients. Both the TCP
-//! server and the in-process transport dispatch through [`Shared::dispatch`],
-//! so every transport sees identical semantics.
+//! wait-for-data shape real Redis gives its blocked clients.
 //!
-//! For the reactor server there is a second, non-parking surface:
-//! [`Shared::dispatch_nonblocking`] returns [`Dispatch::Blocked`] instead of
-//! parking the calling thread, and [`Shared::poll_blocked`] retries a parked
-//! command. Lost wakeups are prevented by a monotonically increasing *write
-//! epoch*: every write bumps it (after mutating, before notifying), and a
-//! blocked command records the epoch it last attempted under — if the epoch
-//! moved since, something was written and the command is worth retrying.
+//! Every command goes through one non-parking surface,
+//! [`Shared::dispatch_nonblocking`]: a blocking command that finds no data
+//! returns [`Dispatch::Blocked`], and one attempt (`Shared::attempt`)
+//! retries it. Its two callers differ only in how they wait between
+//! attempts:
+//!
+//! * the reactor server holds the [`BlockedCmd`] as connection state and
+//!   retries it with [`Shared::poll_blocked`] whenever the *write epoch*
+//!   moved. Every write bumps the epoch (after mutating, before notifying),
+//!   and a blocked command records the epoch it read before its last
+//!   attempt — if the epoch moved since, something was written and the
+//!   command is worth retrying;
+//! * the in-process transport calls [`Shared::dispatch`], which parks the
+//!   calling thread on the `wakeup` condvar. It keeps the keyspace lock from
+//!   a failed attempt into the wait, so no write can fall between them.
 
 use crate::aof::{Aof, FsyncPolicy};
 use crate::commands;
 use crate::resp::Frame;
 use crate::store::Db;
-use d4py_sync::{Condvar, Mutex, SharedBuf};
+use d4py_sync::{Condvar, Mutex, MutexGuard, SharedBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -56,7 +62,8 @@ pub enum Dispatch {
 /// A blocking command parked until data arrives or its deadline passes.
 pub struct BlockedCmd {
     kind: BlockedKind,
-    /// `None` = wait forever.
+    /// `None` = wait forever. A non-blocking `XREAD` is born expired, so its
+    /// first attempt answers it.
     deadline: Option<Instant>,
     /// Write epoch observed before the last (failed) attempt.
     epoch_seen: u64,
@@ -77,6 +84,10 @@ impl BlockedCmd {
     /// The absolute deadline, if the command has one.
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -165,19 +176,31 @@ impl Shared {
     }
 
     /// Executes one client command, parking the calling thread for blocking
-    /// commands (the in-process and thread-per-connection surface).
+    /// commands (the in-process surface): [`dispatch_nonblocking`], then the
+    /// reactor's attempt, repeated with the keyspace lock held from each
+    /// failed attempt into the wait on `wakeup` — a write needs that lock,
+    /// so it cannot land between the two unseen.
+    ///
+    /// [`dispatch_nonblocking`]: Self::dispatch_nonblocking
     pub fn dispatch(&self, args: &[SharedBuf]) -> Frame {
-        let Some(cmd) = args.first() else {
-            return Frame::error("empty command");
+        let blocked = match self.dispatch_nonblocking(args) {
+            Dispatch::Ready(frame) => return frame,
+            Dispatch::Blocked(blocked) => blocked,
         };
-        let name = String::from_utf8_lossy(cmd).to_ascii_uppercase();
-
-        // Blocking commands get the retry-until-deadline treatment; all
-        // others execute once under the lock.
-        match name.as_str() {
-            "BLPOP" | "BRPOP" => self.dispatch_blocking_list(&name, &args[1..]),
-            "XREAD" | "XREADGROUP" => self.dispatch_stream_read(&name, &args[1..]),
-            _ => self.execute_plain(&name, &args[1..]),
+        let mut db = self.db.lock();
+        loop {
+            db = match self.attempt(db, &blocked.kind, blocked.expired()) {
+                Ok(frame) => return frame,
+                Err(db) => db,
+            };
+            match blocked.deadline {
+                Some(d) => {
+                    // A timeout loops back to the expired attempt: one
+                    // last look, then the null reply.
+                    let _ = self.wakeup.wait_until(&mut db, d);
+                }
+                None => self.wakeup.wait(&mut db),
+            }
         }
     }
 
@@ -190,10 +213,15 @@ impl Shared {
             return Dispatch::Ready(Frame::error("empty command"));
         };
         let name = String::from_utf8_lossy(cmd).to_ascii_uppercase();
-        match name.as_str() {
-            "BLPOP" | "BRPOP" => self.start_blocking_list(&name, &args[1..]),
-            "XREAD" | "XREADGROUP" => self.start_stream_read(&name, &args[1..]),
-            _ => Dispatch::Ready(self.execute_plain(&name, &args[1..])),
+        let args = &args[1..];
+        let parsed = match name.as_str() {
+            "BLPOP" | "BRPOP" => Self::parse_blocking_list(&name, args),
+            "XREAD" | "XREADGROUP" => Self::parse_stream_read(&name, args),
+            _ => return Dispatch::Ready(self.execute_plain(&name, args)),
+        };
+        match parsed {
+            Ok(blocked) => self.start_blocking(blocked),
+            Err(frame) => Dispatch::Ready(frame),
         }
     }
 
@@ -203,46 +231,71 @@ impl Shared {
     /// hasn't passed, returns `None` without touching the keyspace lock.
     pub fn poll_blocked(&self, blocked: &mut BlockedCmd) -> Option<Frame> {
         let epoch_now = self.write_epoch();
-        let expired = blocked
-            .deadline
-            .map(|d| Instant::now() >= d)
-            .unwrap_or(false);
+        let expired = blocked.expired();
         if epoch_now == blocked.epoch_seen && !expired {
             return None;
         }
         // Record the epoch *before* retrying: a write completing after this
         // load moves the epoch again, so missing it here still retries later.
         blocked.epoch_seen = epoch_now;
-        match &blocked.kind {
-            BlockedKind::List { keys, left } => {
-                let frame = {
-                    let mut db = self.db.lock();
-                    commands::try_pop_any(&mut db, keys, *left)
-                };
-                if let Some(frame) = frame {
-                    self.log_list_pop(*left, &frame);
-                    self.mark_write(); // the pop mutated a list
-                    return Some(frame);
-                }
-                expired.then_some(Frame::NullArray)
-            }
-            BlockedKind::Stream { is_group, parsed } => {
-                let result = {
-                    let mut db = self.db.lock();
-                    commands::execute_stream_read(&mut db, self.now_ms(), parsed)
-                };
-                match result {
-                    Ok(Some(frame)) => {
-                        if *is_group {
-                            self.mark_write(); // group cursor/PEL moved
-                        }
-                        Some(frame)
-                    }
-                    Ok(None) => expired.then_some(Frame::NullArray),
-                    Err(f) => Some(f),
-                }
-            }
+        self.attempt(self.db.lock(), &blocked.kind, expired).ok()
+    }
+
+    /// A blocking command's first attempt: `Ready` if it found data (or
+    /// failed, or may not block), else `Blocked` for the caller to retry.
+    fn start_blocking(&self, mut blocked: BlockedCmd) -> Dispatch {
+        // Read the epoch *before* the attempt: a concurrent write either
+        // lands before the try (we find it) or bumps the epoch after this
+        // load (poll_blocked sees the change). No window for a lost wakeup.
+        blocked.epoch_seen = self.write_epoch();
+        let mut db = self.db.lock();
+        if let BlockedKind::Stream { parsed, .. } = &mut blocked.kind {
+            // `$` snapshots the stream's last id once, before any waiting.
+            commands::resolve_stream_ids(&mut db, parsed);
         }
+        match self.attempt(db, &blocked.kind, blocked.expired()) {
+            Ok(frame) => Dispatch::Ready(frame),
+            Err(_unlocked) => Dispatch::Blocked(blocked),
+        }
+    }
+
+    /// One attempt at a blocking command under the keyspace lock `db`.
+    ///
+    /// Answered — data, an error, or the null reply once `expired` — it
+    /// unlocks, records what the read changed (AOF entry of a pop, write
+    /// epoch, wakeups) and returns the reply. Otherwise it hands the lock
+    /// back still held, so a caller that parks on `wakeup` leaves no gap
+    /// between the failed attempt and its wait.
+    fn attempt<'a>(
+        &self,
+        mut db: MutexGuard<'a, Db>,
+        kind: &BlockedKind,
+        expired: bool,
+    ) -> Result<Frame, MutexGuard<'a, Db>> {
+        let (frame, wrote) = match kind {
+            BlockedKind::List { keys, left } => match commands::try_pop_any(&mut db, keys, *left) {
+                Some(frame) => (frame, true), // the pop mutated a list
+                None if expired => (Frame::NullArray, false),
+                None => return Err(db),
+            },
+            BlockedKind::Stream { is_group, parsed } => {
+                match commands::execute_stream_read(&mut db, self.now_ms(), parsed) {
+                    // XREADGROUP moves the group's cursor and PEL.
+                    Ok(Some(frame)) => (frame, *is_group),
+                    Ok(None) if expired => (Frame::NullArray, false),
+                    Ok(None) => return Err(db),
+                    Err(frame) => (frame, false),
+                }
+            }
+        };
+        drop(db);
+        if wrote {
+            if let BlockedKind::List { left, .. } = kind {
+                self.log_list_pop(*left, &frame);
+            }
+            self.mark_write();
+        }
+        Ok(frame)
     }
 
     /// Non-blocking command under the lock + AOF + wakeup pulse.
@@ -266,12 +319,8 @@ impl Shared {
         }
     }
 
-    /// Validates BLPOP/BRPOP arguments into (keys, deadline, left).
-    #[allow(clippy::type_complexity)]
-    fn parse_blocking_list(
-        name: &str,
-        args: &[SharedBuf],
-    ) -> Result<(Vec<SharedBuf>, Option<Instant>, bool), Frame> {
+    /// Validates BLPOP/BRPOP arguments.
+    fn parse_blocking_list(name: &str, args: &[SharedBuf]) -> Result<BlockedCmd, Frame> {
         if args.len() < 2 {
             return Err(Frame::error(format!(
                 "wrong number of arguments for '{name}'"
@@ -281,159 +330,32 @@ impl Shared {
             Some(t) => t,
             None => return Err(Frame::error("timeout is not a float or out of range")),
         };
-        let keys = args[..args.len() - 1].to_vec();
-        let deadline = (timeout > Duration::ZERO).then(|| Instant::now() + timeout);
-        Ok((keys, deadline, name == "BLPOP"))
-    }
-
-    /// BLPOP/BRPOP, non-parking: one attempt, then `Blocked`.
-    fn start_blocking_list(&self, name: &str, args: &[SharedBuf]) -> Dispatch {
-        let (keys, deadline, left) = match Self::parse_blocking_list(name, args) {
-            Ok(p) => p,
-            Err(f) => return Dispatch::Ready(f),
-        };
-        // Read the epoch *before* the attempt: a concurrent push either
-        // lands before the try (we find it) or bumps the epoch after this
-        // load (poll_blocked sees the change). No window for a lost wakeup.
-        let epoch_seen = self.write_epoch();
-        let frame = {
-            let mut db = self.db.lock();
-            commands::try_pop_any(&mut db, &keys, left)
-        };
-        if let Some(frame) = frame {
-            self.log_list_pop(left, &frame);
-            self.mark_write();
-            return Dispatch::Ready(frame);
-        }
-        Dispatch::Blocked(BlockedCmd {
-            kind: BlockedKind::List { keys, left },
-            deadline,
-            epoch_seen,
+        Ok(BlockedCmd {
+            kind: BlockedKind::List {
+                keys: args[..args.len() - 1].to_vec(),
+                left: name == "BLPOP",
+            },
+            deadline: (timeout > Duration::ZERO).then(|| Instant::now() + timeout),
+            epoch_seen: 0,
         })
     }
 
-    /// XREAD/XREADGROUP, non-parking: one attempt, then `Blocked` if the
-    /// command asked to BLOCK.
-    fn start_stream_read(&self, name: &str, args: &[SharedBuf]) -> Dispatch {
-        let mut parsed = match commands::parse_stream_read(name, args) {
-            Ok(p) => p,
-            Err(f) => return Dispatch::Ready(f),
-        };
+    /// Validates XREAD/XREADGROUP arguments, with or without BLOCK.
+    fn parse_stream_read(name: &str, args: &[SharedBuf]) -> Result<BlockedCmd, Frame> {
+        let parsed = commands::parse_stream_read(name, args)?;
         let deadline = match parsed.block {
-            None => None,                   // non-blocking form
+            None => Some(Instant::now()),   // non-blocking form: born expired
             Some(d) if d.is_zero() => None, // BLOCK 0 = wait forever
             Some(d) => Some(Instant::now() + d),
         };
-        let epoch_seen = self.write_epoch();
-        let result = {
-            let mut db = self.db.lock();
-            // `$` snapshots the stream's last id once, before any waiting.
-            commands::resolve_stream_ids(&mut db, &mut parsed);
-            commands::execute_stream_read(&mut db, self.now_ms(), &parsed)
-        };
-        match result {
-            Ok(Some(frame)) => {
-                if name == "XREADGROUP" {
-                    self.mark_write();
-                }
-                Dispatch::Ready(frame)
-            }
-            Ok(None) => {
-                if parsed.block.is_none() {
-                    return Dispatch::Ready(Frame::NullArray);
-                }
-                Dispatch::Blocked(BlockedCmd {
-                    kind: BlockedKind::Stream {
-                        is_group: name == "XREADGROUP",
-                        parsed,
-                    },
-                    deadline,
-                    epoch_seen,
-                })
-            }
-            Err(f) => Dispatch::Ready(f),
-        }
-    }
-
-    /// BLPOP/BRPOP: retry the non-blocking pop until data arrives or the
-    /// timeout elapses (timeout `0` = wait forever).
-    fn dispatch_blocking_list(&self, name: &str, args: &[SharedBuf]) -> Frame {
-        let (keys, deadline, left) = match Self::parse_blocking_list(name, args) {
-            Ok(p) => p,
-            Err(f) => return f,
-        };
-        let mut db = self.db.lock();
-        loop {
-            if let Some(frame) = commands::try_pop_any(&mut db, &keys, left) {
-                drop(db);
-                self.log_list_pop(left, &frame);
-                self.mark_write(); // the pop mutated a list
-                return frame;
-            }
-            match deadline {
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d || self.wakeup.wait_until(&mut db, d).timed_out() {
-                        // Final attempt after timing out, then give up.
-                        if let Some(frame) = commands::try_pop_any(&mut db, &keys, left) {
-                            drop(db);
-                            self.log_list_pop(left, &frame);
-                            self.mark_write();
-                            return frame;
-                        }
-                        return Frame::NullArray;
-                    }
-                }
-                None => self.wakeup.wait(&mut db),
-            }
-        }
-    }
-
-    /// XREAD / XREADGROUP with optional BLOCK.
-    fn dispatch_stream_read(&self, name: &str, args: &[SharedBuf]) -> Frame {
-        let mut parsed = match commands::parse_stream_read(name, args) {
-            Ok(p) => p,
-            Err(f) => return f,
-        };
-        let deadline = parsed.block.map(|d| {
-            if d.is_zero() {
-                None // block forever
-            } else {
-                Some(Instant::now() + d)
-            }
-        });
-
-        let mut db = self.db.lock();
-        // `$` snapshots the stream's last id once, before any waiting.
-        commands::resolve_stream_ids(&mut db, &mut parsed);
-        loop {
-            match commands::execute_stream_read(&mut db, self.now_ms(), &parsed) {
-                Ok(Some(frame)) => {
-                    // XREADGROUP mutates group state; wake idlers just in case.
-                    drop(db);
-                    if name == "XREADGROUP" {
-                        self.mark_write();
-                    }
-                    return frame;
-                }
-                Ok(None) => match deadline {
-                    None => return Frame::NullArray, // non-blocking, no data
-                    Some(None) => self.wakeup.wait(&mut db),
-                    Some(Some(d)) => {
-                        if Instant::now() >= d || self.wakeup.wait_until(&mut db, d).timed_out() {
-                            // One last look before reporting a timeout.
-                            if let Ok(Some(frame)) =
-                                commands::execute_stream_read(&mut db, self.now_ms(), &parsed)
-                            {
-                                return frame;
-                            }
-                            return Frame::NullArray;
-                        }
-                    }
-                },
-                Err(f) => return f,
-            }
-        }
+        Ok(BlockedCmd {
+            kind: BlockedKind::Stream {
+                is_group: name == "XREADGROUP",
+                parsed,
+            },
+            deadline,
+            epoch_seen: 0,
+        })
     }
 }
 

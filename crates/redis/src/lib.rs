@@ -13,8 +13,7 @@
 //! * [`store`] — the keyspace: typed values, lazy expiry, streams;
 //! * [`commands`] — the command handlers, pure functions over the store;
 //! * [`engine`] — shared state + blocking semantics (BLPOP, XREAD BLOCK);
-//! * [`server`] — the TCP front end (event-driven reactor by default, with
-//!   a thread-per-connection mode kept as the ablation baseline);
+//! * [`server`] — the TCP front end (an event-driven reactor);
 //! * [`client`] — a blocking client, over TCP or in-process.
 //!
 //! ```
@@ -41,4 +40,4 @@ pub mod store;
 pub use aof::{Aof, FsyncPolicy};
 pub use client::{Client, ClientError, Connection, InProcClient, RedisOps};
 pub use engine::Shared;
-pub use server::{Server, ServerConfig, ServerMode};
+pub use server::{Server, ServerConfig};

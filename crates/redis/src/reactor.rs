@@ -1,8 +1,8 @@
 //! The event-driven connection reactor: many sockets per thread.
 //!
-//! The thread-per-connection server pays one OS thread (stack, scheduler
-//! slot, context switches) per client — fine at 16 connections, ruinous at
-//! 1024. The reactor inverts that: a fixed, small set of worker threads owns
+//! A thread per connection pays one OS thread (stack, scheduler slot,
+//! context switches) per client — fine at 16 connections, ruinous at 1024.
+//! The reactor inverts that: a fixed, small set of worker threads owns
 //! every connection, each as a small **state machine** (reading → executing →
 //! writing), and sweeps them with nonblocking I/O. No `libc`, no epoll: pure
 //! std `set_nonblocking` readiness scanning, with an adaptive idle strategy

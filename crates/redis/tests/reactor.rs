@@ -1,20 +1,13 @@
-//! Reactor-mode integration tests: resumable parsing on the real wire,
+//! Reactor integration tests: resumable parsing on the real wire,
 //! connection churn, the connection cap, half-open reaping, and shutdown
 //! draining parked blocking commands.
 
 use redis_lite::client::{Client, Connection, RedisOps};
 use redis_lite::resp::{self, Frame};
-use redis_lite::server::{Server, ServerConfig, ServerMode};
+use redis_lite::server::{Server, ServerConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-fn reactor_config() -> ServerConfig {
-    ServerConfig {
-        mode: ServerMode::Reactor,
-        ..ServerConfig::default()
-    }
-}
 
 fn read_replies(sock: &mut TcpStream, n: usize) -> Vec<Frame> {
     let mut inbox = d4py_sync::ByteBuf::new();
@@ -42,7 +35,7 @@ fn read_replies(sock: &mut TcpStream, n: usize) -> Vec<Frame> {
 /// header, mid length, mid payload, mid CRLF).
 #[test]
 fn pipeline_split_at_every_byte_offset_parses_on_the_wire() {
-    let server = Server::start_with(0, reactor_config()).expect("server");
+    let server = Server::start(0).expect("server");
     let addr = server.addr();
 
     let mut wire = d4py_sync::ByteBuf::new();
@@ -89,7 +82,7 @@ fn connection_churn_storm_at_the_cap() {
         0,
         ServerConfig {
             max_connections: 8,
-            ..reactor_config()
+            ..ServerConfig::default()
         },
     )
     .expect("server");
@@ -135,7 +128,7 @@ fn connection_cap_rejects_with_error_then_recovers() {
         0,
         ServerConfig {
             max_connections: 2,
-            ..reactor_config()
+            ..ServerConfig::default()
         },
     )
     .expect("server");
@@ -190,7 +183,7 @@ fn half_open_connection_is_reaped_by_idle_deadline() {
         0,
         ServerConfig {
             idle_timeout: Some(Duration::from_millis(80)),
-            ..reactor_config()
+            ..ServerConfig::default()
         },
     )
     .expect("server");
@@ -230,7 +223,7 @@ fn half_open_connection_is_reaped_by_idle_deadline() {
 /// hanging on join.
 #[test]
 fn shutdown_drains_parked_block_waiters() {
-    let mut server = Server::start_with(0, reactor_config()).expect("server");
+    let mut server = Server::start(0).expect("server");
     let addr = server.addr();
 
     let waiter = std::thread::spawn(move || {
@@ -258,7 +251,7 @@ fn shutdown_drains_parked_block_waiters() {
 /// wait list stands in for the old parked thread).
 #[test]
 fn xread_block_wakes_across_reactor_connections() {
-    let server = Server::start_with(0, reactor_config()).expect("server");
+    let server = Server::start(0).expect("server");
     let addr = server.addr();
 
     let mut seeder = Client::connect(addr).expect("seeder");
@@ -313,7 +306,7 @@ fn xread_block_wakes_across_reactor_connections() {
 fn write_on_one_worker_wakes_a_reader_parked_on_the_other() {
     let config = ServerConfig {
         workers: 2,
-        ..reactor_config()
+        ..ServerConfig::default()
     };
     let server = Server::start_with(0, config).expect("server");
     let addr = server.addr();

@@ -1,41 +1,20 @@
-//! A plain-`std` timing harness with the `criterion` API shape the
-//! micro-benchmarks use — now with a statistics engine behind it.
+//! Environment knobs shared by the ablation benches, `repro` and the chaos
+//! runner.
 //!
-//! Each benchmark warms up, calibrates an iteration batch that runs for at
-//! least ~1 ms, then records `sample_size` batch timings. Per-iteration
-//! samples go through [`crate::stats`]: MAD outlier rejection, sample
-//! stddev, and a seeded-bootstrap confidence interval; the console line
-//! shows `median ±stddev [ci_lo..ci_hi]` with the rejected-sample count.
-//! No HTML reports — numbers on stdout plus a machine-readable
-//! `BENCH_<name>.json` ([`crate::report`]) for the `bench-compare`
-//! regression gate. For anything deeper, perf/flamegraph on the same
-//! binaries.
+//! Each of those times its own runs, summarizes them through
+//! [`crate::stats`] and writes a machine-readable `BENCH_<name>.json`
+//! ([`crate::report`]) for the `bench-compare` regression gate; this module
+//! only answers the three questions they share.
 //!
-//! Quick mode: set `D4PY_BENCH_QUICK=1` to cut warmup and samples for smoke
-//! runs (CI uses this to verify the benches still execute). Quick runs are
-//! below statistical validity, so their JSON is tagged `smoke: true` and
+//! Quick mode: set `D4PY_BENCH_QUICK=1` to cut repetitions for smoke runs
+//! (CI uses this to verify the benches still execute). Quick runs are below
+//! statistical validity, so their JSON is tagged `smoke: true` and
 //! comparators refuse to gate on it.
 //!
-//! Test-only handicap: `D4PY_BENCH_HANDICAP=<factor>` multiplies every
-//! recorded duration. It exists so the regression gate can be exercised
-//! end-to-end (a handicapped run *must* fail `bench-compare`); never set
-//! it outside tests.
-
-pub use std::hint::black_box;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use crate::report::{BenchEntry, BenchReport, Better};
-use crate::stats::{summarize, StatsConfig, Summary};
-
-/// How `iter_batched` treats setup output (criterion-compatible marker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Run setup before every routine invocation.
-    PerIteration,
-    /// Setup output is small; batch freely (treated as PerIteration here).
-    SmallInput,
-}
+//! Test-only handicap: `D4PY_BENCH_HANDICAP=<factor>` slows every recorded
+//! measurement by that factor. It exists so the regression gate can be
+//! exercised end-to-end (a handicapped run *must* fail `bench-compare`);
+//! never set it outside tests.
 
 /// True when `D4PY_BENCH_QUICK` is set (and not "0"): smoke-sized runs
 /// whose reports are tagged `smoke: true` and refused by the gate.
@@ -46,25 +25,12 @@ pub fn quick_mode() -> bool {
 }
 
 /// Test-only slowdown factor (see module docs); `1.0` when unset/invalid.
-/// Public so scenario runners outside this harness (the chaos matrix) can
-/// apply the same hook to their hand-rolled timings.
 pub fn handicap() -> f64 {
     std::env::var("D4PY_BENCH_HANDICAP")
         .ok()
         .and_then(|v| v.parse::<f64>().ok())
         .filter(|f| f.is_finite() && *f > 0.0)
         .unwrap_or(1.0)
-}
-
-/// Run-wide collector: every `bench_function` pushes its entry here, and
-/// [`finalize`] drains it into the JSON report.
-static COLLECTED: Mutex<Vec<BenchEntry>> = Mutex::new(Vec::new());
-
-fn collect(entry: BenchEntry) {
-    COLLECTED
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .push(entry);
 }
 
 /// Directory current-run reports land in: `$D4PY_BENCH_OUT_DIR`, else
@@ -82,354 +48,4 @@ pub fn out_dir() -> std::path::PathBuf {
         }
     }
     std::path::PathBuf::from("target/bench")
-}
-
-/// The bench-target name: argv[0]'s file stem with cargo's trailing
-/// `-<16 hex>` disambiguator stripped (`ablation_queue-1a2b…` →
-/// `ablation_queue`).
-pub fn target_name() -> String {
-    let argv0 = std::env::args().next().unwrap_or_default();
-    let stem = std::path::Path::new(&argv0)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("bench");
-    strip_cargo_hash(stem).to_string()
-}
-
-/// Strips cargo's `-<16 hex>` binary-name disambiguator, if present.
-fn strip_cargo_hash(stem: &str) -> &str {
-    match stem.rsplit_once('-') {
-        Some((name, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            name
-        }
-        _ => stem,
-    }
-}
-
-/// Writes everything collected so far as `BENCH_<target_name>.json` in
-/// [`out_dir`], tagged `smoke` when quick mode is on. Called by
-/// `criterion_main!` after all groups run; a no-op when nothing was
-/// collected. Returns the path written to.
-pub fn finalize() -> Option<std::path::PathBuf> {
-    let entries: Vec<BenchEntry> =
-        std::mem::take(&mut *COLLECTED.lock().unwrap_or_else(|p| p.into_inner()));
-    if entries.is_empty() {
-        return None;
-    }
-    let name = target_name();
-    let mut report = BenchReport::new(name.clone(), quick_mode());
-    report.benches = entries;
-    let path = out_dir().join(format!("BENCH_{name}.json"));
-    match report.save(&path) {
-        Ok(()) => {
-            println!(
-                "\nwrote {} ({} benches{})",
-                path.display(),
-                report.benches.len(),
-                if report.smoke {
-                    ", smoke mode — not gateable"
-                } else {
-                    ""
-                }
-            );
-            Some(path)
-        }
-        Err(e) => {
-            eprintln!("note: could not persist bench report to {path:?}: {e}");
-            None
-        }
-    }
-}
-
-/// Top-level harness handle; hands out benchmark groups.
-#[derive(Debug, Default)]
-pub struct Criterion {}
-
-impl Criterion {
-    /// Starts a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup {
-        let name = name.into();
-        println!("\n== {name} ==");
-        BenchmarkGroup {
-            name,
-            sample_size: 20,
-            measurement_time: Duration::from_secs(2),
-        }
-    }
-}
-
-/// A named group of benchmarks sharing sampling configuration.
-pub struct BenchmarkGroup {
-    name: String,
-    sample_size: usize,
-    measurement_time: Duration,
-}
-
-impl BenchmarkGroup {
-    /// Sets how many timed samples to record per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(2);
-        self
-    }
-
-    /// Caps the total measuring time per benchmark.
-    pub fn measurement_time(&mut self, t: Duration) -> &mut Self {
-        self.measurement_time = t;
-        self
-    }
-
-    /// Runs one benchmark.
-    pub fn bench_function(
-        &mut self,
-        id: impl Into<String>,
-        mut f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        let id = id.into();
-        let mut bencher = Bencher {
-            sample_size: if quick_mode() { 3 } else { self.sample_size },
-            measurement_time: if quick_mode() {
-                Duration::from_millis(50)
-            } else {
-                self.measurement_time
-            },
-            samples: Vec::new(),
-        };
-        f(&mut bencher);
-        bencher.report(&self.name, &id);
-        self
-    }
-
-    /// Ends the group (output already flushed per-benchmark).
-    pub fn finish(&mut self) {}
-}
-
-/// Passed to each benchmark closure; runs and times the routine.
-pub struct Bencher {
-    sample_size: usize,
-    measurement_time: Duration,
-    /// (total_duration, iterations) per recorded sample.
-    samples: Vec<(Duration, u64)>,
-}
-
-impl Bencher {
-    /// Times `routine`, called in calibrated batches.
-    pub fn iter<T>(&mut self, mut routine: impl FnMut() -> T) {
-        // Warmup + calibration: find a batch size taking ≥ ~1 ms.
-        let mut batch: u64 = 1;
-        loop {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(routine());
-            }
-            let took = start.elapsed();
-            if took >= Duration::from_millis(1) || batch >= 1 << 20 {
-                break;
-            }
-            batch *= 8;
-        }
-        let deadline = Instant::now() + self.measurement_time;
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            for _ in 0..batch {
-                black_box(routine());
-            }
-            self.samples.push((start.elapsed(), batch));
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
-    }
-
-    /// Times `routine` over fresh `setup` output each invocation; setup time
-    /// is excluded from the measurement.
-    pub fn iter_batched<S, T>(
-        &mut self,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-        _size: BatchSize,
-    ) {
-        // Warmup once.
-        black_box(routine(setup()));
-        let deadline = Instant::now() + self.measurement_time;
-        for _ in 0..self.sample_size {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            self.samples.push((start.elapsed(), 1));
-            if Instant::now() >= deadline {
-                break;
-            }
-        }
-    }
-
-    fn report(&self, group: &str, id: &str) {
-        if self.samples.is_empty() {
-            println!("{group}/{id}: no samples");
-            return;
-        }
-        let slow = handicap();
-        let per_iter: Vec<f64> = self
-            .samples
-            .iter()
-            .map(|(d, n)| d.as_secs_f64() * slow / *n as f64)
-            .collect();
-        let summary = summarize(&per_iter, &StatsConfig::default());
-        println!("{}", render_line(group, id, &summary));
-        collect(BenchEntry {
-            id: format!("{group}/{id}"),
-            unit: "s/iter".into(),
-            better: Better::Lower,
-            samples: per_iter,
-            summary,
-            noise_pct: None,
-        });
-    }
-}
-
-/// The one-line console rendering of a summary.
-fn render_line(group: &str, id: &str, s: &Summary) -> String {
-    let rejected = s.n_total - s.n_used;
-    let rej = if rejected > 0 {
-        format!(
-            ", {rejected} outlier{} rejected",
-            if rejected == 1 { "" } else { "s" }
-        )
-    } else {
-        String::new()
-    };
-    format!(
-        "{group}/{id}: median {} ±{} mean {} ci[{} .. {}] min {}  ({} samples{rej})",
-        fmt_time(s.median),
-        fmt_time(s.stddev),
-        fmt_time(s.mean),
-        fmt_time(s.ci_lo),
-        fmt_time(s.ci_hi),
-        fmt_time(s.min),
-        s.n_used,
-    )
-}
-
-fn fmt_time(secs: f64) -> String {
-    if secs < 1e-6 {
-        format!("{:.1} ns", secs * 1e9)
-    } else if secs < 1e-3 {
-        format!("{:.2} µs", secs * 1e6)
-    } else if secs < 1.0 {
-        format!("{:.2} ms", secs * 1e3)
-    } else {
-        format!("{secs:.3} s")
-    }
-}
-
-/// Defines a function running a set of benchmark functions, mirroring
-/// `criterion_group!`.
-#[macro_export]
-macro_rules! criterion_group {
-    ($name:ident, $($target:path),+ $(,)?) => {
-        fn $name() {
-            let mut criterion = $crate::bench::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Defines `main` running benchmark groups, then persisting the collected
-/// results as versioned JSON — mirroring `criterion_main!`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-            let _ = $crate::bench::finalize();
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn iter_records_samples() {
-        std::env::set_var("D4PY_BENCH_QUICK", "1");
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("test");
-        group
-            .sample_size(3)
-            .measurement_time(Duration::from_millis(20));
-        let mut ran = 0u64;
-        group.bench_function("counting", |b| {
-            b.iter(|| {
-                ran += 1;
-                ran
-            })
-        });
-        assert!(ran > 0, "routine must actually run");
-    }
-
-    #[test]
-    fn iter_batched_runs_setup_per_sample() {
-        std::env::set_var("D4PY_BENCH_QUICK", "1");
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("test");
-        let mut setups = 0u64;
-        group.bench_function("batched", |b| {
-            b.iter_batched(
-                || {
-                    setups += 1;
-                    vec![1u8; 16]
-                },
-                |v| v.len(),
-                BatchSize::PerIteration,
-            )
-        });
-        assert!(setups >= 2, "setup runs for warmup and each sample");
-    }
-
-    #[test]
-    fn bench_entries_reach_the_collector() {
-        std::env::set_var("D4PY_BENCH_QUICK", "1");
-        let mut c = Criterion::default();
-        let mut group = c.benchmark_group("collector_probe");
-        group.bench_function("noop", |b| b.iter(|| 1 + 1));
-        let collected = COLLECTED.lock().unwrap_or_else(|p| p.into_inner());
-        let entry = collected
-            .iter()
-            .find(|e| e.id == "collector_probe/noop")
-            .expect("bench_function must collect an entry");
-        assert_eq!(entry.unit, "s/iter");
-        assert_eq!(entry.better, Better::Lower);
-        assert_eq!(entry.summary.n_total, entry.samples.len());
-        assert!(entry.summary.min > 0.0, "timings are positive");
-    }
-
-    #[test]
-    fn fmt_time_picks_sensible_units() {
-        assert!(fmt_time(5e-9).contains("ns"));
-        assert!(fmt_time(5e-6).contains("µs"));
-        assert!(fmt_time(5e-3).contains("ms"));
-        assert!(fmt_time(5.0).contains(" s"));
-    }
-
-    #[test]
-    fn render_line_shows_distribution_fields() {
-        let s = summarize(&[1.0e-6, 1.1e-6, 1.2e-6, 9.0e-6], &StatsConfig::default());
-        let line = render_line("g", "b", &s);
-        assert!(line.contains("median"));
-        assert!(line.contains("ci["));
-        assert!(
-            line.contains("outlier rejected"),
-            "9 µs is the outlier: {line}"
-        );
-    }
-
-    #[test]
-    fn target_name_strips_cargo_hash() {
-        assert_eq!(
-            strip_cargo_hash("ablation_queue-0123456789abcdef"),
-            "ablation_queue"
-        );
-        assert_eq!(strip_cargo_hash("bench-compare"), "bench-compare");
-        assert_eq!(strip_cargo_hash("codec"), "codec");
-    }
 }

@@ -28,9 +28,9 @@
 //!   (replaces `rand::StdRng`);
 //! * [`prop`] — a minimal seeded property-testing runner (replaces the
 //!   `proptest` surface the test suite uses);
-//! * [`bench`] — a plain-`std` timing harness (replaces `criterion` for
-//!   the micro-benchmarks);
-//! * [`stats`] — distribution summaries for the harness: MAD outlier
+//! * [`bench`] — the environment knobs the ablation benches share (quick
+//!   mode, gate-test handicap, report directory);
+//! * [`stats`] — distribution summaries for the benches: MAD outlier
 //!   rejection, sample stddev, seeded-bootstrap confidence intervals;
 //! * [`report`] — the versioned `BENCH_<name>.json` result format
 //!   (hand-rolled writer + parser; the workspace stays serde-free) that

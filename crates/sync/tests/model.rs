@@ -1,4 +1,6 @@
-//! Model-checked invariants of the lock-free core.
+//! Model-checked invariants of the lock-free core, and replicas of two
+//! protocols built over locks and atomics: how a dynamic or hybrid run
+//! ends, and how a redis-lite blocking read waits for a write.
 //!
 //! Compiled only under `--cfg d4py_model` (see `scripts/verify.sh`), where
 //! `segqueue`/`channel` run on the instrumented sync facade with tiny
@@ -13,7 +15,7 @@
 #![cfg(d4py_model)]
 
 use d4py_sync::channel::{unbounded, Receiver, Sender};
-use d4py_sync::model::shim::{AtomicUsize, Ordering};
+use d4py_sync::model::shim::{self, AtomicBool, AtomicUsize, Ordering};
 use d4py_sync::model::{self, Checker, FailureKind, Mode};
 use d4py_sync::segqueue::SegQueue;
 use d4py_sync::steal::StealQueue;
@@ -987,6 +989,197 @@ fn staged_uncounted_flush_is_caught_as_deadlock() {
     let failure = report
         .failure
         .expect("an uncounted flush must stall the run");
+    assert_eq!(failure.kind, FailureKind::Deadlock, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}
+
+/// How [`blocking_protocol`]'s readers wait: the server's way, or one of
+/// the mutations the checker must catch.
+#[derive(Clone, Copy, PartialEq)]
+enum Blocking {
+    /// The in-process reader waits with the keyspace lock it attempted
+    /// under; the reactor reads the epoch before its attempt.
+    Server,
+    /// The in-process reader unlocks between its attempt and its wait.
+    UnlockBeforeWait,
+    /// The reactor reads the epoch after its attempt.
+    EpochAfterAttempt,
+}
+
+/// The redis-lite server state [`blocking_protocol`] replicates
+/// (`redis::engine`, `redis::reactor`): the keyspace, the condvar a write
+/// pulses, the write epoch, and one reactor worker's inbox lock, signal and
+/// `parked` flag.
+struct Keyspace {
+    /// One list; a blocking pop takes its first item.
+    list: shim::Mutex<Vec<u8>>,
+    wakeup: shim::Condvar,
+    epoch: AtomicUsize,
+    inbox: shim::Mutex<()>,
+    signal: shim::Condvar,
+    parked: AtomicBool,
+    blocking: Blocking,
+}
+
+impl Keyspace {
+    /// The attempt both readers make (`Shared::attempt`), under the
+    /// keyspace lock the caller holds: `Some` pops the list's first item.
+    fn attempt(list: &mut Vec<u8>) -> Option<u8> {
+        (!list.is_empty()).then(|| list.remove(0))
+    }
+
+    /// `mark_write` then `wake_if_parked`: bump the epoch, pulse `wakeup`,
+    /// and wake the reactor worker if its flag is up.
+    fn mark_write(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.wakeup.notify_all();
+        if self.parked.load(Ordering::SeqCst) {
+            drop(self.inbox.lock());
+            self.signal.notify_one();
+        }
+    }
+
+    /// A write: push under the keyspace lock, then mark it.
+    fn write(&self, item: u8) {
+        self.list.lock().push(item);
+        self.mark_write();
+    }
+
+    /// A successful pop unlocks, then marks its own write.
+    fn popped(&self, item: u8) -> u8 {
+        self.mark_write();
+        item
+    }
+
+    /// `Shared::dispatch` on a blocking pop: the first attempt of
+    /// `dispatch_nonblocking`, then the attempt repeated with the keyspace
+    /// lock held from each failure into an untimed wait on `wakeup`.
+    fn in_process_read(&self) -> u8 {
+        if let Some(item) = Self::attempt(&mut self.list.lock()) {
+            return self.popped(item);
+        }
+        let mut list = self.list.lock();
+        loop {
+            if let Some(item) = Self::attempt(&mut list) {
+                drop(list);
+                return self.popped(item);
+            }
+            if self.blocking == Blocking::UnlockBeforeWait {
+                drop(list);
+                list = self.list.lock();
+            }
+            self.wakeup.wait(&mut list);
+        }
+    }
+
+    /// A reactor worker on a blocking pop: the first attempt of
+    /// `dispatch_nonblocking` records the epoch it read before trying; each
+    /// sweep reads the epoch, `poll_blocked` attempts again only if the
+    /// epoch moved past the recorded one, and a sweep that found nothing
+    /// parks (`WorkerShared::park`) unless the epoch moved since the sweep
+    /// began — untimed here, where the server's park times out.
+    fn reactor_read(&self) -> u8 {
+        let mut seen = self.epoch.load(Ordering::SeqCst);
+        if let Some(item) = Self::attempt(&mut self.list.lock()) {
+            return self.popped(item);
+        }
+        if self.blocking == Blocking::EpochAfterAttempt {
+            seen = self.epoch.load(Ordering::SeqCst);
+        }
+        loop {
+            let swept = self.epoch.load(Ordering::SeqCst);
+            let now = self.epoch.load(Ordering::SeqCst);
+            if now != seen {
+                seen = now;
+                if let Some(item) = Self::attempt(&mut self.list.lock()) {
+                    return self.popped(item);
+                }
+            }
+            let mut inbox = self.inbox.lock();
+            self.parked.store(true, Ordering::SeqCst);
+            if self.epoch.load(Ordering::SeqCst) == swept {
+                self.signal.wait(&mut inbox);
+            }
+            self.parked.store(false, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A replica of the one blocking path (`redis::engine`, DESIGN.md §5.9): an
+/// in-process reader and a reactor reader each block on an empty list while
+/// a writer pushes one item for each. Untimed waits: a schedule in which a
+/// reader sleeps through the write that fed it is a deadlock.
+fn blocking_protocol(blocking: Blocking) {
+    let keyspace = Arc::new(Keyspace {
+        list: shim::Mutex::new(Vec::new()),
+        wakeup: shim::Condvar::new(),
+        epoch: AtomicUsize::new(0),
+        inbox: shim::Mutex::new(()),
+        signal: shim::Condvar::new(),
+        parked: AtomicBool::new(false),
+        blocking,
+    });
+    let readers = [
+        {
+            let keyspace = keyspace.clone();
+            model::thread::spawn(move || keyspace.in_process_read())
+        },
+        {
+            let keyspace = keyspace.clone();
+            model::thread::spawn(move || keyspace.reactor_read())
+        },
+    ];
+    keyspace.write(1);
+    keyspace.write(2);
+    let mut got: Vec<u8> = readers.into_iter().map(|r| r.join()).collect();
+    got.sort_unstable();
+    assert_eq!(got, [1, 2], "each reader gets one item, none twice");
+}
+
+/// The keyspace lock held from a failed attempt into the wait, the epoch
+/// read before the reactor's attempt: in every schedule both readers get
+/// their item. Bound 3 exhausts the tree at 38 233 schedules; bound 4 lets
+/// a `D4PY_MODEL_ITERS=100000` run explore 100 000 distinct ones.
+#[test]
+fn blocking_reads_never_sleep_through_a_write() {
+    Checker::new("blocking-reads")
+        .preemption_bound(4)
+        .iterations_env(3_000)
+        .check(|| blocking_protocol(Blocking::Server));
+}
+
+/// Unlocking between the attempt and the wait lets the write land in the
+/// gap: its notify finds no waiter, and the checker must find the reader
+/// asleep over its item.
+#[test]
+fn blocking_unlock_before_wait_is_caught_as_deadlock() {
+    let report = Checker::new("blocking-unlock-before-wait")
+        .iterations(20_000)
+        .report(|| blocking_protocol(Blocking::UnlockBeforeWait));
+    let failure = report
+        .failure
+        .expect("a write between attempt and wait must be reachable");
+    assert_eq!(failure.kind, FailureKind::Deadlock, "{}", failure.message);
+    assert!(
+        !failure.trace.is_empty(),
+        "failing schedule must be replayed with a full trace"
+    );
+}
+
+/// An epoch read after the attempt already includes a write the attempt
+/// missed, so the parked check passes over it: the checker must find the
+/// reactor parked over its item.
+#[test]
+fn blocking_epoch_after_attempt_is_caught_as_deadlock() {
+    let report = Checker::new("blocking-epoch-after-attempt")
+        .iterations(20_000)
+        .report(|| blocking_protocol(Blocking::EpochAfterAttempt));
+    let failure = report
+        .failure
+        .expect("a write between attempt and epoch read must be reachable");
     assert_eq!(failure.kind, FailureKind::Deadlock, "{}", failure.message);
     assert!(
         !failure.trace.is_empty(),

@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn warm_start_pairs_new_stations_against_previous_session() {
-        use d4py_core::mappings::hybrid::{run_hybrid_with_state, ChannelQueueFactory};
+        use d4py_core::mappings::hybrid::run_hybrid_with_state;
         use d4py_core::state::MemoryStateStore;
 
         let store = MemoryStateStore::new();
@@ -339,7 +339,7 @@ mod tests {
         let r1 = run_hybrid_with_state(
             &exe,
             &opts,
-            &ChannelQueueFactory,
+            &HybridMulti,
             "hybrid_multi",
             Some(store.clone()),
         )
@@ -352,14 +352,8 @@ mod tests {
         // 16 old + previously-arrived new ones: C(32,2) − C(16,2) fresh
         // pairs this session.
         let (exe, _, _) = build(&fast_cfg().with_seed(99));
-        let r2 = run_hybrid_with_state(
-            &exe,
-            &opts,
-            &ChannelQueueFactory,
-            "hybrid_multi",
-            Some(store),
-        )
-        .expect("ports declared on the PeSpecs above");
+        let r2 = run_hybrid_with_state(&exe, &opts, &HybridMulti, "hybrid_multi", Some(store))
+            .expect("ports declared on the PeSpecs above");
         let fresh_pairs = (32 * 31) / 2 - pairs1 as u64;
         assert_eq!(r2.tasks_executed, 1 + 16 + 2 * fresh_pairs);
     }

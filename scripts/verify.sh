@@ -36,12 +36,13 @@ cargo run -q --release --offline -p d4py-bench --bin repro -- check --all --json
 # Model-checker smoke: the instrumented --cfg d4py_model build of the
 # lock-free core — channel park/wakeup protocol plus the steal-queue
 # sweep (steal-vs-pop exactly-once, no lost wakeup after a failed sweep,
-# timeout-steal rewake), and replicas of the rule that ends a dynamic or
+# timeout-steal rewake), replicas of the rule that ends a dynamic or
 # hybrid run (settle, push, pop; the zero-crossing flushes the next
-# stateful stage or broadcasts) with their mutations as failing traces —
-# explored under a small iteration budget (CI
-# runs the full budget in a dedicated job). Separate target dir so the
-# cfg flip does not thrash the main build cache.
+# stateful stage or broadcasts) and of redis-lite's blocking read (the
+# in-process wait and the reactor's park) with their mutations as failing
+# traces — explored under a small iteration budget (CI runs the full
+# budget in a dedicated job). Separate target dir so the cfg flip does not
+# thrash the main build cache.
 D4PY_MODEL_ITERS="${D4PY_MODEL_ITERS:-150}" \
 CARGO_TARGET_DIR=target/model \
 RUSTFLAGS="--cfg d4py_model" \
@@ -68,8 +69,8 @@ D4PY_BENCH_QUICK=1 cargo bench --offline --bench ablation_queue
 D4PY_BENCH_QUICK=1 cargo bench --offline --bench ablation_redis
 
 # And the connection-scaling ablation: N concurrent clients against the
-# event-driven reactor vs the thread-per-connection baseline. Quick mode
-# uses small client counts; full gating runs sweep 64/256/1024 clients.
+# event-driven reactor. Quick mode uses small client counts; full gating
+# runs sweep 64/256/1024 clients.
 D4PY_BENCH_QUICK=1 cargo bench --offline --bench ablation_connections
 
 # Chaos-matrix smoke: three cells (crash + recovery, straggler under key

@@ -1,7 +1,7 @@
 //! Failure injection: a panicking PE must not hang or kill a parallel run.
 
 use dispel4py::core::mappings::dynamic::run_dynamic;
-use dispel4py::core::mappings::hybrid::{run_hybrid, ChannelQueueFactory, QueueFactory};
+use dispel4py::core::mappings::hybrid::{run_hybrid, QueueFactory};
 use dispel4py::core::queue::{TaskQueue, WorkStealQueue};
 use dispel4py::core::task::QueueItem;
 use dispel4py::prelude::*;
@@ -207,7 +207,7 @@ fn hybrid_run_returns_when_a_worker_dies_holding_a_task() {
     struct Factory;
     impl QueueFactory for Factory {
         fn make(&self, name: &str, consumers: usize) -> Result<Arc<dyn TaskQueue>, CoreError> {
-            let queue = ChannelQueueFactory.make(name, consumers)?;
+            let queue = HybridMulti.make(name, consumers)?;
             Ok(match name {
                 "global" => FailingPush::nth(queue, 2),
                 _ => queue,

@@ -4,10 +4,11 @@
 //! must agree on the observable contract: FIFO delivery, timeout-on-empty
 //! pops, depth accounting that survives failed pushes, idle-time tracking,
 //! and pill passthrough. Runs against both implementations — the in-process
-//! [`ChannelQueue`] and the Redis-stream [`RedisQueue`] (in-proc backend) —
-//! with capability-gated cases where the backends intentionally differ.
+//! [`WorkStealQueue`] and the Redis-stream [`RedisQueue`] (in-proc backend and
+//! a two-shard cluster) — with capability-gated cases where the backends
+//! intentionally differ.
 
-use dispel4py::core::queue::{ChannelQueue, TaskQueue, WorkStealQueue};
+use dispel4py::core::queue::{TaskQueue, WorkStealQueue};
 use dispel4py::core::task::{QueueItem, Task};
 use dispel4py::core::value::Value;
 use dispel4py::graph::PeId;
@@ -39,7 +40,6 @@ fn backends(consumers: usize) -> Vec<(&'static str, Arc<dyn TaskQueue>)> {
     static NEXT_KEY: AtomicUsize = AtomicUsize::new(0);
     let key = format!("conformance:q{}", NEXT_KEY.fetch_add(1, Ordering::SeqCst));
     vec![
-        ("channel", Arc::new(ChannelQueue::new(consumers))),
         ("steal", Arc::new(WorkStealQueue::new(consumers))),
         (
             "redis-stream",
@@ -101,9 +101,9 @@ fn depth_reflects_pushes_and_pops() {
 
 #[test]
 fn failed_push_leaves_depth_unchanged() {
-    // Only the channel backend can fail a push without tearing down the
+    // Only the in-process backend can fail a push without tearing down the
     // whole Redis engine; this pins the depth-rollback contract there.
-    let q = ChannelQueue::new(1);
+    let q = WorkStealQueue::new(1);
     q.push(task(1)).unwrap();
     assert_eq!(q.depth(), 1);
     q.close();
@@ -139,14 +139,18 @@ fn idle_times_cover_every_consumer() {
 
 #[test]
 fn late_joining_consumers_differ_by_design() {
-    // Capability gate: the channel queue grows its idle table on demand
+    // Capability gate: the in-process queue grows its idle table on demand
     // (scale-up adds consumers mid-run); the Redis queue allocates one
     // reader connection per consumer up front, so an unknown index is a
     // hard error rather than a silent allocation.
-    let q = ChannelQueue::new(1);
+    let q = WorkStealQueue::new(1);
     q.push(task(1)).unwrap();
     assert!(q.pop(2, Duration::from_millis(100)).unwrap().is_some());
-    assert_eq!(q.idle_times().unwrap().len(), 3, "channel idle table grows");
+    assert_eq!(
+        q.idle_times().unwrap().len(),
+        3,
+        "in-process idle table grows"
+    );
 
     let redis = RedisQueue::new(&RedisBackend::in_proc(), "conformance:late", 1).unwrap();
     redis.push(task(1)).unwrap();
@@ -158,11 +162,11 @@ fn late_joining_consumers_differ_by_design() {
 
 #[test]
 fn depth_never_exceeds_outstanding_under_concurrent_monitor_reads() {
-    // Regression guard for the duplicate-depth-counter bug: ChannelQueue
-    // used to keep its own AtomicUsize, decremented *after* the channel's
+    // Regression guard for the duplicate-depth-counter bug: an in-process
+    // queue once kept its own AtomicUsize, decremented *after* the queue's
     // internal counter, so a monitor tick in that window read a phantom
-    // backlog. With depth delegated to the channel's single counter, a
-    // concurrent monitor must never see depth exceed items-pushed minus
+    // backlog. With depth read from the queue's own counters, a concurrent
+    // monitor must never see depth exceed items-pushed minus
     // items-whose-pop-completed.
     const PRODUCERS: usize = 2;
     const CONSUMERS: usize = 2;
@@ -226,12 +230,12 @@ fn depth_never_exceeds_outstanding_under_concurrent_monitor_reads() {
 
 #[test]
 fn pop_with_duration_max_blocks_until_item_arrives() {
-    // Regression: the channel's recv_timeout computed `Instant::now() +
-    // timeout`, which panics on Duration::MAX ("block indefinitely"). The
-    // saturated deadline must fall back to an untimed wait. Channel-only:
-    // the Redis backend hands the timeout to the server as BLOCK
-    // milliseconds, which has no deadline arithmetic to overflow.
-    let q = Arc::new(ChannelQueue::new(1));
+    // Regression: a pop once computed `Instant::now() + timeout`, which
+    // panics on Duration::MAX ("block indefinitely"). The saturated deadline
+    // must fall back to an untimed wait. In-process only: the Redis backend
+    // hands the timeout to the server as BLOCK milliseconds, which has no
+    // deadline arithmetic to overflow.
+    let q = Arc::new(WorkStealQueue::new(1));
     let popper = {
         let q = q.clone();
         std::thread::spawn(move || q.pop(0, Duration::MAX))
@@ -271,10 +275,10 @@ fn never_popped_consumers_report_idle_since_creation() {
         );
     }
 
-    // The late-joining growth path (channel-only: Redis rejects unknown
+    // The late-joining growth path (in-process only: Redis rejects unknown
     // indexes, see late_joining_consumers_differ_by_design): slots created
     // by the resize for consumers 1..3 must also count from creation.
-    let q = ChannelQueue::new(1);
+    let q = WorkStealQueue::new(1);
     std::thread::sleep(Duration::from_millis(30));
     q.push(task(1)).unwrap();
     q.pop(3, Duration::from_millis(100)).unwrap();
@@ -283,7 +287,7 @@ fn never_popped_consumers_report_idle_since_creation() {
     for never_popped in [0, 1, 2] {
         assert!(
             idles[never_popped] >= Duration::from_millis(25),
-            "channel: grown slot {never_popped} backfilled as just-active ({:?})",
+            "steal: grown slot {never_popped} backfilled as just-active ({:?})",
             idles[never_popped]
         );
     }

@@ -371,7 +371,7 @@ fn run_with_store(
     dispel4py::core::mappings::hybrid::run_hybrid_with_state(
         exe,
         &ExecutionOptions::new(2),
-        &dispel4py::core::mappings::hybrid::ChannelQueueFactory,
+        &dispel4py::core::mappings::hybrid::HybridMulti,
         "hybrid_multi",
         Some(store),
     )

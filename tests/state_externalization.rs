@@ -91,14 +91,13 @@ fn snapshots_cover_every_stateful_instance_that_saw_data() {
 #[test]
 fn memory_store_works_with_hybrid_multi() {
     use dispel4py::core::mappings::hybrid::run_hybrid_with_state;
-    use dispel4py::core::mappings::hybrid::ChannelQueueFactory;
 
     let store = MemoryStateStore::new();
     let (exe, r1) = sentiment::build(&cfg(1, 3));
     run_hybrid_with_state(
         &exe,
         &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
+        &HybridMulti,
         "hybrid_multi",
         Some(store.clone()),
     )
@@ -112,7 +111,7 @@ fn memory_store_works_with_hybrid_multi() {
     run_hybrid_with_state(
         &exe,
         &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
+        &HybridMulti,
         "hybrid_multi",
         Some(store),
     )
@@ -197,11 +196,11 @@ fn committed_legacy_fixture_warm_starts_through_the_shim() {
 }
 
 fn run_hybrid(exe: &Executable, store: Arc<MemoryStateStore>) {
-    use dispel4py::core::mappings::hybrid::{run_hybrid_with_state, ChannelQueueFactory};
+    use dispel4py::core::mappings::hybrid::run_hybrid_with_state;
     run_hybrid_with_state(
         exe,
         &ExecutionOptions::new(8),
-        &ChannelQueueFactory,
+        &HybridMulti,
         "hybrid_multi",
         Some(store),
     )

@@ -7,7 +7,7 @@ use d4py_sync::Mutex;
 use dispel4py::core::autoscale::QueueSizeStrategy;
 use dispel4py::core::mappings::dynamic::{run_dynamic, AutoscaleSetup};
 use dispel4py::core::mappings::hybrid::{run_hybrid, QueueFactory};
-use dispel4py::core::queue::{ChannelQueue, TaskQueue, WorkStealQueue};
+use dispel4py::core::queue::{TaskQueue, WorkStealQueue};
 use dispel4py::core::task::QueueItem;
 use dispel4py::prelude::*;
 use dispel4py::redis::RedisQueue;
@@ -428,8 +428,7 @@ fn a_strict_run_ends_at_quiescence_not_after_the_retries() {
     // were they not released, the run would not return.
     const POOL: usize = 4;
     type Make = fn() -> Arc<dyn TaskQueue>;
-    let queues: [(&str, Make); 3] = [
-        ("channel", || Arc::new(ChannelQueue::new(POOL))),
+    let queues: [(&str, Make); 2] = [
         ("work-steal", || Arc::new(WorkStealQueue::new(POOL))),
         ("redis in-proc", || {
             Arc::new(RedisQueue::new(&RedisBackend::in_proc(), "q", POOL).unwrap())
@@ -482,8 +481,8 @@ fn a_hybrid_run_ends_at_its_last_zero_crossing() {
     const SLOTS: usize = 4;
     type Make = fn() -> MakeQueue;
     let queues: [(&str, Make); 2] = [
-        ("channel", || {
-            Box::new(|_, consumers| Arc::new(ChannelQueue::new(consumers)))
+        ("work-steal", || {
+            Box::new(|_, consumers| Arc::new(WorkStealQueue::new(consumers)))
         }),
         ("redis in-proc", || {
             let backend = RedisBackend::in_proc();
@@ -519,7 +518,7 @@ fn an_absorbed_push_failure_falls_back_to_the_retries() {
     // proves the queue empty: the paper's protocol decides, and says so.
     const POOL: usize = 2;
     let opts = ExecutionOptions::new(POOL).with_transport_retries(1);
-    let inner = Arc::new(ChannelQueue::new(POOL));
+    let inner = Arc::new(WorkStealQueue::new(POOL));
     let (report, polls) = tail_polls(inner, &opts, false, true);
     assert!(
         polls > opts.termination.max_retries as usize,
