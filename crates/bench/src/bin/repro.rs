@@ -271,7 +271,8 @@ fn table_sentiment(sweeps: &[(&str, &Sweep)]) {
 
 /// Ablations over the design choices DESIGN.md §5 calls out:
 /// (1) auto-scaling strategy (none / naive queue-delta / proportional),
-/// (2) hybrid queue transport (in-process / Redis in-proc / TCP).
+/// (2) hybrid queue transport (in-process / Redis in-proc / TCP),
+/// (3) staging fusion under `multi`.
 /// The three rows of (1) share one queue, `dyn_multi`'s, so they differ
 /// only in the strategy.
 fn ablation(opts: &Opts) {
@@ -355,15 +356,22 @@ fn ablation(opts: &Opts) {
         );
     }
 
-    println!("\n== Ablation 3: staging fusion (seismic phase 1, 8 workers, server) ==\n");
+    // The dynamic family runs a staged hop inline whether or not the graph
+    // is fused, so the fusion is compared where it still changes the plan:
+    // under `multi`, with one worker per PE of the unfused workflow, which
+    // the staged one spends on its body stage instead.
     use dispel4py::prelude::fuse_staged;
     use dispel4py::workflows::seismic;
     let kcfg = base_cfg(opts).with_limiter(Platform::SERVER.limiter());
     let (exe, _) = seismic::build(&kcfg);
-    let unfused = DynMulti.execute(&exe, &ExecutionOptions::new(8)).unwrap();
+    let pes = exe.graph().pe_count();
+    println!(
+        "\n== Ablation 3: staging fusion (seismic phase 1, multi, {pes} workers, server) ==\n"
+    );
+    let unfused = Multi.execute(&exe, &ExecutionOptions::new(pes)).unwrap();
     println!(
         "{:<26} runtime {:>7.3}s  process {:>8.3}s  tasks {}",
-        "9 PEs (unfused)",
+        format!("{pes} PEs (unfused)"),
         unfused.runtime.as_secs_f64(),
         unfused.process_time.as_secs_f64(),
         unfused.tasks_executed
@@ -371,8 +379,8 @@ fn ablation(opts: &Opts) {
     let (exe, _) = seismic::build(&kcfg);
     let fused_exe = fuse_staged(&exe).unwrap();
     let stages = fused_exe.graph().pe_count();
-    let fused = DynMulti
-        .execute(&fused_exe, &ExecutionOptions::new(8))
+    let fused = Multi
+        .execute(&fused_exe, &ExecutionOptions::new(pes))
         .unwrap();
     println!(
         "{:<26} runtime {:>7.3}s  process {:>8.3}s  tasks {}",

@@ -15,7 +15,7 @@
 //! [`ExecutionOptions::transport_retries`](crate::options::ExecutionOptions).
 //!
 //! * [`Straggler`] — one PE's service time is inflated by a fixed delay
-//!   per task, the classic slow-worker scenario;
+//!   per call (queued or inlined), the classic slow-worker scenario;
 //! * [`CrashFault`] — the pinned worker of one stateful instance dies
 //!   after N tasks. The run aborts with
 //!   [`CoreError::InjectedFault`](crate::error::CoreError::InjectedFault)
@@ -27,12 +27,12 @@
 
 use std::time::Duration;
 
-/// One PE's service time inflated by a fixed delay per task.
+/// One PE's service time inflated by a fixed delay per call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Straggler {
     /// Name of the straggling PE (as in the workflow graph).
     pub pe: String,
-    /// Extra service time added before each of its tasks.
+    /// Extra service time added before each of its calls.
     pub extra: Duration,
 }
 
@@ -50,7 +50,7 @@ pub struct CrashFault {
 /// Inject spurious poison pills into the global queue mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PillStorm {
-    /// Fire once the engine-wide executed-task counter crosses this.
+    /// Fire once the engine-wide count of PE calls crosses this.
     pub after_tasks: u64,
     /// How many spurious pills to inject.
     pub pills: usize,

@@ -12,6 +12,12 @@
 //! Port names on the fused graph are namespaced `"<pe>.<port>"` so fan-in
 //! from several clusters stays distinguishable.
 //!
+//! [`fuse`] is the static mappings' tool: under `simple` and `multi` a
+//! composite changes the partition (one process runs a whole stage). The
+//! dynamic-family engine needs no fused graph — it runs a staged hop inline
+//! on the worker that made its input (`mappings::engine`), keeping the
+//! user's PEs in its report.
+//!
 //! Restrictions (checked, not assumed):
 //! * a multi-member cluster must not contain a PE with a pinned instance
 //!   count (fusing would change its parallelism);

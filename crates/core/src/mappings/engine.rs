@@ -20,6 +20,15 @@
 //! is written out while it runs, and a source that gets [`CREDIT`] tasks
 //! ahead has its own worker run queued tasks before it emits more.
 //!
+//! A hop that staging (§2.2, [`d4py_graph::optimize::staging`]) puts inside
+//! one cluster, between two PEs no slot pins, is not a task: the worker
+//! that routes an emission over it calls the target itself, at its next
+//! write, unless the target's calls run past [`FLUSH_AFTER`]. A task is
+//! one queue trip; a PE call is a task or an inlined call, and the report
+//! counts calls. An inlined call is never counted in `outstanding`: the
+//! task it descends from stays counted until it and all its inlined
+//! descendants have returned.
+//!
 //! A worker that leaves its loop with an error or a panic *aborts* the run:
 //! nobody waits for the tasks it held, nothing more is flushed, every
 //! worker is pilled and joined, and the first error is returned (an
@@ -33,10 +42,11 @@ use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::{process_guarded, Context, ProcessingElement};
 use crate::queue::TaskQueue;
-use crate::routing::{Route, Router};
+use crate::routing::{Edge, Route, RouteTable, Router};
 use crate::state::{slot_name, StateStore};
 use crate::task::{QueueItem, Task, KICKOFF_PORT};
 use crate::value::Value;
+use d4py_graph::optimize::staging;
 use d4py_graph::PeId;
 use std::ops::Range;
 use std::sync::atomic::Ordering::{self, SeqCst};
@@ -53,9 +63,17 @@ const POP_BATCH: usize = 32;
 /// buffered, even mid-batch: the order of one loopback round trip. Thirty-two
 /// null hops (~1 µs each) share one write; a 3 ms seismic task crosses it
 /// alone, so its output reaches idle workers as soon as it exists — which is
-/// why `seismic_*` (the benchmark's control) does not move. The rule reads
+/// why `seismic_*` (the benchmark's control) does not move. It also bounds
+/// what a staged hop may inline: a PE whose last [`SLOW_CALLS`] calls on a
+/// worker each ran longer is not called inline there. Slow work stays a
+/// task, which an idle worker can take, rather than joining an inlined
+/// chain bound to the worker that holds the popped batch. The rule reads
 /// only observed service time, never the queue kind or the workload.
 const FLUSH_AFTER: Duration = Duration::from_micros(100);
+
+/// Consecutive calls past [`FLUSH_AFTER`] that make a PE slow: two, so one
+/// call stretched by a preemption changes no route.
+const SLOW_CALLS: u8 = 2;
 
 /// What a strict run that could not end at quiescence says in its report.
 const INEXACT_WARNING: &str = "the outstanding-task count was not exact (a transport retry or a \
@@ -108,10 +126,14 @@ struct Engine<'a> {
     plan: Plan<'a>,
     /// Per PE, its slots (empty: the PE is not pinned).
     pinned: Vec<Range<usize>>,
+    /// Per PE and output port, the connections an emission travels; the
+    /// staged hops between unpinned stateless PEs are marked inline.
+    routes: RouteTable,
     /// Tasks pushed but not yet retired. A worker settles a flush window in
     /// one step, before the push: its buffered children are added and the
     /// tasks that produced them retired, so a parent is counted until its
-    /// children are: 0 ⇒ quiescent.
+    /// children are: 0 ⇒ quiescent. A task is retired only once the calls
+    /// inlined under it have returned, so they need no count of their own.
     outstanding: AtomicUsize,
     /// `outstanding` may read low: a queue operation absorbed a transport
     /// error (a push may have appended twice), or a settle saturated (a
@@ -132,8 +154,8 @@ struct Engine<'a> {
     straggler: Option<(PeId, Duration)>,
     /// Fault hook: (worker, it dies after this many tasks).
     crash: Option<(usize, u64)>,
-    /// Tasks run engine-wide; counted only while a pill storm is armed.
-    storm_tasks: AtomicU64,
+    /// PE calls made engine-wide; counted only while a pill storm is armed.
+    storm_calls: AtomicU64,
 }
 
 /// Runs `plan` to completion and assembles the report; `autoscale` puts the
@@ -226,8 +248,16 @@ impl<'a> Engine<'a> {
         let stages = graph.topological_order()?.into_iter();
         let stages = stages.map(|pe| pinned[pe.0].clone());
         let stages = stages.filter(|slots| !slots.is_empty()).collect();
+        // Staging never fuses an edge out of a source, into a fan-in, out of
+        // a fan-out, or one that groups by key, funnels or broadcasts.
+        let staged = staging(graph);
+        let free = |pe: PeId| pinned[pe.0].is_empty() && !graph.is_effectively_stateful(pe);
+        let routes = RouteTable::with_inline(graph, |c| {
+            free(c.from_pe) && free(c.to_pe) && staged.fused(c.from_pe, c.to_pe)
+        });
         Ok(Self {
             pinned,
+            routes,
             outstanding: AtomicUsize::new(0),
             inexact: AtomicBool::new(false),
             stages,
@@ -237,7 +267,7 @@ impl<'a> Engine<'a> {
             scaler,
             straggler,
             crash,
-            storm_tasks: AtomicU64::new(0),
+            storm_calls: AtomicU64::new(0),
             plan,
         })
     }
@@ -481,11 +511,17 @@ struct Worker<'e, 'a> {
     /// PE copies by `PeId`: instantiated lazily, or the pinned instance.
     /// The one being called is out of its place for the call.
     pes: Vec<Option<Box<dyn ProcessingElement>>>,
+    /// Per PE, how many of its last calls on this worker that returned ran
+    /// past [`FLUSH_AFTER`], up to [`SLOW_CALLS`]: at that count it is not
+    /// called inline.
+    slow_calls: Vec<u8>,
     router: Router,
     stats: WorkerStats,
     /// What the call in progress emitted and has not routed yet: fewer
     /// than [`EMIT_KEEP`] emissions.
     emissions: Vec<(String, Value)>,
+    /// Calls routed over inline edges and not made yet, the next one last.
+    inline: Vec<(&'e Edge, Value)>,
     /// Routed tasks not yet pushed: for the global queue, and per slot (by
     /// index into the plan's slots). Each is FIFO and written out in order,
     /// so per-connection order is what it was with a push per task.
@@ -493,6 +529,7 @@ struct Worker<'e, 'a> {
     slot_out: Vec<Vec<QueueItem>>,
     /// Tasks run since the last [`write_out`](Self::write_out): still
     /// counted in `outstanding`, as the tasks buffered above are not yet.
+    /// Inlined calls are not tasks and never counted here.
     retired: usize,
     /// PE service time since the last write; see [`FLUSH_AFTER`].
     unwritten_service: Duration,
@@ -514,8 +551,9 @@ struct Call {
     /// A pool worker's source kickoff: its writes may help (see
     /// [`CREDIT`]).
     may_help: bool,
-    /// Time spent helping, not counted as this call's service.
-    helped: Duration,
+    /// Time spent on other calls inside this one — helping, or the calls
+    /// inlined at its writes — not counted as its service.
+    aside: Duration,
 }
 
 impl Call {
@@ -523,7 +561,7 @@ impl Call {
         Call {
             pe,
             may_help,
-            helped: Duration::ZERO,
+            aside: Duration::ZERO,
         }
     }
 }
@@ -543,9 +581,11 @@ impl<'e, 'a> Worker<'e, 'a> {
             slot,
             coords,
             pes: (0..n).map(|_| None).collect(),
+            slow_calls: vec![0; n],
             router: Router::new(),
             stats: WorkerStats::new(n),
             emissions: Vec::new(),
+            inline: Vec::new(),
             global_out: Vec::new(),
             slot_out: plan.slots.iter().map(|_| Vec::new()).collect(),
             retired: 0,
@@ -576,45 +616,81 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(w)
     }
 
-    /// Executes one task on this worker's copy of the PE, which is handed
-    /// this worker as its context: what it emits is routed and written out
-    /// as it goes, and the rest when it returns once [`FLUSH_AFTER`] of
-    /// service time has gone by since the last write.
+    /// Executes one task, then the calls inlined under it: it is retired
+    /// only once they have all returned. What they left buffered is written
+    /// out once [`FLUSH_AFTER`] of service time has gone by since the last
+    /// write.
     fn run_task(&mut self, task: Task) -> Result<(), CoreError> {
-        let engine = self.engine;
-        if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == task.pe) {
-            // sleep: injected straggler fault, a fixed delay per task.
-            std::thread::sleep(extra);
-            self.unwritten_service += extra;
-        }
-        let known = self.pes.get_mut(task.pe.0);
-        let mut pe = match known.ok_or(CoreError::MissingFactory(task.pe))?.take() {
-            Some(pe) => pe,
-            None => engine.plan.exe.instantiate(task.pe)?,
-        };
         // A task run inside a call that may help is a helped one: it never
         // helps itself.
         let may_help = task.is_kickoff() && self.slot.is_none() && !self.call.may_help;
-        let outer = std::mem::replace(&mut self.call, Call::of(task.pe, may_help));
+        let floor = self.inline.len();
+        self.call(task.pe, &task.port, task.value, may_help)?;
+        self.run_inline(floor)?;
+        self.retired += 1;
+        if self.unwritten_service > FLUSH_AFTER {
+            self.write_out()?;
+        }
+        Ok(())
+    }
+
+    /// Makes the inlined calls queued above `floor`, and those they route,
+    /// depth first: a chain's item reaches its end before the next enters.
+    fn run_inline(&mut self, floor: usize) -> Result<(), CoreError> {
+        while self.inline.len() > floor {
+            let (edge, value) = self.inline.pop().expect("above the floor");
+            self.call(edge.to_pe, &edge.to_port, value, false)?;
+        }
+        Ok(())
+    }
+
+    /// One PE call, queued or inlined, on this worker's copy of the PE,
+    /// which is handed this worker as its context: what it emits is routed
+    /// and written out as it goes, and the rest routed when it returns. The
+    /// fault hooks count calls.
+    fn call(
+        &mut self,
+        id: PeId,
+        port: &str,
+        value: Value,
+        may_help: bool,
+    ) -> Result<(), CoreError> {
+        let engine = self.engine;
+        if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == id) {
+            // sleep: injected straggler fault, a fixed delay per call.
+            std::thread::sleep(extra);
+            self.unwritten_service += extra;
+        }
+        let known = self.pes.get_mut(id.0);
+        let mut pe = match known.ok_or(CoreError::MissingFactory(id))?.take() {
+            Some(pe) => pe,
+            None => engine.plan.exe.instantiate(id)?,
+        };
+        let outer = std::mem::replace(&mut self.call, Call::of(id, may_help));
         let started = Instant::now();
         self.segment_start = started;
-        let ok = process_guarded(&mut *pe, &task.port, task.value, self);
+        let ok = process_guarded(&mut *pe, port, value, self);
         let ended = Instant::now();
-        let service = (ended - started).saturating_sub(self.call.helped);
+        let service = (ended - started).saturating_sub(self.call.aside);
         self.unwritten_service += ended - self.segment_start;
         self.call = outer;
-        self.pes[task.pe.0] = Some(pe);
+        self.pes[id.0] = Some(pe);
         self.reraise()?;
         if ok {
             self.stats.latency.record(service);
-            self.stats.per_pe[task.pe.0] += 1;
+            self.stats.per_pe[id.0] += 1;
+            let slow = &mut self.slow_calls[id.0];
+            *slow = match service > FLUSH_AFTER {
+                true => (*slow + 1).min(SLOW_CALLS),
+                false => 0,
+            };
         } else {
             // The item is lost with what it left buffered; what it already
             // wrote out stays delivered.
             self.emissions.clear();
             self.stats.failed += 1;
         }
-        let processed = self.stats.per_pe[task.pe.0] + self.stats.failed;
+        let processed = self.stats.per_pe[id.0] + self.stats.failed;
         if engine
             .crash
             .is_some_and(|(w, after)| w == self.index && processed >= after)
@@ -628,15 +704,11 @@ impl<'e, 'a> Worker<'e, 'a> {
                 who.unwrap_or_default()
             )));
         }
-        self.route_emissions(task.pe);
-        self.retired += 1;
-        if self.unwritten_service > FLUSH_AFTER {
-            self.write_out()?;
-        }
+        self.route_emissions(id);
         if let Some(storm) = engine.plan.faults.pill_storm {
-            // relaxed: a count that publishes no other data; each task draws
+            // relaxed: a count that publishes no other data; each call draws
             // a distinct value, so exactly one worker meets the threshold.
-            let run = engine.storm_tasks.fetch_add(1, Ordering::Relaxed) + 1;
+            let run = engine.storm_calls.fetch_add(1, Ordering::Relaxed) + 1;
             if run == storm.after_tasks.max(1) {
                 let used = &mut self.stats.retries_used;
                 for _ in 0..storm.pills {
@@ -684,30 +756,36 @@ impl<'e, 'a> Worker<'e, 'a> {
         self.write_out().map(drop)
     }
 
-    /// Routes everything the current PE call emitted so far into this
-    /// worker's outgoing buffers: the private queue the connection's
-    /// grouping selects when the target is pinned, otherwise the global
-    /// queue (whoever pops first runs it). The value is moved on the last
-    /// edge it travels.
+    /// Routes everything the current PE call emitted so far: over an
+    /// inline edge into a PE that is not slow, onto this worker's list of
+    /// calls to make, otherwise into its outgoing buffers — the private
+    /// queue the connection's grouping selects when the target is pinned,
+    /// else the global queue (whoever pops first runs it). The value is
+    /// moved on the last edge it travels.
     fn route_emissions(&mut self, from: PeId) {
         let engine = self.engine;
-        let graph = engine.plan.exe.graph();
+        let routes = &engine.routes;
+        let queued = self.inline.len();
         let mut emissions = std::mem::take(&mut self.emissions);
         for (port, value) in emissions.drain(..) {
-            let mut conns = graph.outgoing_from_port(from, &port).peekable();
-            if conns.peek().is_none() && graph.outgoing(from).next().is_some() {
+            let edges = routes.edges(from, &port);
+            if edges.is_empty() && routes.has_outgoing(from) {
                 self.stats.dropped += 1;
             }
             let mut value = Some(value);
-            while let Some((conn_id, conn)) = conns.next() {
-                let last_conn = conns.peek().is_none();
-                let pinned = engine.pinned[conn.to_pe.0].clone();
+            for (i, edge) in edges.iter().enumerate() {
+                let last_conn = i + 1 == edges.len();
+                if edge.inline && self.slow_calls[edge.to_pe.0] < SLOW_CALLS {
+                    self.inline.push((edge, hand_over(&mut value, last_conn)));
+                    continue;
+                }
+                let pinned = engine.pinned[edge.to_pe.0].clone();
                 if pinned.is_empty() {
                     // The front doors reject one-to-all into an unpinned PE,
                     // and any one instance of it means "any worker".
                     let task = Task::new(
-                        conn.to_pe,
-                        conn.to_port.clone(),
+                        edge.to_pe,
+                        edge.to_port.clone(),
                         hand_over(&mut value, last_conn),
                     );
                     self.global_out.push(QueueItem::Task(task));
@@ -716,7 +794,7 @@ impl<'e, 'a> Worker<'e, 'a> {
                 let routed = value.as_ref().expect("moved only on the last edge");
                 let route = self
                     .router
-                    .route(conn_id, &conn.grouping, routed, pinned.len());
+                    .route(edge.id, &edge.grouping, routed, pinned.len());
                 let targets = match route {
                     Route::One(i) => pinned.start + i..pinned.start + i + 1,
                     Route::All => pinned,
@@ -725,12 +803,15 @@ impl<'e, 'a> Worker<'e, 'a> {
                 for s in targets {
                     let instance = engine.plan.slots[s].instance;
                     let value = hand_over(&mut value, last_conn && s == last_target);
-                    let task = Task::pinned(conn.to_pe, instance, &*conn.to_port, value);
+                    let task = Task::pinned(edge.to_pe, instance, &*edge.to_port, value);
                     self.slot_out[s].push(QueueItem::Task(task));
                 }
             }
         }
         self.emissions = emissions;
+        // The list is taken from its end: reversed, the calls are made in
+        // the order they were emitted.
+        self.inline[queued..].reverse();
     }
 
     /// Writes the outgoing buffers out — one `push_batch` per destination
@@ -785,17 +866,23 @@ impl<'e, 'a> Worker<'e, 'a> {
         Ok(left)
     }
 
-    /// The write a PE call makes while it runs: what it emitted so far and
-    /// whatever the window holds, through the same settle-before-push as
-    /// any write. The call stays counted until it returns, so this settle
-    /// never reaches zero.
+    /// The write a PE call makes while it runs: what it emitted so far,
+    /// after the calls inlined under it, and whatever the window holds,
+    /// through the same settle-before-push as any write. The call stays
+    /// counted until it returns, so this settle never reaches zero.
     fn write_mid_call(&mut self) -> Result<(), CoreError> {
+        let floor = self.inline.len();
         self.route_emissions(self.call.pe);
+        if self.inline.len() > floor {
+            let started = Instant::now();
+            self.run_inline(floor)?;
+            self.call.aside += started.elapsed();
+        }
         let left = self.write_out()?;
         if self.call.may_help && left.is_some_and(|n| n > CREDIT) {
             let started = Instant::now();
             self.help(CREDIT / 2)?;
-            self.call.helped += started.elapsed();
+            self.call.aside += started.elapsed();
         }
         self.segment_start = Instant::now();
         Ok(())
@@ -874,9 +961,11 @@ impl Context for Worker<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::Mapping;
     use crate::mappings::dynamic::run_dynamic;
-    use crate::mappings::hybrid::{run_hybrid, QueueFactory};
-    use crate::pe::{Context, CountingSink, FnSource, FnTransform};
+    use crate::mappings::hybrid::{run_hybrid, run_hybrid_with_faults, HybridMulti, QueueFactory};
+    use crate::mappings::Simple;
+    use crate::pe::{Collector, Context, CountingSink, FnSource, FnTransform};
     use crate::queue::WorkStealQueue;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
     use d4py_sync::Mutex;
@@ -884,7 +973,8 @@ mod tests {
     /// What a [`Watched`] queue and the PEs of a test write down, in order.
     #[derive(Debug, PartialEq)]
     enum Event {
-        /// A `push` or `push_batch` call carrying these task payloads.
+        /// A `push` or `push_batch` call carrying these task payloads (a
+        /// kickoff's is -1).
         Pushed(Vec<i64>),
         /// A `pop_batch` call that delivered this many items.
         Popped(usize),
@@ -902,7 +992,7 @@ mod tests {
 
     fn payloads(items: &[QueueItem]) -> Vec<i64> {
         let ints = items.iter().filter_map(|item| match item {
-            QueueItem::Task(task) => task.value.as_int(),
+            QueueItem::Task(task) => Some(task.value.as_int().unwrap_or(-1)),
             _ => None,
         });
         ints.collect()
@@ -947,12 +1037,22 @@ mod tests {
         }
     }
 
-    /// source → `hops` stages → counting sink over `0..items`; each stage
-    /// runs `stage` on the payload before passing it on.
+    /// Task items in all the writes of a run.
+    fn tasks_pushed(log: &Log) -> usize {
+        let pushed = log.lock();
+        let sizes = pushed.iter().map(|event| match event {
+            Event::Pushed(payloads) => payloads.len(),
+            _ => 0,
+        });
+        sizes.sum()
+    }
+
+    /// source → `hops` stages → counting sink over `0..items`; stage `h`
+    /// runs `stage(h, payload)` before passing the payload on.
     fn chain(
         items: i64,
         hops: usize,
-        stage: impl Fn(i64) + Clone + Send + Sync + 'static,
+        stage: impl Fn(usize, i64) + Clone + Send + Sync + 'static,
     ) -> (Executable, Arc<AtomicU64>) {
         let mut g = WorkflowGraph::new("chain");
         let source = g.add_pe(PeSpec::source("source", "out"));
@@ -972,13 +1072,13 @@ mod tests {
                 (0..items).for_each(|i| ctx.emit("out", Value::Int(i)));
             }))
         });
-        for pe in stages {
+        for (h, pe) in stages.into_iter().enumerate() {
             let stage = stage.clone();
             exe.register(pe, move || {
                 let stage = stage.clone();
                 Box::new(FnTransform(
                     move |_: &str, v: Value, ctx: &mut dyn Context| {
-                        stage(v.as_int().expect("the source emits ints"));
+                        stage(h, v.as_int().expect("the source emits ints"));
                         ctx.emit("out", v);
                     },
                 ))
@@ -1011,7 +1111,7 @@ mod tests {
             }),
         ];
         for (door, run) in runs {
-            let (exe, count) = chain(2_000, 4, |_| {});
+            let (exe, count) = chain(2_000, 4, |_, _| {});
             let log = Log::default();
             let report = run(&exe, &ExecutionOptions::new(WORKERS), &log)
                 .unwrap_or_else(|e| panic!("{door}: {e}"));
@@ -1073,19 +1173,27 @@ mod tests {
 
     /// The early write: a PE whose tasks each outlast [`FLUSH_AFTER`] has
     /// every emission on the queue before the next task of the same popped
-    /// batch starts, as with a push per task.
+    /// batch starts, as with a push per task. Its emissions fan out, so
+    /// they are tasks, not inlined calls.
     #[test]
     fn slow_tasks_are_written_out_one_by_one() {
         let log = Log::default();
         let seen = log.clone();
-        let (exe, count) = chain(8, 1, move |i| {
-            seen.lock().push(Event::Started(i));
-            // sleep: simulated PE compute, well past FLUSH_AFTER.
-            std::thread::sleep(FLUSH_AFTER * 10);
+        let fan_out = [
+            ("s", "hop", Shuffle),
+            ("hop", "k1", Shuffle),
+            ("hop", "k2", Shuffle),
+        ];
+        let (exe, count) = shape(8, &fan_out, &[], move |pe, i| {
+            if pe == "hop" {
+                seen.lock().push(Event::Started(i));
+                // sleep: simulated PE compute, well past FLUSH_AFTER.
+                std::thread::sleep(FLUSH_AFTER * 10);
+            }
         });
         let queue = log.make("global", 1).expect("queue");
         run_dynamic(&exe, &ExecutionOptions::new(1), queue, "dyn_test", None).expect("run");
-        assert_eq!(count.load(SeqCst), 8);
+        assert_eq!(count.load(SeqCst), 16);
         let log = log.lock();
         let at = |wanted: &Event| log.iter().position(|e| e == wanted);
         assert!(
@@ -1094,14 +1202,314 @@ mod tests {
         );
         for i in 0..7 {
             // The source's burst carries all eight; the hop's own write of
-            // `i` is the single-payload one.
-            let written = at(&Event::Pushed(vec![i])).expect("the hop's emission is pushed");
+            // `i` carries its two copies.
+            let written = at(&Event::Pushed(vec![i, i])).expect("the hop's emission is pushed");
             let next = at(&Event::Started(i + 1)).expect("the next task runs");
             assert!(
                 written < next,
                 "emission {i} waited for task {}: {log:?}",
                 i + 1
             );
+        }
+    }
+
+    /// A PE whose calls outlast [`FLUSH_AFTER`] is called inline only until
+    /// a worker has seen [`SLOW_CALLS`] such calls: from then on its input is
+    /// a task, which an idle worker can take.
+    #[test]
+    fn a_slow_pe_is_not_called_inline() {
+        const ITEMS: usize = 20;
+        let (exe, count) = chain(ITEMS as i64, 2, |h, _| {
+            if h == 1 {
+                // sleep: simulated PE compute, past FLUSH_AFTER.
+                std::thread::sleep(FLUSH_AFTER * 2);
+            }
+        });
+        let log = Log::default();
+        let queue = log.make("global", 1).expect("queue");
+        run_dynamic(&exe, &ExecutionOptions::new(1), queue, "dyn_test", None).expect("run");
+        assert_eq!(count.load(SeqCst), ITEMS as u64);
+        // The kickoff, every item into hop0, and every item into hop1 but
+        // the first SLOW_CALLS; the sink is called inline.
+        let into_hop1 = ITEMS - usize::from(SLOW_CALLS);
+        assert_eq!(tasks_pushed(&log), 1 + ITEMS + into_hop1);
+    }
+
+    use Grouping::{Global, Shuffle};
+
+    /// A workflow over named PEs from its edges: `s` is the source and
+    /// emits `0..items`; every other PE calls `stage(name, payload)` and
+    /// passes the payload on, or, without successors, counts it into the
+    /// returned counter. The PEs named in `stateful` are declared stateful.
+    fn shape(
+        items: i64,
+        edges: &[(&str, &str, Grouping)],
+        stateful: &[&str],
+        stage: impl Fn(&str, i64) + Clone + Send + Sync + 'static,
+    ) -> (Executable, Arc<AtomicU64>) {
+        let mut names: Vec<&str> = vec!["s"];
+        for &(from, to, _) in edges {
+            for name in [from, to] {
+                if !names.contains(&name) {
+                    names.push(name);
+                }
+            }
+        }
+        let forwards = |name: &str| edges.iter().any(|&(from, _, _)| from == name);
+        let mut g = WorkflowGraph::new("shape");
+        let ids: Vec<PeId> = names
+            .iter()
+            .map(|&name| {
+                let spec = match name {
+                    "s" => PeSpec::source(name, "out"),
+                    _ if forwards(name) => PeSpec::transform(name, "in", "out"),
+                    _ => PeSpec::sink(name, "in"),
+                };
+                g.add_pe(if stateful.contains(&name) {
+                    spec.stateful()
+                } else {
+                    spec
+                })
+            })
+            .collect();
+        let id = |name: &str| ids[names.iter().position(|&n| n == name).expect("named")];
+        for (from, to, grouping) in edges {
+            g.connect(id(from), "out", id(to), "in", grouping.clone())
+                .expect("declared ports");
+        }
+        let mut exe = Executable::new(g).expect("a valid shape");
+        exe.register(id("s"), move || {
+            Box::new(FnSource(move |ctx: &mut dyn Context| {
+                (0..items).for_each(|i| ctx.emit("out", Value::Int(i)));
+            }))
+        });
+        let count = Arc::new(AtomicU64::new(0));
+        for &name in &names[1..] {
+            let (pe, sink) = (id(name), !forwards(name));
+            let (name, stage, count) = (name.to_string(), stage.clone(), count.clone());
+            exe.register(pe, move || {
+                let (name, stage, count) = (name.clone(), stage.clone(), count.clone());
+                Box::new(FnTransform(
+                    move |_: &str, v: Value, ctx: &mut dyn Context| {
+                        stage(&name, v.as_int().expect("the source emits ints"));
+                        match sink {
+                            true => drop(count.fetch_add(1, SeqCst)),
+                            false => ctx.emit("out", v),
+                        }
+                    },
+                ))
+            });
+        }
+        (exe.seal().expect("every PE registered"), count)
+    }
+
+    /// A staged chain is one queue trip per item: the source's emissions
+    /// are tasks, and the worker that pops one calls every hop after it
+    /// itself. The report still counts PE calls, as `simple` does, with one
+    /// latency sample per call.
+    #[test]
+    fn a_staged_chain_pushes_one_task_per_item() {
+        const ITEMS: i64 = 2_000;
+        let (exe, count) = chain(ITEMS, 3, |_, _| {});
+        let reference = Simple
+            .execute(&exe, &ExecutionOptions::new(1))
+            .expect("simple");
+        count.store(0, SeqCst);
+        for workers in [1, 3] {
+            let log = Log::default();
+            let queue = log.make("global", workers).expect("queue");
+            let opts = ExecutionOptions::new(workers);
+            let report = run_dynamic(&exe, &opts, queue, "dyn_test", None).expect("run");
+            assert_eq!(count.swap(0, SeqCst), ITEMS as u64, "{workers} worker(s)");
+            assert_eq!(
+                tasks_pushed(&log),
+                1 + ITEMS as usize,
+                "the kickoff and the items"
+            );
+            assert_eq!(report.per_pe_tasks, reference.per_pe_tasks);
+            assert_eq!(report.tasks_executed, 1 + 4 * ITEMS as u64);
+            assert_eq!(report.task_latency.count, report.tasks_executed);
+        }
+    }
+
+    /// Every hop staging does not fuse between two free PEs is a queue trip:
+    /// out of a source, into a group-by or global grouping or a `stateful()`
+    /// PE (a hybrid slot), out of a slot, at a fan-out and at a fan-in. On
+    /// each shape every PE call was a popped task.
+    #[test]
+    fn every_boundary_is_a_queue_trip() {
+        let group_by = || Grouping::group_by("k");
+        type Shape = (
+            &'static str,
+            Vec<(&'static str, &'static str, Grouping)>,
+            &'static [&'static str],
+        );
+        let shapes: [Shape; 7] = [
+            ("out of a source", vec![("s", "a", Shuffle)], &[]),
+            (
+                "group-by entry",
+                vec![("s", "a", Shuffle), ("a", "b", group_by())],
+                &[],
+            ),
+            (
+                "global entry",
+                vec![("s", "a", Shuffle), ("a", "b", Global)],
+                &[],
+            ),
+            (
+                "stateful PE",
+                vec![("s", "a", Shuffle), ("a", "b", Shuffle)],
+                &["b"],
+            ),
+            (
+                "out of a slot",
+                vec![
+                    ("s", "a", Shuffle),
+                    ("a", "b", group_by()),
+                    ("b", "c", Shuffle),
+                ],
+                &[],
+            ),
+            (
+                "fan-out",
+                vec![
+                    ("s", "a", Shuffle),
+                    ("a", "b", Shuffle),
+                    ("a", "c", Shuffle),
+                ],
+                &[],
+            ),
+            (
+                "fan-in",
+                vec![
+                    ("s", "a", Shuffle),
+                    ("s", "b", Shuffle),
+                    ("a", "c", Shuffle),
+                    ("b", "c", Shuffle),
+                ],
+                &[],
+            ),
+        ];
+        for (name, edges, stateful) in shapes {
+            let (exe, _) = shape(50, &edges, stateful, |_, _| {});
+            let log = Log::default();
+            let report = run_hybrid(&exe, &ExecutionOptions::new(4), &log, "hybrid_test")
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(report.failed_tasks, 0, "{name}");
+            assert_eq!(
+                tasks_pushed(&log) as u64,
+                report.tasks_executed,
+                "{name}: a call was not a task"
+            );
+        }
+    }
+
+    /// The fault hooks see inlined calls: the straggler delays each one, and
+    /// the pill storm's threshold counts calls — here one past the run's
+    /// tasks, so per task it would never fire. One worker pops its own
+    /// writes before the storm, so the storm's pills are drained with the
+    /// last tasks, before the run ends.
+    #[test]
+    fn fault_hooks_count_inlined_calls() {
+        const ITEMS: i64 = 2_000;
+        let tasks = 1 + ITEMS as u64;
+        let storm = FaultPlan::default().with_pill_storm(tasks + 1, 3);
+        let extra = Duration::from_millis(2);
+        let straggler = FaultPlan::default().with_straggler("hop2", extra);
+        for (plan, items) in [(storm, ITEMS), (straggler, 20)] {
+            let (exe, count) = chain(items, 3, |_, _| {});
+            let opts = ExecutionOptions::new(1);
+            let report =
+                run_hybrid_with_faults(&exe, &opts, &HybridMulti, "hybrid_test", None, &plan)
+                    .expect("run");
+            assert_eq!(count.load(SeqCst), items as u64);
+            if plan.pill_storm.is_some() {
+                let ignored = report.warnings.iter().any(|w| w.contains("spurious"));
+                assert!(ignored, "the storm fired: {:?}", report.warnings);
+            } else {
+                assert!(
+                    report.runtime >= extra * items as u32,
+                    "{:?}",
+                    report.runtime
+                );
+            }
+        }
+    }
+
+    /// A task is retired only after the calls inlined under it: the settle
+    /// that flushes a stateful stage cannot come while an item is still on
+    /// its way to it. source → a → b (inlined) → group-by counter, whose
+    /// `on_done` reports how many items it saw.
+    #[test]
+    fn a_stage_is_flushed_after_the_calls_inlined_before_it() {
+        const ITEMS: i64 = 40;
+        struct Counter(i64);
+        impl ProcessingElement for Counter {
+            fn process(&mut self, _: &str, _: Value, _: &mut dyn Context) {
+                self.0 += 1;
+            }
+            fn on_done(&mut self, ctx: &mut dyn Context) {
+                ctx.emit("out", Value::Int(self.0));
+            }
+        }
+        let mut g = WorkflowGraph::new("flush");
+        let s = g.add_pe(PeSpec::source("s", "out"));
+        let [a, b, k] = ["a", "b", "k"].map(|name| g.add_pe(PeSpec::transform(name, "in", "out")));
+        let out = g.add_pe(PeSpec::sink("out", "in"));
+        let key = Grouping::group_by("x");
+        for (from, to, grouping) in [
+            (s, a, Shuffle),
+            (a, b, Shuffle),
+            (b, k, key),
+            (k, out, Shuffle),
+        ] {
+            g.connect(from, "out", to, "in", grouping)
+                .expect("declared ports");
+        }
+        let mut exe = Executable::new(g).expect("valid");
+        exe.register(s, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                (0..ITEMS).for_each(|i| ctx.emit("out", Value::Int(i)));
+            }))
+        });
+        for hop in [a, b] {
+            exe.register(hop, || {
+                Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                    ctx.emit("out", v)
+                }))
+            });
+        }
+        exe.register(k, || Box::new(Counter(0)));
+        let (_, seen) = Collector::new();
+        let into = seen.clone();
+        exe.register(out, move || Box::new(Collector::into_handle(into.clone())));
+        let exe = exe.seal().expect("every PE registered");
+        for run in 0..20 {
+            run_hybrid(&exe, &ExecutionOptions::new(3), &HybridMulti, "hybrid_test").expect("run");
+            let counts = std::mem::take(&mut *seen.lock());
+            assert_eq!(counts, vec![Value::Int(ITEMS)], "run {run}");
+        }
+    }
+
+    /// An inlined call that panics loses its own item only: the task it
+    /// descends from is retired as usual and the run ends at quiescence.
+    #[test]
+    fn a_panicking_inlined_call_loses_only_its_item() {
+        const ITEMS: i64 = 200;
+        let (exe, count) = chain(ITEMS, 3, |h, i| {
+            assert!(h != 1 || i != 7, "injected: hop1 fails on 7");
+        });
+        for workers in [1, 2] {
+            count.store(0, SeqCst);
+            let log = Log::default();
+            let queue = log.make("global", workers).expect("queue");
+            let opts = ExecutionOptions::new(workers);
+            let report = run_dynamic(&exe, &opts, queue, "dyn_test", None).expect("run");
+            assert_eq!(report.failed_tasks, 1);
+            assert_eq!(count.load(SeqCst), ITEMS as u64 - 1);
+            assert_eq!(tasks_pushed(&log), 1 + ITEMS as usize);
+            let retried = report.warnings.iter().any(|w| w.contains("retry protocol"));
+            assert!(!retried, "ended at quiescence: {:?}", report.warnings);
         }
     }
 }

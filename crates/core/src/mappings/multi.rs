@@ -17,7 +17,7 @@ use crate::mapping::Mapping;
 use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::{process_guarded, EmitBuffer, ProcessingElement};
-use crate::routing::{Route, Router};
+use crate::routing::{Route, RouteTable, Router};
 use crate::task::KICKOFF_PORT;
 use crate::value::Value;
 use d4py_graph::{partition, InstanceId, PartitionPlan, PeId, WorkflowGraph};
@@ -74,18 +74,19 @@ impl Mapping for Multi {
         let senders = Arc::new(senders);
 
         let plan = Arc::new(plan);
+        let routes = Arc::new(RouteTable::new(graph));
         let mut handles = Vec::with_capacity(instances.len());
         for inst in instances.iter().copied() {
             let rx = receivers[inst.pe.0][inst.index]
                 .take()
                 .expect("receiver taken twice");
             let pe_impl = exe.instantiate(inst.pe)?;
-            let expected_pills = expected_pills(graph, &plan, inst.pe);
             let senders = senders.clone();
             let graph = exe.graph_arc();
             let plan = plan.clone();
+            let routes = routes.clone();
             handles.push(std::thread::spawn(move || {
-                instance_worker(inst, pe_impl, rx, expected_pills, &graph, &plan, &senders)
+                instance_worker(inst, pe_impl, rx, &graph, &plan, &routes, &senders)
             }));
         }
 
@@ -122,12 +123,13 @@ fn instance_worker(
     inst: InstanceId,
     mut pe_impl: Box<dyn ProcessingElement>,
     rx: Receiver<Msg>,
-    expected_pills: usize,
     graph: &WorkflowGraph,
     plan: &PartitionPlan,
+    routes: &RouteTable,
     senders: &[Vec<Sender<Msg>>],
 ) -> WorkerStats {
     let active_since = Instant::now();
+    let expected_pills = expected_pills(graph, plan, inst.pe);
     let mut stats = WorkerStats::new(graph.pe_count());
     let mut router = Router::new();
     let n_instances = plan.instances_of(inst.pe);
@@ -148,14 +150,14 @@ fn instance_worker(
     if is_source {
         // Sources receive a synthetic kickoff and emit their stream.
         let buf = guarded(&mut *pe_impl, KICKOFF_PORT, Value::Null, &mut stats);
-        deliver(graph, plan, inst.pe, buf, &mut router, senders);
+        deliver(routes, plan, inst.pe, buf, &mut router, senders);
     } else {
         let mut pills = 0usize;
         while pills < expected_pills {
             match rx.recv() {
                 Ok(Msg::Data(port, value)) => {
                     let buf = guarded(&mut *pe_impl, &port, value, &mut stats);
-                    deliver(graph, plan, inst.pe, buf, &mut router, senders);
+                    deliver(routes, plan, inst.pe, buf, &mut router, senders);
                 }
                 Ok(Msg::Pill) => pills += 1,
                 Err(_) => break, // all senders dropped: treat as complete
@@ -166,7 +168,7 @@ fn instance_worker(
     // Flush and propagate completion.
     let mut buf = EmitBuffer::new(inst.index, n_instances);
     pe_impl.on_done(&mut buf);
-    deliver(graph, plan, inst.pe, buf, &mut router, senders);
+    deliver(routes, plan, inst.pe, buf, &mut router, senders);
     for (_, conn) in graph.outgoing(inst.pe) {
         for tx in &senders[conn.to_pe.0] {
             let _ = tx.send(Msg::Pill);
@@ -182,7 +184,7 @@ fn instance_worker(
 /// `(PE, instance)` in emission order, so the per-producer FIFO each
 /// receiving instance observes is unchanged.
 fn deliver(
-    graph: &WorkflowGraph,
+    routes: &RouteTable,
     plan: &PartitionPlan,
     from: PeId,
     mut buf: EmitBuffer,
@@ -192,21 +194,21 @@ fn deliver(
     let mut batches: std::collections::HashMap<(usize, usize), Vec<Msg>> =
         std::collections::HashMap::new();
     for (port, value) in buf.drain() {
-        for (conn_id, conn) in graph.outgoing_from_port(from, &port) {
-            let n = plan.instances_of(conn.to_pe);
-            match router.route(conn_id, &conn.grouping, &value, n) {
+        for edge in routes.edges(from, &port) {
+            let n = plan.instances_of(edge.to_pe);
+            match router.route(edge.id, &edge.grouping, &value, n) {
                 Route::One(i) => {
                     batches
-                        .entry((conn.to_pe.0, i))
+                        .entry((edge.to_pe.0, i))
                         .or_default()
-                        .push(Msg::Data(conn.to_port.clone(), value.clone()));
+                        .push(Msg::Data(edge.to_port.clone(), value.clone()));
                 }
                 Route::All => {
-                    for i in 0..senders[conn.to_pe.0].len() {
+                    for i in 0..senders[edge.to_pe.0].len() {
                         batches
-                            .entry((conn.to_pe.0, i))
+                            .entry((edge.to_pe.0, i))
                             .or_default()
-                            .push(Msg::Data(conn.to_port.clone(), value.clone()));
+                            .push(Msg::Data(edge.to_port.clone(), value.clone()));
                     }
                 }
             }

@@ -13,7 +13,7 @@ use crate::mapping::Mapping;
 use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::EmitBuffer;
-use crate::routing::Router;
+use crate::routing::{RouteTable, Router};
 use crate::task::Task;
 
 use d4py_graph::PeId;
@@ -38,6 +38,7 @@ impl Mapping for Simple {
             .pe_ids()
             .map(|id| exe.instantiate(id))
             .collect::<Result<_, _>>()?;
+        let routes = RouteTable::new(graph);
         let mut router = Router::new();
         let mut queue: VecDeque<Task> = graph.sources().into_iter().map(Task::kickoff).collect();
         // The sequential mapping is the debugging engine: panics propagate
@@ -52,7 +53,7 @@ impl Mapping for Simple {
             let mut buf = EmitBuffer::new(0, 1);
             pes[task.pe.0].process(&task.port, task.value, &mut buf);
             stats.per_pe[task.pe.0] += 1;
-            route_emissions(graph, task.pe, buf, router, queue);
+            route_emissions(&routes, task.pe, buf, router, queue);
         };
 
         // Main stream.
@@ -65,7 +66,7 @@ impl Mapping for Simple {
         for id in graph.topological_order()? {
             let mut buf = EmitBuffer::new(0, 1);
             pes[id.0].on_done(&mut buf);
-            route_emissions(graph, id, buf, &mut router, &mut queue);
+            route_emissions(&routes, id, buf, &mut router, &mut queue);
             while let Some(task) = queue.pop_front() {
                 run_task(task, &mut pes, &mut router, &mut queue);
             }
@@ -78,18 +79,18 @@ impl Mapping for Simple {
 }
 
 fn route_emissions(
-    graph: &d4py_graph::WorkflowGraph,
+    routes: &RouteTable,
     from: PeId,
     mut buf: EmitBuffer,
     router: &mut Router,
     queue: &mut VecDeque<Task>,
 ) {
     for (port, value) in buf.drain() {
-        for (conn_id, conn) in graph.outgoing_from_port(from, &port) {
+        for edge in routes.edges(from, &port) {
             // One instance per PE: routing is needed only to consume the
             // round-robin state consistently; the target is always 0.
-            let _ = router.route(conn_id, &conn.grouping, &value, 1);
-            queue.push_back(Task::new(conn.to_pe, conn.to_port.clone(), value.clone()));
+            let _ = router.route(edge.id, &edge.grouping, &value, 1);
+            queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value.clone()));
         }
     }
 }

@@ -205,7 +205,10 @@ pub struct RunReport {
     pub process_time: Duration,
     /// Worker pool size the run was configured with.
     pub workers: usize,
-    /// Total data items processed across all PEs (kick-offs included).
+    /// PE calls made across all PEs, kick-offs included: one per data item
+    /// a PE processed. Under the dynamic family a call is a queue task or a
+    /// staged hop called inline by the worker that made its input; both
+    /// count.
     pub tasks_executed: u64,
     /// Auto-scaler decision series (empty for non-auto-scaling mappings).
     pub scaling_trace: Vec<TracePoint>,
@@ -222,7 +225,8 @@ pub struct RunReport {
     /// operator reads to find the bottleneck.
     pub per_pe_tasks: Vec<(String, u64)>,
     /// Per-task service-time quantiles (time inside `process()`, queue wait
-    /// excluded), one sample per executed task. Populated by the
+    /// and the calls it made inline excluded), one sample per PE call
+    /// counted in `tasks_executed`. Populated by the
     /// dynamic-family engines (`dyn_*` and `hybrid_*`); `simple` and
     /// `multi` leave it empty.
     pub task_latency: LatencySummary,

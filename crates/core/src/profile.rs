@@ -12,6 +12,7 @@ use crate::codec::encode_value;
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::pe::EmitBuffer;
+use crate::routing::RouteTable;
 use crate::task::Task;
 use d4py_graph::optimize::ExecutionProfile;
 use d4py_graph::PeId;
@@ -46,6 +47,7 @@ pub fn profile_workflow(
     model: CommCostModel,
 ) -> Result<ExecutionProfile, CoreError> {
     let graph = exe.graph();
+    let routes = RouteTable::new(graph);
     let mut pes: Vec<_> = graph
         .pe_ids()
         .map(|id| exe.instantiate(id))
@@ -66,14 +68,14 @@ pub fn profile_workflow(
 
         for (port, value) in buf.drain() {
             let bytes = encode_value(&value).len() as u32;
-            for (_, conn) in graph.outgoing_from_port(task.pe, &port) {
+            for edge in routes.edges(task.pe, &port) {
                 let cost = model.per_message + model.per_byte * bytes;
                 let slot = comm_total
-                    .entry((task.pe, conn.to_pe))
+                    .entry((task.pe, edge.to_pe))
                     .or_insert((Duration::ZERO, 0));
                 slot.0 += cost;
                 slot.1 += 1;
-                queue.push_back(Task::new(conn.to_pe, conn.to_port.clone(), value.clone()));
+                queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value.clone()));
             }
         }
     }

@@ -9,9 +9,12 @@
 //! * `GroupBy(fields)` — stable hash of the extracted key, modulo instances;
 //! * `Global` — always instance 0;
 //! * `OneToAll` — every instance.
+//!
+//! Which connections an emission travels is read from a [`RouteTable`],
+//! compiled once per run from the graph by every mapping.
 
 use crate::value::Value;
-use d4py_graph::{ConnectionId, Grouping};
+use d4py_graph::{Connection, ConnectionId, Grouping, PeId, WorkflowGraph};
 use std::collections::HashMap;
 
 /// The delivery target(s) for one item on one connection.
@@ -64,6 +67,68 @@ impl Router {
             Grouping::Global => Route::One(0),
             Grouping::OneToAll => Route::All,
         }
+    }
+}
+
+/// One connection as a mapping routes over it.
+#[derive(Debug)]
+pub(crate) struct Edge {
+    pub id: ConnectionId,
+    pub to_pe: PeId,
+    pub to_port: String,
+    pub grouping: Grouping,
+    /// The dynamic-family engine calls the target in the emitting call's
+    /// worker, without a queue trip (DESIGN.md §5, "staged hops").
+    pub inline: bool,
+}
+
+/// Every PE's outgoing connections, per output port: what an emission
+/// travels, looked up by `(PE, port)` instead of a scan of the graph's
+/// connections per emission.
+#[derive(Debug)]
+pub(crate) struct RouteTable {
+    /// Per PE: its connected output ports, each with its edges in
+    /// connection order.
+    ports: Vec<Vec<(String, Vec<Edge>)>>,
+}
+
+impl RouteTable {
+    /// The table of `graph`, no edge inline.
+    pub(crate) fn new(graph: &WorkflowGraph) -> Self {
+        Self::with_inline(graph, |_| false)
+    }
+
+    /// The table of `graph`, with the connections `inline` selects marked.
+    pub(crate) fn with_inline(graph: &WorkflowGraph, inline: impl Fn(&Connection) -> bool) -> Self {
+        let mut ports: Vec<Vec<(String, Vec<Edge>)>> = graph.pe_ids().map(|_| Vec::new()).collect();
+        for (i, c) in graph.connections().iter().enumerate() {
+            let edge = Edge {
+                id: ConnectionId(i),
+                to_pe: c.to_pe,
+                to_port: c.to_port.clone(),
+                grouping: c.grouping.clone(),
+                inline: inline(c),
+            };
+            let from = &mut ports[c.from_pe.0];
+            match from.iter_mut().find(|(port, _)| *port == c.from_port) {
+                Some((_, edges)) => edges.push(edge),
+                None => from.push((c.from_port.clone(), vec![edge])),
+            }
+        }
+        Self { ports }
+    }
+
+    /// The edges an emission on `port` of `pe` travels, in connection
+    /// order; empty when the port is not connected.
+    pub(crate) fn edges(&self, pe: PeId, port: &str) -> &[Edge] {
+        let found = self.ports[pe.0].iter().find(|(p, _)| p == port);
+        found.map_or(&[], |(_, edges)| edges)
+    }
+
+    /// True if `pe` has a connected output port: what it emits on any
+    /// other port goes nowhere.
+    pub(crate) fn has_outgoing(&self, pe: PeId) -> bool {
+        !self.ports[pe.0].is_empty()
     }
 }
 
@@ -179,5 +244,26 @@ mod tests {
                 Route::One(0)
             );
         }
+    }
+
+    #[test]
+    fn route_table_lists_a_ports_edges_in_connection_order() {
+        use d4py_graph::PeSpec;
+        let mut g = WorkflowGraph::new("t");
+        let s = g.add_pe(PeSpec::source("s", "out"));
+        let a = g.add_pe(PeSpec::sink("a", "in"));
+        let b = g.add_pe(PeSpec::sink("b", "in"));
+        g.connect(s, "out", b, "in", Grouping::Shuffle).unwrap();
+        g.connect(s, "out", a, "in", Grouping::Global).unwrap();
+        let table = RouteTable::with_inline(&g, |c| c.to_pe == a);
+        let edges = table.edges(s, "out");
+        let shape: Vec<_> = edges.iter().map(|e| (e.id, e.to_pe, e.inline)).collect();
+        assert_eq!(
+            shape,
+            [(ConnectionId(0), b, false), (ConnectionId(1), a, true)]
+        );
+        assert!(table.edges(s, "other").is_empty());
+        assert!(table.has_outgoing(s));
+        assert!(!table.has_outgoing(a));
     }
 }

@@ -194,10 +194,12 @@ impl Mapping for HybridRedis {
 mod tests {
     use super::*;
     use d4py_core::pe::{Collector, Context, FnSource, FnTransform, ProcessingElement};
+    use d4py_core::task::QueueItem;
     use d4py_core::value::Value;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
     use redis_lite::server::Server;
     use std::collections::HashMap;
+    use std::time::Duration;
 
     /// source → `+1000` stage taking `stage_time` per item → collector.
     fn stateless_exe(
@@ -241,6 +243,94 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (1000..1050).collect::<Vec<_>>());
         assert_eq!(report.mapping, "dyn_redis");
+    }
+
+    /// A [`RedisQueue`] that counts the task items written to its stream.
+    struct Counted {
+        inner: RedisQueue,
+        tasks: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counted {
+        fn count(&self, items: &[QueueItem]) {
+            let tasks = items.iter().filter(|i| matches!(i, QueueItem::Task(_)));
+            self.tasks.fetch_add(tasks.count(), Ordering::SeqCst);
+        }
+    }
+
+    impl TaskQueue for Counted {
+        fn push(&self, item: QueueItem) -> Result<(), CoreError> {
+            self.count(std::slice::from_ref(&item));
+            self.inner.push(item)
+        }
+        fn pop(&self, consumer: usize, timeout: Duration) -> Result<Option<QueueItem>, CoreError> {
+            self.inner.pop(consumer, timeout)
+        }
+        fn push_batch(&self, from: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
+            self.count(&items);
+            self.inner.push_batch(from, items)
+        }
+        fn pop_batch(
+            &self,
+            consumer: usize,
+            max: usize,
+            timeout: Duration,
+        ) -> Result<Vec<QueueItem>, CoreError> {
+            self.inner.pop_batch(consumer, max, timeout)
+        }
+        fn depth(&self) -> usize {
+            self.inner.depth()
+        }
+    }
+
+    /// source → three pass-through hops → collector: one stream entry per
+    /// item (and the kickoff), the hops after the first being called by the
+    /// worker that popped it.
+    #[test]
+    fn a_staged_chain_puts_one_stream_entry_per_item() {
+        const ITEMS: i64 = 300;
+        let mut g = WorkflowGraph::new("chain");
+        let mut prev = g.add_pe(PeSpec::source("s", "out"));
+        let source = prev;
+        let mut hops = Vec::new();
+        for h in 0..3 {
+            let hop = g.add_pe(PeSpec::transform(format!("hop{h}"), "in", "out"));
+            g.connect(prev, "out", hop, "in", Grouping::Shuffle)
+                .unwrap();
+            hops.push(hop);
+            prev = hop;
+        }
+        let sink = g.add_pe(PeSpec::sink("sink", "in"));
+        g.connect(prev, "out", sink, "in", Grouping::Shuffle)
+            .unwrap();
+        let (_, results) = Collector::new();
+        let into = results.clone();
+        let mut exe = Executable::new(g).unwrap();
+        exe.register(source, || {
+            Box::new(FnSource(|ctx: &mut dyn Context| {
+                (0..ITEMS).for_each(|i| ctx.emit("out", Value::Int(i)));
+            }))
+        });
+        for hop in hops {
+            exe.register(hop, || {
+                Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                    ctx.emit("out", v)
+                }))
+            });
+        }
+        exe.register(sink, move || Box::new(Collector::into_handle(into.clone())));
+        let exe = exe.seal().unwrap();
+        for workers in [1, 3] {
+            let inner = RedisQueue::new(&RedisBackend::in_proc(), fresh_key("t"), workers).unwrap();
+            let tasks = std::sync::atomic::AtomicUsize::new(0);
+            let queue = Arc::new(Counted { inner, tasks });
+            let opts = ExecutionOptions::new(workers);
+            let report = run_dynamic(&exe, &opts, queue.clone(), "dyn_redis", None).unwrap();
+            assert_eq!(std::mem::take(&mut *results.lock()).len(), ITEMS as usize);
+            assert_eq!(queue.tasks.load(Ordering::SeqCst), 1 + ITEMS as usize);
+            assert_eq!(report.tasks_executed, 1 + 4 * ITEMS as u64);
+            assert_eq!(report.task_latency.count, report.tasks_executed);
+        }
     }
 
     #[test]

@@ -101,9 +101,11 @@ grep -q '"failed": 0,' <<<"$benchmark_summary" \
 
 # A count gate, not a timing gate: on the redis path the unit of queue
 # traffic is the popped batch (one read carrying the previous batch's XDEL,
-# one pipelined write), so a traced chain9_redis run makes ~0.06 round trips
-# per task on any machine. One round trip per task — a push per emission, a
-# second trip per pop — reads ~1.0 and fails here.
+# one pipelined write), and the chain's nine hops after the source are
+# called inline, so a traced chain9_redis run makes ~0.0065 round trips per
+# PE call (five runs on 2 cores read 0.0063-0.0065; the bound is three times
+# the worst). Queueing every hop again reads ~0.06, and one round trip per
+# task — a push per emission, a second trip per pop — reads ~1.0.
 redis_summary="$(cargo run --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml -- run --quick --seconds 2 \
     --workload chain9_redis --trace \
@@ -114,8 +116,8 @@ grep -q '"failed": 0,' <<<"$redis_summary" \
 round_trips="$(sed -n \
     's/.*"redis\.client\.round_trips_per_task": {"value": \([0-9.eE+-]*\).*/\1/p' \
     <<<"$redis_summary")"
-awk -v x="$round_trips" 'BEGIN { exit !(x != "" && x + 0 < 0.25) }' \
-    || { echo "verify: FAIL — chain9_redis round_trips_per_task = '$round_trips', want < 0.25" >&2; exit 1; }
+awk -v x="$round_trips" 'BEGIN { exit !(x != "" && x + 0 < 0.0195) }' \
+    || { echo "verify: FAIL — chain9_redis round_trips_per_task = '$round_trips', want < 0.0195" >&2; exit 1; }
 
 # A second count on the same run: a strict dynamic run ends at the settle
 # that takes `outstanding` to zero, so it polls an empty stream only while

@@ -53,15 +53,21 @@ impl Fingerprint {
     }
 }
 
-/// source (`0..items`) → `x * 3 + 1` → fingerprinting sink.
-fn long_chain(items: i64) -> (Executable, Arc<Fingerprint>) {
+/// source (`0..items`) → `steps` × `x * 3 + 1` → fingerprinting sink.
+fn long_chain(items: i64, steps: usize) -> (Executable, Arc<Fingerprint>) {
     let mut g = WorkflowGraph::new("long");
     let src = g.add_pe(PeSpec::source("source", "out"));
-    let step = g.add_pe(PeSpec::transform("step", "in", "out"));
+    let mut prev = src;
+    let mut stages = Vec::new();
+    for i in 0..steps {
+        let step = g.add_pe(PeSpec::transform(format!("step{i}"), "in", "out"));
+        g.connect(prev, "out", step, "in", Grouping::Shuffle)
+            .unwrap();
+        stages.push(step);
+        prev = step;
+    }
     let sink = g.add_pe(PeSpec::sink("sink", "in"));
-    g.connect(src, "out", step, "in", Grouping::Shuffle)
-        .unwrap();
-    g.connect(step, "out", sink, "in", Grouping::Shuffle)
+    g.connect(prev, "out", sink, "in", Grouping::Shuffle)
         .unwrap();
     let seen = Arc::new(Fingerprint::default());
     let mut exe = Executable::new(g).unwrap();
@@ -70,11 +76,13 @@ fn long_chain(items: i64) -> (Executable, Arc<Fingerprint>) {
             (0..items).for_each(|i| ctx.emit("out", Value::Int(i)));
         }))
     });
-    exe.register(step, || {
-        Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
-            ctx.emit("out", Value::Int(v.as_int().unwrap() * 3 + 1));
-        }))
-    });
+    for step in stages {
+        exe.register(step, || {
+            Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                ctx.emit("out", Value::Int(v.as_int().unwrap() * 3 + 1));
+            }))
+        });
+    }
     let sink_seen = seen.clone();
     exe.register(sink, move || {
         let seen = sink_seen.clone();
@@ -90,38 +98,43 @@ fn long_chain(items: i64) -> (Executable, Arc<Fingerprint>) {
 /// At the parent commit every emission of the source was queued at once:
 /// `peak_outstanding` equalled the stream length. Now the source runs at
 /// most its credit ahead, plus one write of its own and one popped batch
-/// per worker that the helping source cannot reach.
+/// per worker that the helping source cannot reach — also when each of its
+/// items drives a nine-step chain, whose steps are called inline by the
+/// worker that pops the item.
 #[test]
 fn a_long_stream_stays_within_the_credit() {
     let items = stream_len();
-    let (exe, seen) = long_chain(items);
-    Simple.execute(&exe, &ExecutionOptions::new(1)).unwrap();
-    let reference = seen.read();
-    assert_eq!(reference[0], items as u64);
-    for workers in [1, 2] {
-        for mapping in engines() {
-            let (exe, seen) = long_chain(items);
-            let report = mapping
-                .execute(&exe, &ExecutionOptions::new(workers))
-                .unwrap();
-            let name = format!("{} × {workers}", mapping.name());
-            assert_eq!(
-                seen.read(),
-                reference,
-                "{name}: output differs from simple's"
-            );
-            assert_eq!(report.failed_tasks, 0, "{name}");
-            let bound = CREDIT + EMIT_KEEP + POP_BATCH * workers;
-            println!(
-                "{name}: {items} items, peak_outstanding {} (bound {bound}), {:.0?}",
-                report.peak_outstanding, report.runtime
-            );
-            assert!(
-                report.peak_outstanding <= bound,
-                "{name}: {} tasks outstanding at the peak, bound {bound}",
-                report.peak_outstanding
-            );
-            assert!(report.peak_outstanding > 0, "{name}: the engine counts");
+    for steps in [1, 9] {
+        let (exe, seen) = long_chain(items, steps);
+        let simple = Simple.execute(&exe, &ExecutionOptions::new(1)).unwrap();
+        let reference = seen.read();
+        assert_eq!(reference[0], items as u64);
+        for workers in [1, 2] {
+            for mapping in engines() {
+                let (exe, seen) = long_chain(items, steps);
+                let report = mapping
+                    .execute(&exe, &ExecutionOptions::new(workers))
+                    .unwrap();
+                let name = format!("{} × {workers}, {steps} step(s)", mapping.name());
+                assert_eq!(
+                    seen.read(),
+                    reference,
+                    "{name}: output differs from simple's"
+                );
+                assert_eq!(report.failed_tasks, 0, "{name}");
+                assert_eq!(report.per_pe_tasks, simple.per_pe_tasks, "{name}");
+                let bound = CREDIT + EMIT_KEEP + POP_BATCH * workers;
+                println!(
+                    "{name}: {items} items, peak_outstanding {} (bound {bound}), {:.0?}",
+                    report.peak_outstanding, report.runtime
+                );
+                assert!(
+                    report.peak_outstanding <= bound,
+                    "{name}: {} tasks outstanding at the peak, bound {bound}",
+                    report.peak_outstanding
+                );
+                assert!(report.peak_outstanding > 0, "{name}: the engine counts");
+            }
         }
     }
 }
@@ -140,46 +153,65 @@ fn wait_for(flag: &AtomicBool, limit: Duration) -> bool {
 
 /// The sink's first call happens while the source's `process()` is still
 /// running: the source emits past its credit (so a one-worker run must
-/// help), then waits for the sink and asserts it came. At the parent the
-/// source's stream reached the queue only when it returned, so the wait
-/// ran out instead.
+/// help), then waits for the sink and asserts it came — straight into the
+/// sink, and through a nine-step chain whose steps are inlined calls. At
+/// the parent the source's stream reached the queue only when it
+/// returned, so the wait ran out instead.
 #[test]
 fn the_first_result_arrives_before_the_source_returns() {
-    for workers in [1, 2] {
-        for mapping in engines() {
-            let name = format!("{} × {workers}", mapping.name());
-            let reached = Arc::new(AtomicBool::new(false));
-            let mut g = WorkflowGraph::new("first");
-            let src = g.add_pe(PeSpec::source("source", "out"));
-            let sink = g.add_pe(PeSpec::sink("sink", "in"));
-            g.connect(src, "out", sink, "in", Grouping::Shuffle)
-                .unwrap();
-            let mut exe = Executable::new(g).unwrap();
-            let (waits, label) = (reached.clone(), name.clone());
-            exe.register(src, move || {
-                let (reached, name) = (waits.clone(), label.clone());
-                Box::new(FnSource(move |ctx: &mut dyn Context| {
-                    for i in 0..(CREDIT + 2 * EMIT_KEEP) as i64 {
-                        ctx.emit("out", Value::Int(i));
-                    }
-                    let came = wait_for(&reached, Duration::from_secs(5));
-                    assert!(came, "{name}: no sink call while the source ran");
-                }))
-            });
-            let marks = reached.clone();
-            exe.register(sink, move || {
-                let reached = marks.clone();
-                Box::new(FnTransform(
-                    move |_: &str, _: Value, _: &mut dyn Context| {
-                        reached.store(true, SeqCst);
-                    },
-                ))
-            });
-            let exe = exe.seal().unwrap();
-            let report = mapping
-                .execute(&exe, &ExecutionOptions::new(workers))
-                .unwrap();
-            assert_eq!(report.failed_tasks, 0, "{name}: the source's wait failed");
+    for steps in [0, 9] {
+        for workers in [1, 2] {
+            for mapping in engines() {
+                let name = format!("{} × {workers}, {steps} step(s)", mapping.name());
+                let reached = Arc::new(AtomicBool::new(false));
+                let mut g = WorkflowGraph::new("first");
+                let src = g.add_pe(PeSpec::source("source", "out"));
+                let mut prev = src;
+                let mut stages = Vec::new();
+                for i in 0..steps {
+                    let step = g.add_pe(PeSpec::transform(format!("step{i}"), "in", "out"));
+                    g.connect(prev, "out", step, "in", Grouping::Shuffle)
+                        .unwrap();
+                    stages.push(step);
+                    prev = step;
+                }
+                let sink = g.add_pe(PeSpec::sink("sink", "in"));
+                g.connect(prev, "out", sink, "in", Grouping::Shuffle)
+                    .unwrap();
+                let mut exe = Executable::new(g).unwrap();
+                let (waits, label) = (reached.clone(), name.clone());
+                exe.register(src, move || {
+                    let (reached, name) = (waits.clone(), label.clone());
+                    Box::new(FnSource(move |ctx: &mut dyn Context| {
+                        for i in 0..(CREDIT + 2 * EMIT_KEEP) as i64 {
+                            ctx.emit("out", Value::Int(i));
+                        }
+                        let came = wait_for(&reached, Duration::from_secs(5));
+                        assert!(came, "{name}: no sink call while the source ran");
+                    }))
+                });
+                for step in stages {
+                    exe.register(step, || {
+                        Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+                            ctx.emit("out", v)
+                        }))
+                    });
+                }
+                let marks = reached.clone();
+                exe.register(sink, move || {
+                    let reached = marks.clone();
+                    Box::new(FnTransform(
+                        move |_: &str, _: Value, _: &mut dyn Context| {
+                            reached.store(true, SeqCst);
+                        },
+                    ))
+                });
+                let exe = exe.seal().unwrap();
+                let report = mapping
+                    .execute(&exe, &ExecutionOptions::new(workers))
+                    .unwrap();
+                assert_eq!(report.failed_tasks, 0, "{name}: the source's wait failed");
+            }
         }
     }
 }

@@ -42,6 +42,40 @@ fn poisoned_exe(items: i64, poison_every: i64) -> (Executable, Arc<AtomicU64>) {
     (exe.seal().unwrap(), count)
 }
 
+/// source emits 0..N; the middle PE fans each item out to two sinks that
+/// count into one counter, so what it emits is written out as tasks (a
+/// staged hop into a single sink would be called inline instead).
+fn fanned_out_exe(items: i64) -> (Executable, Arc<AtomicU64>) {
+    let mut g = WorkflowGraph::new("fan-out");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let b = g.add_pe(PeSpec::transform("b", "in", "out"));
+    let sinks = [
+        g.add_pe(PeSpec::sink("c", "in")),
+        g.add_pe(PeSpec::sink("d", "in")),
+    ];
+    g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+    for sink in sinks {
+        g.connect(b, "out", sink, "in", Grouping::Shuffle).unwrap();
+    }
+    let (_, count) = CountingSink::new();
+    let mut exe = Executable::new(g).unwrap();
+    exe.register(a, move || {
+        Box::new(FnSource(move |ctx: &mut dyn Context| {
+            (0..items).for_each(|i| ctx.emit("out", Value::Int(i)));
+        }))
+    });
+    exe.register(b, || {
+        Box::new(FnTransform(|_: &str, v: Value, ctx: &mut dyn Context| {
+            ctx.emit("out", v)
+        }))
+    });
+    for sink in sinks {
+        let n = count.clone();
+        exe.register(sink, move || Box::new(CountingSink::into_handle(n.clone())));
+    }
+    (exe.seal().unwrap(), count)
+}
+
 #[test]
 fn dyn_multi_survives_poisoned_records() {
     let (exe, count) = poisoned_exe(50, 10);
@@ -186,7 +220,7 @@ fn must_return(run: impl FnOnce() -> Result<RunReport, CoreError> + Send + 'stat
 fn dynamic_run_returns_when_a_worker_dies_holding_a_task() {
     // The source's burst is the first `push_batch`; the second is a worker
     // writing out the emissions of the batch it popped.
-    let (exe, count) = poisoned_exe(50, 0);
+    let (exe, count) = fanned_out_exe(50);
     let queue = FailingPush::nth(Arc::new(WorkStealQueue::new(4)), 2);
     let q = queue.clone();
     let err =
@@ -197,7 +231,7 @@ fn dynamic_run_returns_when_a_worker_dies_holding_a_task() {
     let lost = queue.lost.load(Ordering::SeqCst);
     assert!(lost >= 1, "the failing write carried the worker's buffer");
     assert!(
-        count.load(Ordering::Relaxed) + lost <= 50,
+        count.load(Ordering::Relaxed) + lost <= 2 * 50,
         "an aborted run must not deliver the dead worker's unwritten emissions"
     );
 }
@@ -214,7 +248,7 @@ fn hybrid_run_returns_when_a_worker_dies_holding_a_task() {
             })
         }
     }
-    let (exe, _) = poisoned_exe(50, 0);
+    let (exe, _) = fanned_out_exe(50);
     let err = must_return(move || run_hybrid(&exe, &ExecutionOptions::new(4), &Factory, "hybrid"));
     assert!(matches!(err, CoreError::Queue(_)), "unexpected: {err}");
 }
