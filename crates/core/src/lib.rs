@@ -6,10 +6,10 @@
 //! ([`routing`]), the evaluation metrics ([`metrics`]), platform simulation
 //! ([`platform`], [`workload`]), and the non-Redis mappings
 //! ([`mappings`]): `simple`, `multi`, `dyn_multi`, `dyn_auto_multi`,
-//! `hybrid_multi`. The dynamic family (`dyn_*`, `hybrid_*`) is one engine
-//! core behind two front doors ([`mappings::dynamic`],
-//! [`mappings::hybrid`]) that the Redis mappings (crate `d4py-redis`) plug
-//! their queues into.
+//! `hybrid_multi`. All but `simple` are one engine core behind three front
+//! doors ([`mappings::multi`], [`mappings::dynamic`], [`mappings::hybrid`]);
+//! the Redis mappings (crate `d4py-redis`) plug their queues into the last
+//! two.
 //!
 //! The auto-scaler of the paper's Algorithm 1 lives in [`autoscale`].
 //!

@@ -3,7 +3,8 @@
 //! A mapping translates an abstract workflow into a concrete execution on
 //! some substrate (Figure 1 of the paper). Mappings in this crate:
 //! [`Simple`](crate::mappings::simple::Simple) (sequential),
-//! [`Multi`](crate::mappings::multi::Multi) (static multiprocessing),
+//! [`Multi`](crate::mappings::multi::Multi) (static multiprocessing: every
+//! instance pinned),
 //! [`DynMulti`](crate::mappings::dynamic::DynMulti) (dynamic scheduling),
 //! and [`DynAutoMulti`](crate::mappings::dynamic::DynAutoMulti)
 //! (dynamic scheduling + auto-scaling). The Redis-backed mappings live in

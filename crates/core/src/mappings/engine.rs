@@ -1,24 +1,26 @@
-//! The engine core of the dynamic family (DESIGN.md §5).
+//! The engine core of every mapping but `simple` (DESIGN.md §5).
 //!
-//! Dynamic scheduling, auto-scaling and hybrid scheduling are one idea —
-//! workers pull `(PE, data)` tasks from a queue and push what the PE emits
-//! back — under different *placements*: a global queue with a pool of
-//! workers, plus zero or more [`Slot`]s. The front doors
-//! ([`super::dynamic`], [`super::hybrid`]) build the placement; the worker
-//! loop, task execution, routing, termination, the fault hooks of
-//! [`crate::fault`] and the worker-local statistics are here, once.
+//! Static multiprocessing, dynamic scheduling, auto-scaling and hybrid
+//! scheduling are one idea — workers pull `(PE, data)` tasks from a queue
+//! and push what the PE emits back — under different *placements*: a global
+//! queue with a pool of workers, plus zero or more [`Slot`]s. The front
+//! doors ([`super::multi`], [`super::dynamic`], [`super::hybrid`]) build the
+//! placement; the worker loop, task execution, routing, termination, the
+//! fault hooks of [`crate::fault`] and the worker-local statistics are
+//! here, once.
 //!
 //! A run ends by one rule, taken by the worker whose settle leaves the
 //! outstanding-task count at zero ([`Engine::at_zero`]): it flushes the next
-//! stateful stage — a pinned PE's slots, in topological order — whose
-//! Flushes are counted like tasks, so their `on_done` work drives the next
+//! stage — a pinned PE's slots, in topological order — whose Flushes are
+//! counted like tasks, so their `on_done` work drives the next
 //! zero-crossing; once no stage is left, it sends the pills. A plan with
 //! slots trusts the count; one without ends there only in strict mode while
 //! the count is exact, and otherwise by §3.2.3's retries in the worker loop.
 //!
 //! A worker is the [`Context`] of every PE call it makes: what the PE emits
 //! is written out while it runs, and a source that gets [`CREDIT`] tasks
-//! ahead has its own worker run queued tasks before it emits more.
+//! ahead stops emitting: a pool worker runs queued tasks itself, a slot
+//! worker waits for the other workers to run them.
 //!
 //! A hop that staging (§2.2, [`d4py_graph::optimize::staging`]) puts inside
 //! one cluster, between two PEs no slot pins, is not a task: the worker
@@ -48,6 +50,7 @@ use crate::task::{QueueItem, Task, KICKOFF_PORT};
 use crate::value::Value;
 use d4py_graph::optimize::staging;
 use d4py_graph::PeId;
+use d4py_sync::{Condvar, Mutex};
 use std::ops::Range;
 use std::sync::atomic::Ordering::{self, SeqCst};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
@@ -90,14 +93,14 @@ const EMIT_KEEP: usize = 64;
 const CLOCK_EVERY: usize = 8;
 
 /// Tasks a source may have outstanding before its worker stops emitting
-/// and runs queued tasks itself until half of them are gone (DESIGN.md §5,
-/// "bounded sources"). Large enough that a chain's workers never starve
-/// between two helping rounds; small enough to keep a stream's footprint
-/// in the megabytes.
+/// until half of them are gone: a pool worker runs queued tasks itself, a
+/// slot worker waits (DESIGN.md §5, "bounded sources"). Large enough that
+/// a chain's workers never starve between two rounds; small enough to
+/// keep a stream's footprint in the megabytes.
 const CREDIT: usize = 4096;
 
-/// A stateful PE instance pinned to a dedicated worker with a private
-/// queue. A plan's slots are sorted by `(pe, instance)`.
+/// A PE instance pinned to a dedicated worker with a private queue. A
+/// plan's slots are sorted by `(pe, instance)`.
 pub(crate) struct Slot {
     pub pe: PeId,
     pub instance: usize,
@@ -140,7 +143,7 @@ struct Engine<'a> {
     /// re-delivered task was retired twice). Stored before the retry, so
     /// before a duplicate can be retired; zero no longer ends the run.
     inexact: AtomicBool,
-    /// The stateful stages: per pinned PE, in topological order, its slots.
+    /// The stages: per pinned PE, in topological order, its slots.
     stages: Vec<Range<usize>>,
     /// Stages flushed so far; one past the last, the pills were sent.
     next_stage: AtomicUsize,
@@ -149,6 +152,10 @@ struct Engine<'a> {
     shutdown: AtomicBool,
     /// A worker failed: shut down without waiting for quiescence.
     aborted: AtomicBool,
+    /// Where a slot worker whose source is a credit ahead waits: the settle
+    /// that takes `outstanding` to half the credit, and an abort, notify.
+    credit: Mutex<()>,
+    credit_freed: Condvar,
     scaler: Option<AutoScaler>,
     /// Fault hook: the straggling PE and its extra service time.
     straggler: Option<(PeId, Duration)>,
@@ -234,7 +241,7 @@ impl<'a> Engine<'a> {
                 let target = |s: &Slot| s.pe == pe && s.instance == c.instance;
                 let slot = plan.slots.iter().position(target).ok_or_else(|| {
                     CoreError::InvalidOptions(format!(
-                        "crash fault targets '{}'#{} which is not a pinned stateful instance",
+                        "crash fault targets '{}'#{} which is not a pinned instance",
                         c.pe, c.instance
                     ))
                 })?;
@@ -264,6 +271,8 @@ impl<'a> Engine<'a> {
             next_stage: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             aborted: AtomicBool::new(false),
+            credit: Mutex::new(()),
+            credit_freed: Condvar::new(),
             scaler,
             straggler,
             crash,
@@ -364,7 +373,7 @@ impl<'a> Engine<'a> {
 
     /// A settle left `outstanding` at zero with no children: nothing is
     /// queued, held or buffered anywhere, and nothing can be again. Flushes
-    /// the next stateful stage — counted before the push, like any task, so
+    /// the next stage — counted before the push, like any task, so
     /// the stage's `on_done` work drives the next zero-crossing — or, past
     /// the last one, ends the run. A plan with slots ends here whatever
     /// `strict` says (its workers never retry); one without only in strict
@@ -392,10 +401,31 @@ impl<'a> Engine<'a> {
     }
 
     /// Gives the run up. A worker the pills do not reach sees the flag at
-    /// its next poll timeout.
+    /// its next poll timeout, or, waiting for credit, at the notification.
     fn abort(&self) {
         self.aborted.store(true, SeqCst);
+        self.free_credit();
         let _ = self.broadcast_pills(&mut 0);
+    }
+
+    /// Blocks a slot worker whose source is a credit ahead until
+    /// `outstanding` is down to half the credit or the run is given up.
+    /// Only a source's worker waits, and no task is ever queued to a
+    /// source's slot: every counted task is in a queue or a hand that a
+    /// worker which never waits serves, so the count comes down.
+    fn wait_for_credit(&self) {
+        let mut held = self.credit.lock();
+        while self.outstanding.load(SeqCst) > CREDIT / 2 && !self.aborted.load(SeqCst) {
+            self.credit_freed.wait(&mut held);
+        }
+    }
+
+    /// Wakes the waiting slot workers. Taking the lock orders this after a
+    /// waiter's check, so a wakeup between its check and its wait is not
+    /// lost.
+    fn free_credit(&self) {
+        drop(self.credit.lock());
+        self.credit_freed.notify_all();
     }
 
     /// The per-worker loop: gate (auto-scaling), pop, then per item obey a
@@ -548,19 +578,19 @@ struct Worker<'e, 'a> {
 struct Call {
     /// Where the emissions are routed from.
     pe: PeId,
-    /// A pool worker's source kickoff: its writes may help (see
-    /// [`CREDIT`]).
-    may_help: bool,
+    /// A source's kickoff, bounded by [`CREDIT`]: at a write that leaves
+    /// it a credit ahead, a pool worker helps and a slot worker waits.
+    bounded: bool,
     /// Time spent on other calls inside this one — helping, or the calls
     /// inlined at its writes — not counted as its service.
     aside: Duration,
 }
 
 impl Call {
-    fn of(pe: PeId, may_help: bool) -> Self {
+    fn of(pe: PeId, bounded: bool) -> Self {
         Call {
             pe,
-            may_help,
+            bounded,
             aside: Duration::ZERO,
         }
     }
@@ -621,11 +651,11 @@ impl<'e, 'a> Worker<'e, 'a> {
     /// out once [`FLUSH_AFTER`] of service time has gone by since the last
     /// write.
     fn run_task(&mut self, task: Task) -> Result<(), CoreError> {
-        // A task run inside a call that may help is a helped one: it never
-        // helps itself.
-        let may_help = task.is_kickoff() && self.slot.is_none() && !self.call.may_help;
+        // A task run inside a bounded call is a helped one: it never helps
+        // itself.
+        let bounded = task.is_kickoff() && !self.call.bounded;
         let floor = self.inline.len();
-        self.call(task.pe, &task.port, task.value, may_help)?;
+        self.call(task.pe, &task.port, task.value, bounded)?;
         self.run_inline(floor)?;
         self.retired += 1;
         if self.unwritten_service > FLUSH_AFTER {
@@ -648,13 +678,7 @@ impl<'e, 'a> Worker<'e, 'a> {
     /// which is handed this worker as its context: what it emits is routed
     /// and written out as it goes, and the rest routed when it returns. The
     /// fault hooks count calls.
-    fn call(
-        &mut self,
-        id: PeId,
-        port: &str,
-        value: Value,
-        may_help: bool,
-    ) -> Result<(), CoreError> {
+    fn call(&mut self, id: PeId, port: &str, value: Value, bounded: bool) -> Result<(), CoreError> {
         let engine = self.engine;
         if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == id) {
             // sleep: injected straggler fault, a fixed delay per call.
@@ -666,7 +690,7 @@ impl<'e, 'a> Worker<'e, 'a> {
             Some(pe) => pe,
             None => engine.plan.exe.instantiate(id)?,
         };
-        let outer = std::mem::replace(&mut self.call, Call::of(id, may_help));
+        let outer = std::mem::replace(&mut self.call, Call::of(id, bounded));
         let started = Instant::now();
         self.segment_start = started;
         let ok = process_guarded(&mut *pe, port, value, self);
@@ -835,6 +859,9 @@ impl<'e, 'a> Worker<'e, 'a> {
             if left.is_none() {
                 engine.inexact.store(true, SeqCst);
             }
+            if before > CREDIT / 2 && left.unwrap_or(0) <= CREDIT / 2 {
+                engine.free_credit();
+            }
             match left {
                 Some(n) if n > 0 => {
                     self.stats.peak_outstanding = self.stats.peak_outstanding.max(n)
@@ -879,9 +906,12 @@ impl<'e, 'a> Worker<'e, 'a> {
             self.call.aside += started.elapsed();
         }
         let left = self.write_out()?;
-        if self.call.may_help && left.is_some_and(|n| n > CREDIT) {
+        if self.call.bounded && left.is_some_and(|n| n > CREDIT) {
             let started = Instant::now();
-            self.help(CREDIT / 2)?;
+            match self.slot {
+                None => self.help(CREDIT / 2)?,
+                Some(_) => self.engine.wait_for_credit(),
+            }
             self.call.aside += started.elapsed();
         }
         self.segment_start = Instant::now();
@@ -892,7 +922,7 @@ impl<'e, 'a> Worker<'e, 'a> {
     /// than [`CREDIT`] tasks outstanding runs queued ones on its own worker
     /// — popped without blocking from the queue the worker serves — until
     /// `outstanding` is down to `until` or nothing is there for it to pop.
-    /// No worker ever waits on credit, so a bounded pipeline cannot
+    /// A pool worker never waits on credit, so a bounded pipeline cannot
     /// deadlock, and a one-worker run is bounded too.
     fn help(&mut self, until: usize) -> Result<(), CoreError> {
         let engine = self.engine;
@@ -964,7 +994,7 @@ mod tests {
     use crate::mapping::Mapping;
     use crate::mappings::dynamic::run_dynamic;
     use crate::mappings::hybrid::{run_hybrid, run_hybrid_with_faults, HybridMulti, QueueFactory};
-    use crate::mappings::Simple;
+    use crate::mappings::{Multi, Simple};
     use crate::pe::{Collector, Context, CountingSink, FnSource, FnTransform};
     use crate::queue::WorkStealQueue;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
@@ -1511,5 +1541,88 @@ mod tests {
             let retried = report.warnings.iter().any(|w| w.contains("retry protocol"));
             assert!(!retried, "ended at quiescence: {:?}", report.warnings);
         }
+    }
+
+    /// A pinned source ten credits ahead of a slow sink — `multi` pins
+    /// every PE — has its worker wait: the run stays within the credit,
+    /// plus one write of the source and one popped batch per worker, with
+    /// a sink of one instance (two workers) and of two (three).
+    #[test]
+    fn a_pinned_source_waits_for_its_credit() {
+        const ITEMS: i64 = 10 * CREDIT as i64;
+        let (exe, count) = shape(ITEMS, &[("s", "k", Shuffle)], &[], |_, _| {
+            // A slow sink: ~2 µs of compute per item.
+            let until = Instant::now() + Duration::from_micros(2);
+            while Instant::now() < until {
+                std::hint::spin_loop();
+            }
+        });
+        for workers in [2, 3] {
+            let report = Multi
+                .execute(&exe, &ExecutionOptions::new(workers))
+                .expect("run");
+            assert_eq!(count.swap(0, SeqCst), ITEMS as u64, "{workers} workers");
+            let bound = CREDIT + EMIT_KEEP + POP_BATCH * workers;
+            let peak = report.peak_outstanding;
+            assert!(
+                (1..=bound).contains(&peak),
+                "{workers} workers: {peak} tasks outstanding at the peak, bound {bound}"
+            );
+        }
+    }
+
+    /// An abort wakes a source waiting for its credit: the stateful sink
+    /// holds its first call until the source is past its credit, then its
+    /// slot crashes. The run returns the injected fault instead of hanging.
+    #[test]
+    fn an_abort_wakes_a_waiting_source() {
+        let emitted = Arc::new(AtomicU64::new(0));
+        let mut g = WorkflowGraph::new("waits");
+        let s = g.add_pe(PeSpec::source("s", "out").stateful());
+        let k = g.add_pe(PeSpec::sink("k", "in").stateful());
+        g.connect(s, "out", k, "in", Shuffle)
+            .expect("declared ports");
+        let mut exe = Executable::new(g).expect("valid");
+        let counts = emitted.clone();
+        exe.register(s, move || {
+            let emitted = counts.clone();
+            Box::new(FnSource(move |ctx: &mut dyn Context| {
+                for i in 0..10 * CREDIT as i64 {
+                    emitted.fetch_add(1, SeqCst);
+                    ctx.emit("out", Value::Int(i));
+                }
+            }))
+        });
+        exe.register(k, move || {
+            let emitted = emitted.clone();
+            Box::new(FnTransform(
+                move |_: &str, _: Value, _: &mut dyn Context| {
+                    // Until this call returns nothing is retired, so the
+                    // source's write at its CREDIT-th emission leaves it a
+                    // credit ahead.
+                    while emitted.load(SeqCst) < CREDIT as u64 {
+                        std::thread::yield_now();
+                    }
+                    // sleep: lets the source's worker reach its wait.
+                    std::thread::sleep(Duration::from_millis(20));
+                },
+            ))
+        });
+        let exe = exe.seal().expect("every PE registered");
+        let plan = FaultPlan::default().with_crash("k", 0, 1);
+        let (tx, rx) = d4py_sync::channel::unbounded();
+        std::thread::spawn(move || {
+            let opts = ExecutionOptions::new(2);
+            let run = run_hybrid_with_faults(&exe, &opts, &HybridMulti, "hybrid_test", None, &plan);
+            let _ = tx.send(run.map(drop));
+        });
+        // timing: hang detector with a generous bound (the run takes
+        // milliseconds), not a performance gate.
+        let run = rx.recv_timeout(Duration::from_secs(20));
+        let run = run.expect("the run hung: the waiting source was not woken");
+        assert!(
+            matches!(run, Err(CoreError::InjectedFault(_))),
+            "unexpected: {run:?}"
+        );
     }
 }

@@ -1,6 +1,6 @@
-//! Enactment engines: `simple` and static `multi`, each with its own loop,
-//! and the dynamic family (dynamic, auto-scaling, hybrid): one private
-//! engine core behind the `dynamic` and `hybrid` front doors.
+//! Enactment engines: `simple`, with its own loop, and one private engine
+//! core behind the `multi` (static), `dynamic` (dynamic, auto-scaling) and
+//! `hybrid` front doors.
 
 pub mod dynamic;
 mod engine;

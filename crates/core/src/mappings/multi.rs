@@ -1,38 +1,30 @@
-//! The `multi` mapping: static multiprocessing.
+//! The `multi` mapping: static multiprocessing, the front door.
 //!
 //! The native parallel mapping and the paper's baseline. Instances are
 //! pre-assigned to workers by [`d4py_graph::partition`] (one worker per
-//! instance; surplus workers stay idle, as in Figure 1), data flows through
-//! per-instance channels, and termination uses classic poison pills: when an
-//! instance has received one pill from every upstream producer instance, it
-//! flushes (`on_done`), forwards pills, and exits.
+//! instance; surplus workers stay idle, as in Figure 1). This module only
+//! plans that placement: every instance is a slot of the engine core
+//! (`mappings::engine`) with a queue of its own, and no worker pops the
+//! global queue. Every PE is therefore a stage, flushed (`on_done`) in
+//! topological order by the settles that take the outstanding-task count
+//! to zero, and every hop is one queue trip. A source is bounded by its
+//! credit like any other: its worker waits once it is a credit ahead.
 //!
 //! Because instances are pinned, `multi` "can effectively manage both
 //! stateful and stateless applications" — it is the only baseline usable for
 //! the stateful sentiment workflow (§5).
 
+use super::engine::{self, Plan, Slot};
 use crate::error::CoreError;
 use crate::executable::Executable;
+use crate::fault::FaultPlan;
 use crate::mapping::Mapping;
-use crate::metrics::{RunReport, WorkerStats};
+use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
-use crate::pe::{process_guarded, EmitBuffer, ProcessingElement};
-use crate::routing::{Route, RouteTable, Router};
-use crate::task::KICKOFF_PORT;
-use crate::value::Value;
-use d4py_graph::{partition, InstanceId, PartitionPlan, PeId, WorkflowGraph};
-use d4py_sync::channel::{unbounded, Receiver, Sender};
+use crate::queue::{TaskQueue, WorkStealQueue};
+use d4py_graph::partition;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Message delivered to a static PE instance.
-#[derive(Debug)]
-enum Msg {
-    /// A data item for an input port.
-    Data(String, Value),
-    /// One upstream producer instance finished.
-    Pill,
-}
 
 /// Static multiprocessing mapping.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,178 +36,35 @@ impl Mapping for Multi {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        let preflight_warnings = crate::preflight::preflight(exe, opts, false)?;
-        let graph = exe.graph();
-        let plan = partition::partition(graph, opts.workers).map_err(|e| {
+        let warnings = crate::preflight::preflight(exe, opts, false)?;
+        let partitioned = partition::partition(exe.graph(), opts.workers).map_err(|e| {
             CoreError::UnsupportedWorkflow {
                 mapping: "multi",
                 reason: e.to_string(),
             }
         })?;
         let started = Instant::now();
-
-        let instances = plan.instances();
-
-        // One channel per instance, indexed [pe][instance].
-        let mut senders: Vec<Vec<Sender<Msg>>> = Vec::with_capacity(graph.pe_count());
-        let mut receivers: Vec<Vec<Option<Receiver<Msg>>>> = Vec::with_capacity(graph.pe_count());
-        for pe in graph.pe_ids() {
-            let n = plan.instances_of(pe);
-            let mut tx_row = Vec::with_capacity(n);
-            let mut rx_row = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = unbounded();
-                tx_row.push(tx);
-                rx_row.push(Some(rx));
-            }
-            senders.push(tx_row);
-            receivers.push(rx_row);
-        }
-        let senders = Arc::new(senders);
-
-        let plan = Arc::new(plan);
-        let routes = Arc::new(RouteTable::new(graph));
-        let mut handles = Vec::with_capacity(instances.len());
-        for inst in instances.iter().copied() {
-            let rx = receivers[inst.pe.0][inst.index]
-                .take()
-                .expect("receiver taken twice");
-            let pe_impl = exe.instantiate(inst.pe)?;
-            let senders = senders.clone();
-            let graph = exe.graph_arc();
-            let plan = plan.clone();
-            let routes = routes.clone();
-            handles.push(std::thread::spawn(move || {
-                instance_worker(inst, pe_impl, rx, &graph, &plan, &routes, &senders)
-            }));
-        }
-
-        let mut stats = WorkerStats::new(graph.pe_count());
-        stats.warnings = preflight_warnings;
-        for h in handles {
-            let worker = h
-                .join()
-                .map_err(|_| CoreError::WorkerPanic { worker: usize::MAX })?;
-            stats.merge(&worker);
-        }
-
-        let runtime = started.elapsed();
-        Ok(RunReport::new(
-            self.name(),
-            opts.workers,
-            runtime,
-            graph,
-            stats,
-        ))
-    }
-}
-
-/// Pills an instance of `pe` must collect before finishing: one per upstream
-/// producer instance per connection.
-fn expected_pills(graph: &WorkflowGraph, plan: &PartitionPlan, pe: PeId) -> usize {
-    graph
-        .incoming(pe)
-        .map(|(_, c)| plan.instances_of(c.from_pe))
-        .sum()
-}
-
-fn instance_worker(
-    inst: InstanceId,
-    mut pe_impl: Box<dyn ProcessingElement>,
-    rx: Receiver<Msg>,
-    graph: &WorkflowGraph,
-    plan: &PartitionPlan,
-    routes: &RouteTable,
-    senders: &[Vec<Sender<Msg>>],
-) -> WorkerStats {
-    let active_since = Instant::now();
-    let expected_pills = expected_pills(graph, plan, inst.pe);
-    let mut stats = WorkerStats::new(graph.pe_count());
-    let mut router = Router::new();
-    let n_instances = plan.instances_of(inst.pe);
-    // One guarded call into a fresh buffer; a panicking call's emissions
-    // are discarded with its item.
-    let guarded = |pe: &mut dyn ProcessingElement, port: &str, value, stats: &mut WorkerStats| {
-        let mut buf = EmitBuffer::new(inst.index, n_instances);
-        if process_guarded(pe, port, value, &mut buf) {
-            stats.per_pe[inst.pe.0] += 1;
-        } else {
-            stats.failed += 1;
-            buf.drain();
-        }
-        buf
-    };
-
-    let is_source = expected_pills == 0;
-    if is_source {
-        // Sources receive a synthetic kickoff and emit their stream.
-        let buf = guarded(&mut *pe_impl, KICKOFF_PORT, Value::Null, &mut stats);
-        deliver(routes, plan, inst.pe, buf, &mut router, senders);
-    } else {
-        let mut pills = 0usize;
-        while pills < expected_pills {
-            match rx.recv() {
-                Ok(Msg::Data(port, value)) => {
-                    let buf = guarded(&mut *pe_impl, &port, value, &mut stats);
-                    deliver(routes, plan, inst.pe, buf, &mut router, senders);
-                }
-                Ok(Msg::Pill) => pills += 1,
-                Err(_) => break, // all senders dropped: treat as complete
-            }
-        }
-    }
-
-    // Flush and propagate completion.
-    let mut buf = EmitBuffer::new(inst.index, n_instances);
-    pe_impl.on_done(&mut buf);
-    deliver(routes, plan, inst.pe, buf, &mut router, senders);
-    for (_, conn) in graph.outgoing(inst.pe) {
-        for tx in &senders[conn.to_pe.0] {
-            let _ = tx.send(Msg::Pill);
-        }
-    }
-    stats.active = active_since.elapsed();
-    stats
-}
-
-/// Routes every buffered emission to the target instances' channels,
-/// grouped per target instance and flushed as batch sends: one wakeup per
-/// target per `process()` call instead of one per tuple. Grouping keys on
-/// `(PE, instance)` in emission order, so the per-producer FIFO each
-/// receiving instance observes is unchanged.
-fn deliver(
-    routes: &RouteTable,
-    plan: &PartitionPlan,
-    from: PeId,
-    mut buf: EmitBuffer,
-    router: &mut Router,
-    senders: &[Vec<Sender<Msg>>],
-) {
-    let mut batches: std::collections::HashMap<(usize, usize), Vec<Msg>> =
-        std::collections::HashMap::new();
-    for (port, value) in buf.drain() {
-        for edge in routes.edges(from, &port) {
-            let n = plan.instances_of(edge.to_pe);
-            match router.route(edge.id, &edge.grouping, &value, n) {
-                Route::One(i) => {
-                    batches
-                        .entry((edge.to_pe.0, i))
-                        .or_default()
-                        .push(Msg::Data(edge.to_port.clone(), value.clone()));
-                }
-                Route::All => {
-                    for i in 0..senders[edge.to_pe.0].len() {
-                        batches
-                            .entry((edge.to_pe.0, i))
-                            .or_default()
-                            .push(Msg::Data(edge.to_port.clone(), value.clone()));
-                    }
-                }
-            }
-        }
-    }
-    for ((pe, i), msgs) in batches {
-        let _ = senders[pe][i].send_batch(msgs);
+        let queue = || -> Arc<dyn TaskQueue> { Arc::new(WorkStealQueue::new(1)) };
+        // `instances()` is sorted by (pe, instance), as a plan's slots are.
+        let slots = partitioned.instances().into_iter().map(|inst| Slot {
+            pe: inst.pe,
+            instance: inst.index,
+            queue: queue(),
+        });
+        let healthy = FaultPlan::default();
+        let plan = Plan {
+            exe,
+            opts,
+            mapping: self.name(),
+            started,
+            global: queue(),
+            pool: 0,
+            slots: slots.collect(),
+            state: None,
+            faults: &healthy,
+            warnings,
+        };
+        engine::run(plan, None)
     }
 }
 
@@ -223,7 +72,8 @@ fn deliver(
 mod tests {
     use super::*;
     use crate::pe::{Collector, Context, FnSource, FnTransform, ProcessingElement};
-    use d4py_graph::{Grouping, PeSpec};
+    use crate::value::Value;
+    use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
     use d4py_sync::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 

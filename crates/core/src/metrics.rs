@@ -214,8 +214,8 @@ pub struct RunReport {
     pub scaling_trace: Vec<TracePoint>,
     /// Emissions on an output port with no connection, made by a PE that has
     /// connected ports (a sink that emits is not counted). Counted by the
-    /// dynamic-family engines (`dyn_*`, `hybrid_*`) alike; `simple` and
-    /// `multi` report 0. Non-zero values mean produced data went nowhere.
+    /// engine core (`multi`, `dyn_*`, `hybrid_*`) alike; `simple` reports
+    /// 0. Non-zero values mean produced data went nowhere.
     pub dropped_emissions: u64,
     /// Tasks whose `process()` panicked. The engines contain the panic (the
     /// item is lost, its emissions discarded) so one poisoned record cannot
@@ -226,9 +226,8 @@ pub struct RunReport {
     pub per_pe_tasks: Vec<(String, u64)>,
     /// Per-task service-time quantiles (time inside `process()`, queue wait
     /// and the calls it made inline excluded), one sample per PE call
-    /// counted in `tasks_executed`. Populated by the
-    /// dynamic-family engines (`dyn_*` and `hybrid_*`); `simple` and
-    /// `multi` leave it empty.
+    /// counted in `tasks_executed`. Populated by the engine core
+    /// (`multi`, `dyn_*` and `hybrid_*`); `simple` leaves it empty.
     pub task_latency: LatencySummary,
     /// Tasks delivered by work stealing (a worker popping from a peer's
     /// local queue). Zero for the single-global-queue topologies and for
@@ -237,10 +236,10 @@ pub struct RunReport {
     /// workers.
     pub queue_steals: u64,
     /// High-water mark of the tasks pushed and not yet retired — queued,
-    /// held by a worker, or running — as the dynamic-family engines
-    /// (`dyn_*`, `hybrid_*`) count them. A source may run at most a fixed
+    /// held by a worker, or running — as the engine core (`multi`,
+    /// `dyn_*`, `hybrid_*`) counts them. A source may run at most a fixed
     /// credit ahead of its consumers, so this stays bounded however long
-    /// the stream is. `simple` and `multi` report 0.
+    /// the stream is. `simple` reports 0.
     pub peak_outstanding: usize,
     /// Non-fatal degradations the run worked around, one human-readable
     /// reason each — e.g. a warm start skipped because the stored snapshot

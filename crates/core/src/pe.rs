@@ -12,12 +12,13 @@ use crate::value::Value;
 
 /// Execution context handed to a PE while it processes an item.
 ///
-/// What the PE emits is buffered in emission order. `simple` and `multi`
-/// route the buffer after `process` returns. The dynamic-family engine
+/// What the PE emits is buffered in emission order. `simple` routes the
+/// buffer after `process` returns. The engine core of every other mapping
 /// routes and writes it out *during* the call, every few dozen emissions
 /// (DESIGN.md §5), so a source's stream reaches the workers while it is
-/// still being produced. A PE never blocks inside `emit`: a source that
-/// runs too far ahead has its own worker run queued tasks there instead.
+/// still being produced. A source that runs too far ahead is held inside
+/// `emit`: a pool worker runs queued tasks there, a pinned one waits for
+/// the other workers to run them.
 pub trait Context {
     /// Emits `value` on the PE's output port `port`.
     fn emit(&mut self, port: &str, value: Value);

@@ -19,13 +19,14 @@
 //! | `dyn_auto_redis` | [`redis::DynAutoRedis`] | ✗ | idle time |
 //! | `hybrid_redis` | [`redis::HybridRedis`] | ✓ | – |
 //!
-//! `simple` (the reference semantics) and `multi` (the paper's static
-//! baseline) each have their own loop. The other five — and the in-process
-//! `hybrid_multi` ablation — are one engine core under different
-//! *placements*: a global queue with a pool of workers, plus one pinned
-//! worker with a private queue per stateful instance for the hybrid ones.
-//! They differ only in where the queues live (in process or in Redis),
-//! whether the auto-scaler gates the pool, and who ends the run.
+//! `simple` (the reference semantics) has its own loop. The other six — and
+//! the in-process `hybrid_multi` ablation — are one engine core under
+//! different *placements*: a global queue with a pool of workers, plus
+//! pinned workers with a private queue each — one per stateful instance
+//! for the hybrid ones, and for `multi` (the paper's static baseline) one
+//! per instance of the static partition and no pool. They differ only in
+//! where the queues live (in process or in Redis), whether the auto-scaler
+//! gates the pool, and which PEs are pinned.
 //!
 //! ## Quickstart
 //!
