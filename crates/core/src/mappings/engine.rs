@@ -64,14 +64,15 @@ const POP_BATCH: usize = 32;
 
 /// PE service time a worker may accumulate before it flushes what it has
 /// buffered, even mid-batch: the order of one loopback round trip. Thirty-two
-/// null hops (~1 µs each) share one write; a 3 ms seismic task crosses it
-/// alone, so its output reaches idle workers as soon as it exists — which is
-/// why `seismic_*` (the benchmark's control) does not move. It also bounds
-/// what a staged hop may inline: a PE whose last [`SLOW_CALLS`] calls on a
-/// worker each ran longer is not called inline there. Slow work stays a
-/// task, which an idle worker can take, rather than joining an inlined
-/// chain bound to the worker that holds the popped batch. The rule reads
-/// only observed service time, never the queue kind or the workload.
+/// null hops (~1 µs each) share one write; a task that runs past it crosses
+/// it alone, so its output reaches idle workers as soon as it exists, as
+/// with a push per task (`slow_tasks_are_written_out_one_by_one`). It also
+/// bounds what a staged hop may inline: a PE whose last [`SLOW_CALLS`] calls
+/// on a worker each ran longer is not called inline there
+/// (`a_slow_pe_is_not_called_inline`). Slow work stays a task, which an idle
+/// worker can take, rather than joining an inlined chain bound to the
+/// worker that holds the popped batch. The rule reads only observed service
+/// time, never the queue kind or the workload.
 const FLUSH_AFTER: Duration = Duration::from_micros(100);
 
 /// Consecutive calls past [`FLUSH_AFTER`] that make a PE slow: two, so one
@@ -568,9 +569,19 @@ struct Worker<'e, 'a> {
     /// Where the running call's unwritten service began: its start, its
     /// last write or the end of its last helping round.
     segment_start: Instant,
-    /// How a write `emit` made failed: its error, or its panic. `emit`
-    /// cannot return either; the call's end re-raises it.
-    halted: Option<std::thread::Result<CoreError>>,
+    /// Why `emit` stopped writing in the running call; see [`Halt`].
+    halted: Option<Halt>,
+}
+
+/// Why a PE call's emissions are dropped from some write on.
+enum Halt {
+    /// A write `emit` made failed: its error, or its panic. `emit` cannot
+    /// return either; the call's end re-raises it.
+    Failed(std::thread::Result<CoreError>),
+    /// A write found the run aborted: the rest of the call's output would
+    /// go into queues nobody pops. Nothing to re-raise; the worker leaves
+    /// its loop at the next turn.
+    Aborted,
 }
 
 /// The PE call a worker is making, as its emissions need it.
@@ -746,9 +757,9 @@ impl<'e, 'a> Worker<'e, 'a> {
     /// Re-raises what a write inside the last PE call met.
     fn reraise(&mut self) -> Result<(), CoreError> {
         match self.halted.take() {
-            None => Ok(()),
-            Some(Ok(error)) => Err(error),
-            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            None | Some(Halt::Aborted) => Ok(()),
+            Some(Halt::Failed(Ok(error))) => Err(error),
+            Some(Halt::Failed(Err(panic))) => std::panic::resume_unwind(panic),
         }
     }
 
@@ -961,7 +972,7 @@ impl Context for Worker<'_, '_> {
     /// [`CLOCK_EVERY`]), writes them out while the call goes on.
     fn emit(&mut self, port: &str, value: Value) {
         if self.halted.is_some() {
-            // The run is being given up: nothing more is written.
+            // The call's output stops here: nothing more is written.
             return;
         }
         self.emissions.push((port.to_string(), value));
@@ -973,10 +984,13 @@ impl Context for Worker<'_, '_> {
             // The PE's own panic guard must not swallow the engine's.
             let wrote =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.write_mid_call()));
+            // The flag is read per write, not per emission: a source
+            // stops within one write of an abort, even one it waited in.
             self.halted = match wrote {
+                Ok(Ok(())) if self.engine.aborted.load(SeqCst) => Some(Halt::Aborted),
                 Ok(Ok(())) => None,
-                Ok(Err(error)) => Some(Ok(error)),
-                Err(panic) => Some(Err(panic)),
+                Ok(Err(error)) => Some(Halt::Failed(Ok(error))),
+                Err(panic) => Some(Halt::Failed(Err(panic))),
             };
         }
     }
@@ -1573,7 +1587,8 @@ mod tests {
 
     /// An abort wakes a source waiting for its credit: the stateful sink
     /// holds its first call until the source is past its credit, then its
-    /// slot crashes. The run returns the injected fault instead of hanging.
+    /// slot crashes. The run returns the injected fault instead of hanging,
+    /// and the source stops writing at the abort.
     #[test]
     fn an_abort_wakes_a_waiting_source() {
         let emitted = Arc::new(AtomicU64::new(0));
@@ -1610,10 +1625,12 @@ mod tests {
         });
         let exe = exe.seal().expect("every PE registered");
         let plan = FaultPlan::default().with_crash("k", 0, 1);
+        let log = Log::default();
+        let queues = log.clone();
         let (tx, rx) = d4py_sync::channel::unbounded();
         std::thread::spawn(move || {
             let opts = ExecutionOptions::new(2);
-            let run = run_hybrid_with_faults(&exe, &opts, &HybridMulti, "hybrid_test", None, &plan);
+            let run = run_hybrid_with_faults(&exe, &opts, &queues, "hybrid_test", None, &plan);
             let _ = tx.send(run.map(drop));
         });
         // timing: hang detector with a generous bound (the run takes
@@ -1623,6 +1640,13 @@ mod tests {
         assert!(
             matches!(run, Err(CoreError::InjectedFault(_))),
             "unexpected: {run:?}"
+        );
+        // The woken source writes nothing more: what it wrote is the credit,
+        // its kickoff, and at most what its call buffered when it returned.
+        let written = tasks_pushed(&log);
+        assert!(
+            written <= CREDIT + 2 * EMIT_KEEP,
+            "{written} tasks written, the source ran on after the abort"
         );
     }
 }

@@ -2,9 +2,11 @@
 //!
 //! Real implementations (not stubs): least-squares detrend, demean, a
 //! single-pole band-pass, decimation with a pre-averaging anti-alias step,
-//! naive-DFT spectral whitening, RMS normalisation, and an amplitude
-//! spectrum — the per-PE operations of the Seismic Cross-Correlation
-//! pre-processing phase.
+//! spectral whitening, RMS normalisation, and an amplitude spectrum — the
+//! per-PE operations of the Seismic Cross-Correlation pre-processing phase.
+//! The transforms are a radix-2 FFT, O(n log n), on the power-of-two
+//! lengths the pipeline makes (512 samples decimated to 256), and the
+//! O(n²) DFT on any other length.
 
 use std::f64::consts::PI;
 
@@ -82,9 +84,83 @@ pub fn decimate(x: &[f64], factor: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Naive DFT: returns (re, im) for bins `0..n` of a real signal. O(n²) but
-/// our traces are short; it is genuine compute, which is the point.
+/// DFT of a real signal: returns (re, im) for bins `0..n`. A radix-2 FFT
+/// when `n` is a power of two (every trace the pipeline makes), the O(n²)
+/// sum otherwise.
 pub fn dft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    if !x.len().is_power_of_two() {
+        return naive_dft(x);
+    }
+    let mut re = x.to_vec();
+    let mut im = vec![0.0; x.len()];
+    fft(&mut re, &mut im, -1.0);
+    (re, im)
+}
+
+/// Inverse of [`dft`] for real output.
+pub fn idft(re: &[f64], im: &[f64]) -> Vec<f64> {
+    let n = re.len();
+    if !n.is_power_of_two() {
+        return naive_idft(re, im);
+    }
+    let mut out = re.to_vec();
+    let mut imag = im.to_vec();
+    fft(&mut out, &mut imag, 1.0);
+    for v in out.iter_mut() {
+        *v /= n as f64;
+    }
+    out
+}
+
+/// Iterative in-place radix-2 FFT of `(re, im)`, whose length must be a
+/// power of two; `sign` is -1 forward and +1 inverse (unscaled). The
+/// twiddles of the longest stage are computed once per call and strided
+/// for the shorter ones.
+fn fft(re: &mut [f64], im: &mut [f64], sign: f64) {
+    let n = re.len();
+    // Bit-reversal permutation.
+    let mut j = 0;
+    for i in 1..n {
+        let mut bit = n >> 1;
+        while j & bit != 0 {
+            j ^= bit;
+            bit >>= 1;
+        }
+        j |= bit;
+        if i < j {
+            re.swap(i, j);
+            im.swap(i, j);
+        }
+    }
+    let twiddles: Vec<(f64, f64)> = (0..n / 2)
+        .map(|k| {
+            let phase = sign * 2.0 * PI * k as f64 / n as f64;
+            (phase.cos(), phase.sin())
+        })
+        .collect();
+    let mut len = 2;
+    while len <= n {
+        let half = len / 2;
+        let stride = n / len;
+        for start in (0..n).step_by(len) {
+            for k in 0..half {
+                let (wr, wi) = twiddles[k * stride];
+                let (a, b) = (start + k, start + k + half);
+                let tr = re[b] * wr - im[b] * wi;
+                let ti = re[b] * wi + im[b] * wr;
+                re[b] = re[a] - tr;
+                im[b] = im[a] - ti;
+                re[a] += tr;
+                im[a] += ti;
+            }
+        }
+        len *= 2;
+    }
+}
+
+/// The O(n²) DFT, one `sin`/`cos` pair per (bin, sample): [`dft`] for
+/// lengths that are not a power of two, and the tests' reference.
+fn naive_dft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let n = x.len();
     let mut re = vec![0.0; n];
     let mut im = vec![0.0; n];
@@ -99,8 +175,8 @@ pub fn dft(x: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (re, im)
 }
 
-/// Inverse of [`dft`] for real output.
-pub fn idft(re: &[f64], im: &[f64]) -> Vec<f64> {
+/// The O(n²) inverse of [`naive_dft`].
+fn naive_idft(re: &[f64], im: &[f64]) -> Vec<f64> {
     let n = re.len();
     let mut out = vec![0.0; n];
     for (t, o) in out.iter_mut().enumerate() {
@@ -205,6 +281,7 @@ pub fn cross_correlation_zero_lag(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d4py_sync::rng::{Rng, StdRng};
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
@@ -275,6 +352,52 @@ mod tests {
         let back = idft(&re, &im);
         for (a, b) in x.iter().zip(back.iter()) {
             assert!(approx(*a, *b, 1e-9), "{a} vs {b}");
+        }
+    }
+
+    /// `n` seeded samples in [-1, 1) over a DC offset.
+    fn seeded(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(-1.0..1.0) + 0.25).collect()
+    }
+
+    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn fft_matches_the_reference_at_every_power_of_two() {
+        for log in 0..=10u64 {
+            let n = 1usize << log;
+            let x = seeded(n, 100 + log);
+            let scale: f64 = x.iter().map(|v| v.abs()).sum();
+            let (re, im) = dft(&x);
+            let (ref_re, ref_im) = naive_dft(&x);
+            let forward = max_diff(&re, &ref_re).max(max_diff(&im, &ref_im)) / scale;
+            assert!(forward <= 1e-12, "dft at n = {n}: error {forward:e}");
+            let inverse = max_diff(&idft(&ref_re, &ref_im), &naive_idft(&ref_re, &ref_im)) / scale;
+            assert!(inverse <= 1e-12, "idft at n = {n}: error {inverse:e}");
+            let round_trip = max_diff(&idft(&re, &im), &x) / scale;
+            assert!(
+                round_trip <= 1e-12,
+                "round trip at n = {n}: error {round_trip:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn other_lengths_round_trip_through_the_reference() {
+        for n in [3, 100, 257] {
+            let x = seeded(n, n as u64);
+            let (re, im) = dft(&x);
+            assert_eq!((re.clone(), im.clone()), naive_dft(&x), "n = {n}");
+            let back = idft(&re, &im);
+            assert_eq!(back, naive_idft(&re, &im), "n = {n}");
+            assert!(max_diff(&back, &x) < 1e-9, "n = {n}");
         }
     }
 

@@ -26,6 +26,16 @@ pub const STATIONS_PER_X: u32 = 50;
 /// Base modelled compute time per PE, index-aligned with the pipeline
 /// order below (read has none; write models disk latency instead).
 const STAGE_COMPUTE_MS: [u64; 7] = [1, 1, 3, 1, 4, 1, 2];
+/// The DSP kernel of each stage, in pipeline order.
+const KERNELS: [fn(&mut Vec<f64>); 7] = [
+    |s| dsp::detrend(s),
+    |s| dsp::demean(s),
+    |s| dsp::bandpass(s, SAMPLE_RATE, 0.3, 3.0),
+    |s| *s = dsp::decimate(s, 2),
+    |s| *s = dsp::whiten(s, 1e-6),
+    |s| dsp::normalize_rms(s),
+    |s| *s = dsp::amplitude_spectrum(s),
+];
 /// Base disk latency of the write PE.
 const WRITE_LATENCY: Duration = Duration::from_millis(6);
 
@@ -56,22 +66,35 @@ fn value_to_trace(v: &Value) -> (String, Vec<f64>) {
 }
 
 /// A generic trace-transform PE: modelled service time + a real DSP kernel.
+/// It rewrites the trace it is handed: the samples are read into a buffer
+/// it keeps between calls, and the kernel's output is written back into
+/// the same list.
 struct TraceStage {
     cfg: WorkloadConfig,
     compute: Duration,
     kernel: fn(&mut Vec<f64>),
+    samples: Vec<f64>,
 }
 
 impl ProcessingElement for TraceStage {
-    fn process(&mut self, _port: &str, v: Value, ctx: &mut dyn Context) {
-        let (station, mut samples) = value_to_trace(&v);
+    fn process(&mut self, _port: &str, mut v: Value, ctx: &mut dyn Context) {
+        let Value::Map(trace) = &mut v else {
+            panic!("a seismic stage is handed a trace map");
+        };
+        let Some(Value::List(list)) = trace.get_mut("samples") else {
+            panic!("a trace map holds a samples list");
+        };
+        self.samples.clear();
+        self.samples.extend(list.iter().filter_map(Value::as_float));
         self.cfg.limiter.with_core(|| {
-            (self.kernel)(&mut samples);
+            (self.kernel)(&mut self.samples);
             // sleep: simulated per-stage compute cost from the paper's
             // workload model; scaled to zero in the fast test config.
             std::thread::sleep(self.cfg.scaled(self.compute));
         });
-        ctx.emit("output", trace_to_value(&station, &samples));
+        list.clear();
+        list.extend(self.samples.iter().map(|&s| Value::Float(s)));
+        ctx.emit("output", v);
     }
 }
 
@@ -155,34 +178,27 @@ pub fn build(cfg: &WorkloadConfig) -> (Executable, Arc<Mutex<Vec<String>>>) {
     exe.register(read, move || {
         let shaped = shaped.clone();
         Box::new(FnSource(move |ctx: &mut dyn Context| {
-            for (i, trace) in waveform::generate(n, seed).into_iter().enumerate() {
+            for i in 0..n {
                 let gap = shaped.arrival_gap(i as u64);
                 if gap > std::time::Duration::ZERO {
                     // sleep: traffic-shape pacing — the configured
                     // inter-arrival gap before this trace, index-derived.
                     std::thread::sleep(gap);
                 }
+                let trace = waveform::station_trace(i, seed);
                 ctx.emit("output", trace_to_value(&trace.station, &trace.samples));
             }
         }))
     });
 
-    let kernels: [fn(&mut Vec<f64>); 7] = [
-        |s| dsp::detrend(s),
-        |s| dsp::demean(s),
-        |s| dsp::bandpass(s, SAMPLE_RATE, 0.3, 3.0),
-        |s| *s = dsp::decimate(s, 2),
-        |s| *s = dsp::whiten(s, 1e-6),
-        |s| dsp::normalize_rms(s),
-        |s| *s = dsp::amplitude_spectrum(s),
-    ];
-    for ((pe, kernel), ms) in stage_ids.iter().zip(kernels).zip(STAGE_COMPUTE_MS) {
+    for ((pe, kernel), ms) in stage_ids.iter().zip(KERNELS).zip(STAGE_COMPUTE_MS) {
         let cfg = cfg.clone();
         exe.register(*pe, move || {
             Box::new(TraceStage {
                 cfg: cfg.clone(),
                 compute: Duration::from_millis(ms),
                 kernel,
+                samples: Vec::new(),
             })
         });
     }
@@ -247,6 +263,28 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn stages_rewrite_the_trace_in_place() {
+        use d4py_core::pe::EmitBuffer;
+        let trace = waveform::station_trace(3, 42);
+        let mut samples = trace.samples.clone();
+        for kernel in KERNELS {
+            let mut stage = TraceStage {
+                cfg: fast_cfg(),
+                compute: Duration::ZERO,
+                kernel,
+                samples: Vec::new(),
+            };
+            let mut out = EmitBuffer::new(0, 1);
+            stage.process("input", trace_to_value(&trace.station, &samples), &mut out);
+            kernel(&mut samples);
+            let emitted = out.drain();
+            assert_eq!(emitted.len(), 1);
+            assert_eq!(emitted[0].0, "output");
+            assert_eq!(emitted[0].1, trace_to_value(&trace.station, &samples));
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ D4PY_BENCH_QUICK=1 cargo run -q --release --offline -p d4py-bench --bin repro --
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 benchmark_summary="$(cargo run --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml -- run --quick --seconds 2 \
-    --workload chain9_inproc --workload sentiment_hybrid_redis \
+    --workload chain9_inproc --workload seismic_inproc --workload sentiment_hybrid_redis \
     --out target/bench/BENCHMARK_smoke.json | tail -n 1)" \
     || { echo "verify: FAIL — benchmark smoke run failed" >&2; exit 1; }
 grep -q '"failed": 0,' <<<"$benchmark_summary" \
@@ -130,6 +130,26 @@ empty_pops="$(sed -n \
     <<<"$redis_summary")"
 awk -v x="$empty_pops" -v w="$workers" 'BEGIN { exit !(x != "" && w + 0 > 0 && x + 0 < 6 * w) }' \
     || { echo "verify: FAIL — chain9_redis empty_pops = '$empty_pops' with '$workers' workers, want < 6 per worker" >&2; exit 1; }
+
+# A count gate on seismic over the wire: each seismic kernel runs in well
+# under FLUSH_AFTER, so every hop after the source's is called inline and a
+# trace crosses the wire once, as the source's emission. A traced
+# seismic_redis run then sends ~594 bytes per PE call (five runs on 2 cores
+# read 594.1-594.7; the bound is 1.26 times the worst). A trace that crosses
+# twice, as when whiten and spectrum were slow enough to stay queue tasks,
+# reads ~1 154.
+seismic_summary="$(cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- run --quick --seconds 2 \
+    --workload seismic_redis --trace \
+    --out target/bench/BENCHMARK_smoke_seismic.json | tail -n 1)" \
+    || { echo "verify: FAIL — benchmark seismic smoke run failed" >&2; exit 1; }
+grep -q '"failed": 0,' <<<"$seismic_summary" \
+    || { echo "verify: FAIL — benchmark seismic smoke: items_failed != 0" >&2; exit 1; }
+bytes_out="$(sed -n \
+    's/.*"redis\.client\.bytes_out_per_task": {"value": \([0-9.eE+-]*\).*/\1/p' \
+    <<<"$seismic_summary")"
+awk -v x="$bytes_out" 'BEGIN { exit !(x != "" && x + 0 < 750) }' \
+    || { echo "verify: FAIL — seismic_redis bytes_out_per_task = '$bytes_out', want < 750" >&2; exit 1; }
 
 for bench in ablation_queue redis_backend connections chaos_matrix; do
     baseline="bench/baselines/BENCH_${bench}.json"
