@@ -44,7 +44,7 @@ use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::{process_guarded, Context, ProcessingElement};
 use crate::queue::TaskQueue;
-use crate::routing::{Edge, Route, RouteTable, Router};
+use crate::routing::{hand_over, Edge, Route, RouteTable, Router};
 use crate::state::{slot_name, StateStore};
 use crate::task::{QueueItem, Task, KICKOFF_PORT};
 use crate::value::Value;
@@ -512,15 +512,6 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// The value for one more edge: a copy, or the original on the last one.
-fn hand_over(value: &mut Option<Value>, last: bool) -> Value {
-    match last {
-        true => value.take(),
-        false => value.clone(),
-    }
-    .expect("moved only on the last edge")
-}
-
 /// Aborts the run when a worker leaves its loop by an error or a panic.
 struct AbortOnDrop<'e, 'a>(&'e Engine<'a>);
 
@@ -549,8 +540,9 @@ struct Worker<'e, 'a> {
     router: Router,
     stats: WorkerStats,
     /// What the call in progress emitted and has not routed yet: fewer
-    /// than [`EMIT_KEEP`] emissions.
-    emissions: Vec<(String, Value)>,
+    /// than [`EMIT_KEEP`] emissions, each with its port's index in the
+    /// calling PE's row of the route table (`None`: not connected).
+    emissions: Vec<(Option<usize>, Value)>,
     /// Calls routed over inline edges and not made yet, the next one last.
     inline: Vec<(&'e Edge, Value)>,
     /// Routed tasks not yet pushed: for the global queue, and per slot (by
@@ -569,6 +561,13 @@ struct Worker<'e, 'a> {
     /// Where the running call's unwritten service began: its start, its
     /// last write or the end of its last helping round.
     segment_start: Instant,
+    /// When the last call ended, while only routing has happened since:
+    /// the next call starts there instead of reading the clock. Anything
+    /// else the worker does clears it: a write, and so every pop, help
+    /// round, credit wait and PE code resuming after a mid-call write,
+    /// which come after one; the straggler's sleep; the pill storm's
+    /// pushes.
+    last_end: Option<Instant>,
     /// Why `emit` stopped writing in the running call; see [`Halt`].
     halted: Option<Halt>,
 }
@@ -633,6 +632,7 @@ impl<'e, 'a> Worker<'e, 'a> {
             unwritten_service: Duration::ZERO,
             call: Call::of(PeId(0), false),
             segment_start: Instant::now(),
+            last_end: None,
             halted: None,
         };
         if let Some(slot) = slot {
@@ -688,13 +688,17 @@ impl<'e, 'a> Worker<'e, 'a> {
     /// One PE call, queued or inlined, on this worker's copy of the PE,
     /// which is handed this worker as its context: what it emits is routed
     /// and written out as it goes, and the rest routed when it returns. The
-    /// fault hooks count calls.
+    /// fault hooks count calls. A call that follows another with only
+    /// routing between them starts where that one ended: one clock read per
+    /// call along an inlined chain.
     fn call(&mut self, id: PeId, port: &str, value: Value, bounded: bool) -> Result<(), CoreError> {
         let engine = self.engine;
         if let Some((_, extra)) = engine.straggler.filter(|(pe, _)| *pe == id) {
             // sleep: injected straggler fault, a fixed delay per call.
             std::thread::sleep(extra);
             self.unwritten_service += extra;
+            // The sleep is not the call's service.
+            self.last_end = None;
         }
         let known = self.pes.get_mut(id.0);
         let mut pe = match known.ok_or(CoreError::MissingFactory(id))?.take() {
@@ -702,10 +706,11 @@ impl<'e, 'a> Worker<'e, 'a> {
             None => engine.plan.exe.instantiate(id)?,
         };
         let outer = std::mem::replace(&mut self.call, Call::of(id, bounded));
-        let started = Instant::now();
+        let started = self.last_end.take().unwrap_or_else(Instant::now);
         self.segment_start = started;
         let ok = process_guarded(&mut *pe, port, value, self);
         let ended = Instant::now();
+        self.last_end = Some(ended);
         let service = (ended - started).saturating_sub(self.call.aside);
         self.unwritten_service += ended - self.segment_start;
         self.call = outer;
@@ -745,6 +750,7 @@ impl<'e, 'a> Worker<'e, 'a> {
             // a distinct value, so exactly one worker meets the threshold.
             let run = engine.storm_calls.fetch_add(1, Ordering::Relaxed) + 1;
             if run == storm.after_tasks.max(1) {
+                self.last_end = None;
                 let used = &mut self.stats.retries_used;
                 for _ in 0..storm.pills {
                     engine.send(used, QueueItem::Pill, |it| engine.plan.global.push(it))?;
@@ -803,10 +809,13 @@ impl<'e, 'a> Worker<'e, 'a> {
         let queued = self.inline.len();
         let mut emissions = std::mem::take(&mut self.emissions);
         for (port, value) in emissions.drain(..) {
-            let edges = routes.edges(from, &port);
-            if edges.is_empty() && routes.has_outgoing(from) {
-                self.stats.dropped += 1;
-            }
+            let Some(port) = port else {
+                if routes.has_outgoing(from) {
+                    self.stats.dropped += 1;
+                }
+                continue;
+            };
+            let edges = routes.edges_at(from, port);
             let mut value = Some(value);
             for (i, edge) in edges.iter().enumerate() {
                 let last_conn = i + 1 == edges.len();
@@ -858,6 +867,7 @@ impl<'e, 'a> Worker<'e, 'a> {
         let children = self.global_out.len() + self.slot_out.iter().map(Vec::len).sum::<usize>();
         let retired = std::mem::take(&mut self.retired);
         self.unwritten_service = Duration::ZERO;
+        self.last_end = None;
         let used = &mut self.stats.retries_used;
         let mut left = None;
         if children != retired {
@@ -967,15 +977,18 @@ impl<'e, 'a> Worker<'e, 'a> {
 }
 
 impl Context for Worker<'_, '_> {
-    /// Buffers the emission. The [`EMIT_KEEP`]-th, or one that finds
-    /// [`FLUSH_AFTER`] gone by since the last write (read every
-    /// [`CLOCK_EVERY`]), writes them out while the call goes on.
+    /// Buffers the emission with its port resolved, once, to the port's
+    /// index in the calling PE's row of the route table. The
+    /// [`EMIT_KEEP`]-th, or one that finds [`FLUSH_AFTER`] gone by since the
+    /// last write (read every [`CLOCK_EVERY`]), writes them out while the
+    /// call goes on.
     fn emit(&mut self, port: &str, value: Value) {
         if self.halted.is_some() {
             // The call's output stops here: nothing more is written.
             return;
         }
-        self.emissions.push((port.to_string(), value));
+        let port = self.engine.routes.port_of(self.call.pe, port);
+        self.emissions.push((port, value));
         let n = self.emissions.len();
         let due = n >= EMIT_KEEP
             || n.is_multiple_of(CLOCK_EVERY)

@@ -13,7 +13,7 @@ use crate::mapping::Mapping;
 use crate::metrics::{RunReport, WorkerStats};
 use crate::options::ExecutionOptions;
 use crate::pe::EmitBuffer;
-use crate::routing::{RouteTable, Router};
+use crate::routing::{hand_over, RouteTable, Router};
 use crate::task::Task;
 
 use d4py_graph::PeId;
@@ -86,11 +86,15 @@ fn route_emissions(
     queue: &mut VecDeque<Task>,
 ) {
     for (port, value) in buf.drain() {
-        for edge in routes.edges(from, &port) {
+        let edges = routes.edges(from, &port);
+        let mut value = Some(value);
+        for (i, edge) in edges.iter().enumerate() {
             // One instance per PE: routing is needed only to consume the
             // round-robin state consistently; the target is always 0.
-            let _ = router.route(edge.id, &edge.grouping, &value, 1);
-            queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value.clone()));
+            let routed = value.as_ref().expect("moved only on the last edge");
+            let _ = router.route(edge.id, &edge.grouping, routed, 1);
+            let value = hand_over(&mut value, i + 1 == edges.len());
+            queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value));
         }
     }
 }

@@ -80,8 +80,11 @@ impl LatencyHistogram {
         Self::default()
     }
 
+    /// Whole microseconds from the seconds and the sub-second part: no
+    /// `u128` division per sample.
     fn bucket_of(d: Duration) -> usize {
-        let micros = d.as_micros().max(1) as u64;
+        let secs = d.as_secs().saturating_mul(1_000_000);
+        let micros = secs.saturating_add(u64::from(d.subsec_micros())).max(1);
         (63 - micros.leading_zeros() as usize).min(31)
     }
 
@@ -325,6 +328,29 @@ impl std::fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `bucket_of` files a sample where the `as_micros` formula did: at
+    /// zero, just under a microsecond, one nanosecond either side of every
+    /// bucket edge, and past the last bucket.
+    #[test]
+    fn bucket_of_matches_the_as_micros_formula() {
+        let reference = |d: Duration| {
+            let micros = d.as_micros().max(1) as u64;
+            (63 - micros.leading_zeros() as usize).min(31)
+        };
+        let nanos = Duration::from_nanos;
+        let mut samples = vec![Duration::ZERO, nanos(999)];
+        for k in 0..40 {
+            let edge = Duration::from_micros(1 << k);
+            samples.extend([edge - nanos(1), edge, edge + nanos(1)]);
+        }
+        let hour = Duration::from_secs(3_600);
+        samples.extend([hour, hour * 1_000, Duration::from_secs(1 << 40)]);
+        for d in samples {
+            assert_eq!(LatencyHistogram::bucket_of(d), reference(d), "{d:?}");
+        }
+        assert_eq!(LatencyHistogram::bucket_of(Duration::MAX), 31);
+    }
 
     #[test]
     fn worker_stats_sum_into_one_report() {

@@ -12,7 +12,7 @@ use crate::codec::encode_value;
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::pe::EmitBuffer;
-use crate::routing::RouteTable;
+use crate::routing::{hand_over, RouteTable};
 use crate::task::Task;
 use d4py_graph::optimize::ExecutionProfile;
 use d4py_graph::PeId;
@@ -68,14 +68,17 @@ pub fn profile_workflow(
 
         for (port, value) in buf.drain() {
             let bytes = encode_value(&value).len() as u32;
-            for edge in routes.edges(task.pe, &port) {
+            let edges = routes.edges(task.pe, &port);
+            let mut value = Some(value);
+            for (i, edge) in edges.iter().enumerate() {
                 let cost = model.per_message + model.per_byte * bytes;
                 let slot = comm_total
                     .entry((task.pe, edge.to_pe))
                     .or_insert((Duration::ZERO, 0));
                 slot.0 += cost;
                 slot.1 += 1;
-                queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value.clone()));
+                let value = hand_over(&mut value, i + 1 == edges.len());
+                queue.push_back(Task::new(edge.to_pe, edge.to_port.clone(), value));
             }
         }
     }

@@ -15,7 +15,6 @@
 
 use crate::value::Value;
 use d4py_graph::{Connection, ConnectionId, Grouping, PeId, WorkflowGraph};
-use std::collections::HashMap;
 
 /// The delivery target(s) for one item on one connection.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,10 +28,11 @@ pub enum Route {
 /// Stateful router: owns the round-robin counters for shuffle connections.
 ///
 /// Each producer-side entity (a worker or a static instance) owns its own
-/// `Router`; counters are per connection.
+/// `Router`; counters are per connection, indexed by its id and grown on
+/// first use.
 #[derive(Debug, Default)]
 pub struct Router {
-    rr: HashMap<ConnectionId, usize>,
+    rr: Vec<usize>,
 }
 
 impl Router {
@@ -55,7 +55,10 @@ impl Router {
         debug_assert!(instances >= 1, "consumer must have at least one instance");
         match grouping {
             Grouping::Shuffle => {
-                let counter = self.rr.entry(conn).or_insert(0);
+                if self.rr.len() <= conn.0 {
+                    self.rr.resize(conn.0 + 1, 0);
+                }
+                let counter = &mut self.rr[conn.0];
                 let target = *counter % instances;
                 *counter = counter.wrapping_add(1);
                 Route::One(target)
@@ -68,6 +71,15 @@ impl Router {
             Grouping::OneToAll => Route::All,
         }
     }
+}
+
+/// The value for one more edge: a copy, or the original on the last one.
+pub(crate) fn hand_over(value: &mut Option<Value>, last: bool) -> Value {
+    match last {
+        true => value.take(),
+        false => value.clone(),
+    }
+    .expect("moved only on the last edge")
 }
 
 /// One connection as a mapping routes over it.
@@ -84,7 +96,9 @@ pub(crate) struct Edge {
 
 /// Every PE's outgoing connections, per output port: what an emission
 /// travels, looked up by `(PE, port)` instead of a scan of the graph's
-/// connections per emission.
+/// connections per emission. A port is found by name once, as its index in
+/// the PE's row ([`port_of`](Self::port_of)); the edges are then read by
+/// that index ([`edges_at`](Self::edges_at)).
 #[derive(Debug)]
 pub(crate) struct RouteTable {
     /// Per PE: its connected output ports, each with its edges in
@@ -118,11 +132,22 @@ impl RouteTable {
         Self { ports }
     }
 
+    /// The index of `port` in the row of `pe`; `None` when the port is not
+    /// connected.
+    pub(crate) fn port_of(&self, pe: PeId, port: &str) -> Option<usize> {
+        self.ports[pe.0].iter().position(|(p, _)| p == port)
+    }
+
+    /// The edges of the port [`port_of`](Self::port_of) gave as `port`, in
+    /// connection order; never empty.
+    pub(crate) fn edges_at(&self, pe: PeId, port: usize) -> &[Edge] {
+        &self.ports[pe.0][port].1
+    }
+
     /// The edges an emission on `port` of `pe` travels, in connection
     /// order; empty when the port is not connected.
     pub(crate) fn edges(&self, pe: PeId, port: &str) -> &[Edge] {
-        let found = self.ports[pe.0].iter().find(|(p, _)| p == port);
-        found.map_or(&[], |(_, edges)| edges)
+        self.port_of(pe, port).map_or(&[], |i| self.edges_at(pe, i))
     }
 
     /// True if `pe` has a connected output port: what it emits on any
@@ -265,5 +290,31 @@ mod tests {
         assert!(table.edges(s, "other").is_empty());
         assert!(table.has_outgoing(s));
         assert!(!table.has_outgoing(a));
+    }
+
+    #[test]
+    fn route_table_resolves_a_port_to_its_index_in_the_row() {
+        use d4py_graph::{PeSpec, PortDecl};
+        let mut g = WorkflowGraph::new("t");
+        let ports = ["a", "b", "c"].map(PortDecl::output).to_vec();
+        let s = g.add_pe(PeSpec::new("s", ports));
+        let x = g.add_pe(PeSpec::sink("x", "in"));
+        g.connect(s, "b", x, "in", Grouping::Shuffle).unwrap();
+        g.connect(s, "a", x, "in", Grouping::Shuffle).unwrap();
+        g.connect(s, "b", x, "in", Grouping::Global).unwrap();
+        let table = RouteTable::new(&g);
+        let (a, b) = (table.port_of(s, "a"), table.port_of(s, "b"));
+        assert_eq!((b, a), (Some(0), Some(1)), "rows follow first connection");
+        assert_eq!(table.port_of(s, "c"), None, "declared, not connected");
+        assert_eq!(table.port_of(x, "in"), None);
+        let ids = |port| {
+            table
+                .edges_at(s, port)
+                .iter()
+                .map(|e| e.id)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ids(0), [ConnectionId(0), ConnectionId(2)]);
+        assert_eq!(ids(1), [ConnectionId(1)]);
     }
 }

@@ -49,11 +49,12 @@ RUSTFLAGS="--cfg d4py_model" \
     cargo test -q --offline -p d4py-sync --test model \
     || { echo "verify: FAIL — model-checked invariants" >&2; exit 1; }
 
-# The snapshot-format, state-store and task-queue conformance suites are
-# part of `cargo test` above, but run them by name too so a Cargo.toml
+# The snapshot-format, state-store and task-queue conformance suites and
+# the per-call allocation gate (heap allocations per chain9 item) are part
+# of `cargo test` above, but run them by name too so a Cargo.toml
 # regression that silently unregisters any target fails loudly here.
 cargo test -q --offline --test snapshot_format --test state_store_conformance \
-    --test queue_conformance
+    --test queue_conformance --test alloc_budget
 
 # Smoke-run the lock-free global-queue ablation so the channel fast path is
 # exercised under the full gate. Quick mode writes its JSON report tagged
