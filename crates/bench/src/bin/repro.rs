@@ -272,7 +272,7 @@ fn table_sentiment(sweeps: &[(&str, &Sweep)]) {
 /// Ablations over the design choices DESIGN.md §5 calls out:
 /// (1) auto-scaling strategy (none / naive queue-delta / proportional),
 /// (2) hybrid queue transport (in-process / Redis in-proc / TCP),
-/// (3) staging fusion under `multi`.
+/// (3) staging placed on `multi`.
 /// The three rows of (1) share one queue, `dyn_multi`'s, so they differ
 /// only in the strategy.
 fn ablation(opts: &Opts) {
@@ -356,38 +356,36 @@ fn ablation(opts: &Opts) {
         );
     }
 
-    // The dynamic family runs a staged hop inline whether or not the graph
-    // is fused, so the fusion is compared where it still changes the plan:
-    // under `multi`, with one worker per PE of the unfused workflow, which
-    // the staged one spends on its body stage instead.
-    use dispel4py::prelude::fuse_staged;
+    // The dynamic family calls a staged hop inline on its own, so staging
+    // is compared where it changes the placement: under `multi`, with one
+    // worker per PE, which the staged placement spends on instances of its
+    // body cluster instead. `tasks_executed` counts PE calls in both arms.
+    use dispel4py::graph::optimize::staging;
     use dispel4py::workflows::seismic;
     let kcfg = base_cfg(opts).with_limiter(Platform::SERVER.limiter());
     let (exe, _) = seismic::build(&kcfg);
     let pes = exe.graph().pe_count();
-    println!(
-        "\n== Ablation 3: staging fusion (seismic phase 1, multi, {pes} workers, server) ==\n"
-    );
+    println!("\n== Ablation 3: staging under multi (seismic phase 1, {pes} workers, server) ==\n");
     let unfused = Multi.execute(&exe, &ExecutionOptions::new(pes)).unwrap();
     println!(
-        "{:<26} runtime {:>7.3}s  process {:>8.3}s  tasks {}",
+        "{:<26} runtime {:>7.3}s  process {:>8.3}s  calls {}",
         format!("{pes} PEs (unfused)"),
         unfused.runtime.as_secs_f64(),
         unfused.process_time.as_secs_f64(),
         unfused.tasks_executed
     );
     let (exe, _) = seismic::build(&kcfg);
-    let fused_exe = fuse_staged(&exe).unwrap();
-    let stages = fused_exe.graph().pe_count();
-    let fused = Multi
-        .execute(&fused_exe, &ExecutionOptions::new(pes))
+    let clustering = staging(exe.graph());
+    let stages = clustering.len();
+    let staged = Multi::clustered(clustering)
+        .execute(&exe, &ExecutionOptions::new(pes))
         .unwrap();
     println!(
-        "{:<26} runtime {:>7.3}s  process {:>8.3}s  tasks {}",
-        format!("{stages} stage(s) (staged)"),
-        fused.runtime.as_secs_f64(),
-        fused.process_time.as_secs_f64(),
-        fused.tasks_executed
+        "{:<26} runtime {:>7.3}s  process {:>8.3}s  calls {}",
+        format!("{stages} cluster(s) (staged)"),
+        staged.runtime.as_secs_f64(),
+        staged.process_time.as_secs_f64(),
+        staged.tasks_executed
     );
 }
 

@@ -49,7 +49,6 @@ pub mod codec;
 pub mod error;
 pub mod executable;
 pub mod fault;
-pub mod fusion;
 pub mod mapping;
 pub mod mappings;
 pub mod metrics;
@@ -71,7 +70,6 @@ pub mod prelude {
     pub use crate::error::CoreError;
     pub use crate::executable::Executable;
     pub use crate::fault::FaultPlan;
-    pub use crate::fusion::{fuse, fuse_staged};
     pub use crate::mapping::Mapping;
     pub use crate::mappings::dynamic::ScalingStrategyKind;
     pub use crate::mappings::{DynAutoMulti, DynMulti, HybridMulti, Multi, Simple};

@@ -4,7 +4,7 @@
 //! some substrate (Figure 1 of the paper). Mappings in this crate:
 //! [`Simple`](crate::mappings::simple::Simple) (sequential),
 //! [`Multi`](crate::mappings::multi::Multi) (static multiprocessing: every
-//! instance pinned),
+//! instance pinned, of a PE or, under `Multi::clustered`, of a cluster),
 //! [`DynMulti`](crate::mappings::dynamic::DynMulti) (dynamic scheduling),
 //! and [`DynAutoMulti`](crate::mappings::dynamic::DynAutoMulti)
 //! (dynamic scheduling + auto-scaling). The Redis-backed mappings live in

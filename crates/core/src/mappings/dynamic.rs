@@ -27,6 +27,7 @@ use crate::mapping::{require_stateless, Mapping};
 use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
 use crate::queue::{TaskQueue, WorkStealQueue};
+use d4py_graph::optimize::staging;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,6 +54,7 @@ pub fn run_dynamic(
         global: queue,
         pool: opts.workers,
         slots: Vec::new(),
+        clustering: staging(exe.graph()),
         state: None,
         faults: &FaultPlan::default(),
         warnings,

@@ -11,7 +11,7 @@
 //!
 //! A run ends by one rule, taken by the worker whose settle leaves the
 //! outstanding-task count at zero ([`Engine::at_zero`]): it flushes the next
-//! stage — a pinned PE's slots, in topological order — whose Flushes are
+//! stage — a range of slots, in topological order — whose Flushes are
 //! counted like tasks, so their `on_done` work drives the next
 //! zero-crossing; once no stage is left, it sends the pills. A plan with
 //! slots trusts the count; one without ends there only in strict mode while
@@ -22,14 +22,17 @@
 //! ahead stops emitting: a pool worker runs queued tasks itself, a slot
 //! worker waits for the other workers to run them.
 //!
-//! A hop that staging (§2.2, [`d4py_graph::optimize::staging`]) puts inside
-//! one cluster, between two PEs no slot pins, is not a task: the worker
-//! that routes an emission over it calls the target itself, at its next
-//! write, unless the target's calls run past [`FLUSH_AFTER`]. A task is
-//! one queue trip; a PE call is a task or an inlined call, and the report
-//! counts calls. An inlined call is never counted in `outstanding`: the
-//! task it descends from stays counted until it and all its inlined
-//! descendants have returned.
+//! A placement also carries a clustering (§2.2): the dynamic and hybrid
+//! front doors pass staging's ([`d4py_graph::optimize::staging`]), `multi`
+//! the one it was given. A hop inside one cluster between two PEs placed
+//! alike is not a task: the worker that routes an emission over it calls
+//! the target itself, at its next write. Between two unpinned stateless
+//! PEs that holds unless the target's calls run past [`FLUSH_AFTER`];
+//! between two members of the same slots, always, since a pinned member
+//! has no idle peer to take the task. A task is one queue trip; a PE call
+//! is a task or an inlined call, and the report counts calls. An inlined
+//! call is never counted in `outstanding`: the task it descends from stays
+//! counted until it and all its inlined descendants have returned.
 //!
 //! A worker that leaves its loop with an error or a panic *aborts* the run:
 //! nobody waits for the tasks it held, nothing more is flushed, every
@@ -48,7 +51,7 @@ use crate::routing::{hand_over, Edge, Route, RouteTable, Router};
 use crate::state::{slot_name, StateStore};
 use crate::task::{QueueItem, Task, KICKOFF_PORT};
 use crate::value::Value;
-use d4py_graph::optimize::staging;
+use d4py_graph::optimize::Clustering;
 use d4py_graph::PeId;
 use d4py_sync::{Condvar, Mutex};
 use std::ops::Range;
@@ -100,10 +103,12 @@ const CLOCK_EVERY: usize = 8;
 /// keep a stream's footprint in the megabytes.
 const CREDIT: usize = 4096;
 
-/// A PE instance pinned to a dedicated worker with a private queue. A
-/// plan's slots are sorted by `(pe, instance)`.
+/// An instance of a cluster of PEs pinned to a dedicated worker with a
+/// private queue; the worker holds one instance of each member. A plan
+/// lists the slots of a PE together, in instance order.
 pub(crate) struct Slot {
-    pub pe: PeId,
+    /// The members, in topological order: the order of their `on_done`.
+    pub pes: Vec<PeId>,
     pub instance: usize,
     pub queue: Arc<dyn TaskQueue>,
 }
@@ -118,6 +123,9 @@ pub(crate) struct Plan<'a> {
     /// Workers popping the global queue.
     pub pool: usize,
     pub slots: Vec<Slot>,
+    /// Which hops may be inlined, in dataflow order
+    /// ([`Clustering::in_dataflow_order`]).
+    pub clustering: Clustering,
     pub state: Option<Arc<dyn StateStore>>,
     pub faults: &'a FaultPlan,
     /// Pre-flight warnings, to lead the report's list.
@@ -131,7 +139,7 @@ struct Engine<'a> {
     /// Per PE, its slots (empty: the PE is not pinned).
     pinned: Vec<Range<usize>>,
     /// Per PE and output port, the connections an emission travels; the
-    /// staged hops between unpinned stateless PEs are marked inline.
+    /// hops inside a cluster between PEs placed alike are marked inline.
     routes: RouteTable,
     /// Tasks pushed but not yet retired. A worker settles a flush window in
     /// one step, before the push: its buffered children are added and the
@@ -144,7 +152,7 @@ struct Engine<'a> {
     /// re-delivered task was retired twice). Stored before the retry, so
     /// before a duplicate can be retired; zero no longer ends the run.
     inexact: AtomicBool,
-    /// The stages: per pinned PE, in topological order, its slots.
+    /// The stages: the distinct slot ranges, in topological order.
     stages: Vec<Range<usize>>,
     /// Stages flushed so far; one past the last, the pills were sent.
     next_stage: AtomicUsize,
@@ -239,7 +247,7 @@ impl<'a> Engine<'a> {
         let crash = match &plan.faults.crash {
             Some(c) => {
                 let pe = resolve(&c.pe)?;
-                let target = |s: &Slot| s.pe == pe && s.instance == c.instance;
+                let target = |s: &Slot| s.pes.contains(&pe) && s.instance == c.instance;
                 let slot = plan.slots.iter().position(target).ok_or_else(|| {
                     CoreError::InvalidOptions(format!(
                         "crash fault targets '{}'#{} which is not a pinned instance",
@@ -250,18 +258,26 @@ impl<'a> Engine<'a> {
             }
             None => None,
         };
-        let upto = |pe: PeId| plan.slots.partition_point(|s| s.pe < pe);
-        let pinned = graph.pe_ids().map(|pe| upto(pe)..upto(PeId(pe.0 + 1)));
-        let pinned: Vec<_> = pinned.collect();
-        let stages = graph.topological_order()?.into_iter();
+        // Walked backwards: a PE's last slot sets the end, its first the
+        // start.
+        let mut pinned = vec![0..0; graph.pe_count()];
+        for (s, slot) in plan.slots.iter().enumerate().rev() {
+            for pe in &slot.pes {
+                pinned[pe.0] = s..pinned[pe.0].end.max(s + 1);
+            }
+        }
+        let stages = plan.clustering.clusters.iter().flatten();
         let stages = stages.map(|pe| pinned[pe.0].clone());
-        let stages = stages.filter(|slots| !slots.is_empty()).collect();
-        // Staging never fuses an edge out of a source, into a fan-in, out of
-        // a fan-out, or one that groups by key, funnels or broadcasts.
-        let staged = staging(graph);
+        let mut stages: Vec<_> = stages.filter(|slots| !slots.is_empty()).collect();
+        stages.dedup();
+        let clustered = &plan.clustering;
         let free = |pe: PeId| pinned[pe.0].is_empty() && !graph.is_effectively_stateful(pe);
         let routes = RouteTable::with_inline(graph, |c| {
-            free(c.from_pe) && free(c.to_pe) && staged.fused(c.from_pe, c.to_pe)
+            let alike = match pinned[c.from_pe.0].is_empty() {
+                true => free(c.from_pe) && free(c.to_pe),
+                false => pinned[c.from_pe.0] == pinned[c.to_pe.0],
+            };
+            alike && clustered.fused(c.from_pe, c.to_pe)
         });
         Ok(Self {
             pinned,
@@ -287,9 +303,9 @@ impl<'a> Engine<'a> {
         &self.plan.slots[self.pinned[pe.0].clone()]
     }
 
-    /// The state-store key (and display name) of a slot.
-    fn slot_key(&self, slot: &Slot) -> String {
-        let spec = self.plan.exe.graph().pe(slot.pe);
+    /// The state-store key (and display name) of `pe`'s instance in a slot.
+    fn slot_key(&self, pe: PeId, slot: &Slot) -> String {
+        let spec = self.plan.exe.graph().pe(pe);
         slot_name(spec.map_or("", |s| &s.name), slot.instance)
     }
 
@@ -612,7 +628,7 @@ impl<'e, 'a> Worker<'e, 'a> {
         let n = plan.exe.graph().pe_count();
         let slot = plan.slots.get(index);
         let coords = match slot {
-            Some(slot) => (slot.instance, engine.slots_of(slot.pe).len()),
+            Some(slot) => (slot.instance, engine.slots_of(slot.pes[0]).len()),
             None => (index - plan.slots.len(), plan.pool),
         };
         let mut w = Worker {
@@ -636,23 +652,25 @@ impl<'e, 'a> Worker<'e, 'a> {
             halted: None,
         };
         if let Some(slot) = slot {
-            let mut pe = plan.exe.instantiate(slot.pe)?;
-            // Warm start. A damaged or future-versioned snapshot frame is a
-            // degradation, not a failure: the instance starts cold and says
-            // why. Only transport-level store errors abort.
-            if let Some(store) = &plan.state {
-                let key = engine.slot_key(slot);
-                match store.load(&key) {
-                    Ok(Some(saved)) => pe.restore(saved),
-                    Ok(None) => {}
-                    Err(CoreError::Snapshot(e)) => {
-                        let why = format!("warm start skipped for {key}: {e}");
-                        w.stats.warnings.push(why);
+            for &id in &slot.pes {
+                let mut pe = plan.exe.instantiate(id)?;
+                // Warm start. A damaged or future-versioned snapshot frame is
+                // a degradation, not a failure: the instance starts cold and
+                // says why. Only transport-level store errors abort.
+                if let Some(store) = &plan.state {
+                    let key = engine.slot_key(id, slot);
+                    match store.load(&key) {
+                        Ok(Some(saved)) => pe.restore(saved),
+                        Ok(None) => {}
+                        Err(CoreError::Snapshot(e)) => {
+                            let why = format!("warm start skipped for {key}: {e}");
+                            w.stats.warnings.push(why);
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e) => return Err(e),
                 }
+                w.pes[id.0] = Some(pe);
             }
-            w.pes[slot.pe.0] = Some(pe);
         }
         Ok(w)
     }
@@ -738,7 +756,7 @@ impl<'e, 'a> Worker<'e, 'a> {
             // Like a real crash: everything not yet written out is lost
             // (this task's emissions and the buffered ones of the tasks
             // before it in the flush window), no snapshot, never drains.
-            let who = self.slot.map(|slot| engine.slot_key(slot));
+            let who = self.slot.map(|slot| engine.slot_key(slot.pes[0], slot));
             return Err(CoreError::InjectedFault(format!(
                 "worker for {} crashed after {processed} task(s)",
                 who.unwrap_or_default()
@@ -769,8 +787,10 @@ impl<'e, 'a> Worker<'e, 'a> {
         }
     }
 
-    /// Slot-only: the instance has seen its entire input. Externalize the
-    /// final state before `on_done` may drain it, then retire the Flush
+    /// Slot-only: the instance has seen its entire input. Per member, in
+    /// topological order: externalize the final state before `on_done` may
+    /// drain it, then make the calls its output inlines, so a later member
+    /// has its whole input before its own `on_done`. Then retire the Flush
     /// like a task: its `on_done` output is counted before it is.
     fn flush(&mut self) -> Result<(), CoreError> {
         let engine = self.engine;
@@ -778,27 +798,30 @@ impl<'e, 'a> Worker<'e, 'a> {
         let Some(slot) = self.slot else {
             return Ok(());
         };
-        let mut pe = self.pes[slot.pe.0]
-            .take()
-            .expect("a slot worker holds its PE");
-        if let (Some(store), Some(snapshot)) = (&engine.plan.state, pe.snapshot()) {
-            store.save(&engine.slot_key(slot), &snapshot)?;
+        for &id in &slot.pes {
+            let mut pe = self.pes[id.0].take().expect("a slot worker holds its PEs");
+            if let (Some(store), Some(snapshot)) = (&engine.plan.state, pe.snapshot()) {
+                store.save(&engine.slot_key(id, slot), &snapshot)?;
+            }
+            let outer = std::mem::replace(&mut self.call, Call::of(id, false));
+            self.segment_start = Instant::now();
+            pe.on_done(self);
+            self.call = outer;
+            self.pes[id.0] = Some(pe);
+            self.reraise()?;
+            let floor = self.inline.len();
+            self.route_emissions(id);
+            self.run_inline(floor)?;
         }
-        let outer = std::mem::replace(&mut self.call, Call::of(slot.pe, false));
-        self.segment_start = Instant::now();
-        pe.on_done(self);
-        self.call = outer;
-        self.pes[slot.pe.0] = Some(pe);
-        self.reraise()?;
-        self.route_emissions(slot.pe);
-        // Retired only once `on_done` returned: a write it made while it
-        // ran settles its children, never the Flush.
+        // Retired only once every `on_done` returned: a write one made
+        // while it ran settles its children, never the Flush.
         self.retired += 1;
         self.write_out().map(drop)
     }
 
     /// Routes everything the current PE call emitted so far: over an
-    /// inline edge into a PE that is not slow, onto this worker's list of
+    /// inline edge into a PE that is not slow, or into a member of this
+    /// worker's slot, onto this worker's list of
     /// calls to make, otherwise into its outgoing buffers — the private
     /// queue the connection's grouping selects when the target is pinned,
     /// else the global queue (whoever pops first runs it). The value is
@@ -819,7 +842,10 @@ impl<'e, 'a> Worker<'e, 'a> {
             let mut value = Some(value);
             for (i, edge) in edges.iter().enumerate() {
                 let last_conn = i + 1 == edges.len();
-                if edge.inline && self.slow_calls[edge.to_pe.0] < SLOW_CALLS {
+                // A slot worker inlines only into its own members: always.
+                if edge.inline
+                    && (self.slow_calls[edge.to_pe.0] < SLOW_CALLS || self.slot.is_some())
+                {
                     self.inline.push((edge, hand_over(&mut value, last_conn)));
                     continue;
                 }

@@ -28,6 +28,7 @@ use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
 use crate::queue::{TaskQueue, WorkStealQueue};
 use crate::state::StateStore;
+use d4py_graph::optimize::staging;
 use d4py_graph::PeId;
 use std::sync::Arc;
 use std::time::Instant;
@@ -113,7 +114,7 @@ pub fn run_hybrid_with_faults(
         for instance in 0..instances(pe) {
             let queue = factory.make(&format!("private:{}:{instance}", pe.0), 1)?;
             slots.push(Slot {
-                pe,
+                pes: vec![pe],
                 instance,
                 queue,
             });
@@ -127,6 +128,7 @@ pub fn run_hybrid_with_faults(
         global,
         pool,
         slots,
+        clustering: staging(graph),
         state,
         faults,
         warnings,

@@ -29,8 +29,8 @@ pub trait Context {
     fn instance_count(&self) -> usize;
 }
 
-/// A buffering [`Context`]: what `simple`, `multi` and fused stages emit
-/// into, routed once the call returns.
+/// A buffering [`Context`]: what `simple` and the profiler emit into,
+/// routed once the call returns.
 #[derive(Debug, Default)]
 pub struct EmitBuffer {
     pub(crate) emissions: Vec<(String, Value)>,

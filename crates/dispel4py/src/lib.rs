@@ -85,7 +85,6 @@ pub mod prelude {
     pub use d4py_core::autoscale::AutoscaleConfig;
     pub use d4py_core::error::CoreError;
     pub use d4py_core::executable::Executable;
-    pub use d4py_core::fusion::{fuse, fuse_staged};
     pub use d4py_core::mapping::Mapping;
     pub use d4py_core::mappings::dynamic::ScalingStrategyKind;
     pub use d4py_core::mappings::{DynAutoMulti, DynMulti, HybridMulti, Multi, Simple};

@@ -25,10 +25,12 @@
 //!
 //! * `D4PY101` (error) — stateful PE with ≥2 instances fed by a shuffle
 //!   grouping: state partitions nondeterministically across instances.
-//! * `D4PY102` (error, [`AnalysisContext::fusion`]) — a declared-stateful
-//!   PE fused into a multi-PE stage (see [`crate::optimize::staging`])
-//!   whose entry grouping is not keyed: fusion rewires its upstream
-//!   routing and destroys key partitioning.
+//! * `D4PY102` (error) — a declared-stateful PE placed in a multi-PE
+//!   cluster whose entry grouping is not keyed: it is called by whichever
+//!   instance of the cluster the entry's routing picked, which destroys its
+//!   key partitioning. [`AnalysisContext::fusion`] checks the
+//!   [`staging`] clustering; [`WorkflowGraph::check_clustering`] checks
+//!   any other, as `multi` does before it places one.
 //! * `D4PY103` (error, [`AnalysisContext::autoscaling`]) — autoscaling
 //!   over a declared-stateful PE without a keyed input grouping: scaling
 //!   events re-route items across instances mid-run.
@@ -51,7 +53,7 @@
 use crate::graph::WorkflowGraph;
 use crate::grouping::Grouping;
 use crate::node::{PeId, PeKind};
-use crate::optimize::staging;
+use crate::optimize::{staging, Clustering};
 use crate::port::PortDirection;
 use std::collections::HashMap;
 
@@ -321,7 +323,7 @@ impl WorkflowGraph {
         self.rule_stale_port_refs(&mut sink);
         self.rule_stateful_shuffle(&mut sink);
         if ctx.fusion {
-            self.rule_fusion_legality(&mut sink);
+            self.rule_fusion_legality(&staging(self), &mut sink);
         }
         if ctx.autoscaling {
             self.rule_autoscale_stateful(&mut sink);
@@ -574,12 +576,24 @@ impl WorkflowGraph {
         }
     }
 
-    /// D4PY102: staging fuses shuffle links into single stages; a
-    /// declared-stateful PE downstream inside such a stage inherits the
-    /// stage entry's routing. If no entry grouping is keyed, fusion has
-    /// silently destroyed the PE's key partitioning.
-    fn rule_fusion_legality(&self, sink: &mut Sink) {
-        let clustering = staging(self);
+    /// `D4PY102` over `clustering` alone: the findings that forbid a
+    /// placement running each cluster's members on one worker.
+    pub fn check_clustering(&self, clustering: &Clustering) -> Vec<Diagnostic> {
+        let mut sink = Sink {
+            graph: self,
+            findings: Vec::new(),
+            waived: 0,
+            honour_waivers: true,
+        };
+        self.rule_fusion_legality(clustering, &mut sink);
+        sink.findings
+    }
+
+    /// D4PY102: a declared-stateful PE downstream inside a multi-PE
+    /// cluster inherits the routing of the cluster's entry. If no entry
+    /// grouping is keyed, the clustering has silently destroyed the PE's
+    /// key partitioning.
+    fn rule_fusion_legality(&self, clustering: &Clustering, sink: &mut Sink) {
         for cluster in &clustering.clusters {
             if cluster.len() < 2 {
                 continue;
@@ -592,9 +606,9 @@ impl WorkflowGraph {
             if keyed_entry {
                 continue;
             }
-            // cluster[0] is the stage head (clusters are in topological
-            // order and staged chains are linear); its own incoming edge
-            // is unchanged by fusion, so only downstream members report.
+            // cluster[0] is the cluster's head (members are in topological
+            // order); its own incoming edge is unchanged by the clustering,
+            // so only downstream members report.
             for &member in &cluster[1..] {
                 let Some(pe) = self.pe(member) else { continue };
                 if pe.stateful {
@@ -844,5 +858,13 @@ mod tests {
 
         let pre = g.analyze(&AnalysisContext::preflight(4, false));
         assert!(pre.findings.is_empty(), "{}", pre.render());
+
+        // The same rule over a given clustering: {t2, k} has the unkeyed
+        // entry t1 → t2 but t2 heads it; {t1, t2} puts t2 behind it.
+        let check = |clusters: Vec<Vec<PeId>>| g.check_clustering(&Clustering { clusters });
+        assert!(check(vec![vec![s], vec![t1], vec![t2, k]]).is_empty());
+        let found = check(vec![vec![s], vec![t1, t2], vec![k]]);
+        let found: Vec<_> = found.iter().map(|d| (d.code, d.pe.as_deref())).collect();
+        assert_eq!(found, [("D4PY102", Some("t2"))]);
     }
 }

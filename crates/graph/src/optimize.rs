@@ -50,7 +50,8 @@ impl ExecutionProfile {
     }
 }
 
-/// A partition of the workflow's PEs into fusion groups.
+/// A partition of the workflow's PEs into fusion groups: a placement runs
+/// the members of a cluster on one worker.
 ///
 /// Every PE appears in exactly one cluster; clusters are listed in
 /// topological order of their first member.
@@ -61,6 +62,59 @@ pub struct Clustering {
 }
 
 impl Clustering {
+    /// No fusion: every PE a cluster of its own, in topological order.
+    pub fn singletons(graph: &WorkflowGraph) -> Self {
+        clusters_from_dsu(graph, &mut Dsu::new(graph.pe_count()))
+    }
+
+    /// The same clusters in dataflow order: members in topological order,
+    /// and every connection between two clusters running forward, so the
+    /// flattened list is a topological order of the PEs. Among the clusters
+    /// ready at a step, the one whose first member comes first is taken, so
+    /// [`staging`] and [`singletons`](Self::singletons) come back unchanged.
+    ///
+    /// `None` when the clusters do not partition the PEs, or when they form
+    /// a cycle: a connection leaves a cluster and a path comes back into it
+    /// (a→b→c plus a→c with {a, c} fused), which no placement runs in order.
+    pub fn in_dataflow_order(&self, graph: &WorkflowGraph) -> Option<Self> {
+        let members: usize = self.clusters.iter().map(Vec::len).sum();
+        let covered = graph.pe_ids().all(|pe| self.cluster_of(pe).is_some());
+        if !covered || members != graph.pe_count() || self.clusters.iter().any(Vec::is_empty) {
+            return None;
+        }
+        let mut position = vec![0; graph.pe_count()];
+        for (i, pe) in graph.topological_order().ok()?.into_iter().enumerate() {
+            position[pe.0] = i;
+        }
+        let mut sorted = self.clone();
+        for members in &mut sorted.clusters {
+            members.sort_by_key(|pe| position[pe.0]);
+        }
+        sorted
+            .clusters
+            .sort_by_key(|members| position[members[0].0]);
+        let of = |pe| sorted.cluster_of(pe).expect("the clusters cover every PE");
+        let crossing: Vec<(usize, usize)> = graph
+            .connections()
+            .iter()
+            .map(|c| (of(c.from_pe), of(c.to_pe)))
+            .filter(|(from, to)| from != to)
+            .collect();
+        let mut left: Vec<usize> = (0..sorted.len()).collect();
+        let mut clusters = Vec::with_capacity(left.len());
+        while !left.is_empty() {
+            // The first cluster left that no cluster left feeds.
+            let fed = |i| {
+                crossing
+                    .iter()
+                    .any(|&(from, to)| to == i && left.contains(&from))
+            };
+            let next = left.remove(left.iter().position(|&i| !fed(i))?);
+            clusters.push(sorted.clusters[next].clone());
+        }
+        Some(Self { clusters })
+    }
+
     /// The cluster index containing `pe`.
     pub fn cluster_of(&self, pe: PeId) -> Option<usize> {
         self.clusters.iter().position(|c| c.contains(&pe))
@@ -285,6 +339,60 @@ mod tests {
         assert!(c.fused(a, a2), "transform chain fuses");
         assert!(!c.fused(a2, b), "group-by boundary");
         assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    fn dataflow_order_keeps_staging_and_singletons() {
+        let g = pipeline(5);
+        for c in [staging(&g), Clustering::singletons(&g)] {
+            assert_eq!(c.in_dataflow_order(&g), Some(c.clone()));
+        }
+        let all: Vec<PeId> = g.topological_order().unwrap();
+        assert_eq!(Clustering::singletons(&g).clusters.concat(), all);
+    }
+
+    #[test]
+    fn dataflow_order_puts_a_feeding_cluster_first() {
+        // s → w, s → u → v with {w, v} fused: {u} feeds that cluster, so it
+        // comes first, whatever the order it was listed in.
+        let mut g = WorkflowGraph::new("t");
+        let s = g.add_pe(PeSpec::source("s", "out"));
+        let w = g.add_pe(PeSpec::sink("w", "in"));
+        let u = g.add_pe(PeSpec::transform("u", "in", "out"));
+        let v = g.add_pe(PeSpec::sink("v", "in"));
+        g.connect(s, "out", w, "in", Grouping::Shuffle).unwrap();
+        g.connect(s, "out", u, "in", Grouping::Shuffle).unwrap();
+        g.connect(u, "out", v, "in", Grouping::Shuffle).unwrap();
+        let given = Clustering {
+            clusters: vec![vec![v, w], vec![u], vec![s]],
+        };
+        let ordered = given.in_dataflow_order(&g).unwrap();
+        assert_eq!(ordered.clusters[..2], [vec![s], vec![u]]);
+        let mut fused = ordered.clusters[2].clone();
+        fused.sort();
+        assert_eq!(fused, [w, v]);
+    }
+
+    #[test]
+    fn dataflow_order_rejects_a_cycle_and_a_non_partition() {
+        // a → b → c plus a → c: {a, c} both feeds and follows b.
+        let mut g = WorkflowGraph::new("t");
+        let a = g.add_pe(PeSpec::source("a", "out"));
+        let b = g.add_pe(PeSpec::transform("b", "in", "out"));
+        let c = g.add_pe(PeSpec::sink("c", "in"));
+        g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+        g.connect(b, "out", c, "in", Grouping::Shuffle).unwrap();
+        g.connect(a, "out", c, "in", Grouping::Shuffle).unwrap();
+        let rejected = [
+            vec![vec![a, c], vec![b]],
+            vec![vec![a, b]],
+            vec![vec![a, b], vec![b, c]],
+            vec![vec![a, b, c], vec![]],
+        ];
+        for clusters in rejected {
+            let c = Clustering { clusters };
+            assert_eq!(c.in_dataflow_order(&g), None, "{c:?}");
+        }
     }
 
     #[test]

@@ -9,9 +9,15 @@
 //! sentiment workflow pins `happy State` to 4 and `top 3 happiest` to 2);
 //! pinned PEs take their processes off the top before the remainder is
 //! divided.
+//!
+//! The allocation is over a [`Clustering`] (§2.2's staging or naive
+//! assignment), which counts each cluster as one PE: an instance of a
+//! cluster is one process that runs every member. Figure 1's plan is the
+//! one over [`Clustering::singletons`].
 
 use crate::graph::WorkflowGraph;
-use crate::node::PeId;
+use crate::node::{PeId, PeKind};
+use crate::optimize::Clustering;
 
 /// A concrete instance of a PE: the pair (PE id, instance index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -135,72 +141,74 @@ pub fn minimum_processes(graph: &WorkflowGraph) -> usize {
     graph.pes().map(|(_, pe)| pe.instances.unwrap_or(1)).sum()
 }
 
-/// Builds the native static allocation for `num_processes` processes.
+/// Builds the native static allocation of `clustering` for `num_processes`
+/// processes.
 ///
-/// Rules, mirroring dispel4py's Multiprocessing mapping:
-/// 1. PEs with an explicit `instances` request get exactly that many, each on
-///    its own process.
-/// 2. The first unpinned source PE gets exactly 1 instance.
+/// Rules, mirroring dispel4py's Multiprocessing mapping, with a cluster
+/// counted as one PE:
+/// 1. A cluster with a member that requests `instances` gets exactly that
+///    many, each on its own process.
+/// 2. Every other cluster that holds a source gets exactly 1 instance.
 /// 3. Remaining processes are divided evenly (floor) among the remaining
-///    unpinned PEs; any remainder stays idle (Figure 1's two unused cores).
+///    clusters; any remainder stays idle (Figure 1's two unused cores).
+///
+/// Processes are assigned cluster by cluster, in `clustering`'s order; every
+/// member of a cluster is allocated the cluster's instances and processes.
+/// `clustering` must partition the graph's PEs, as
+/// [`Clustering::in_dataflow_order`] checks.
 pub fn partition(
     graph: &WorkflowGraph,
+    clustering: &Clustering,
     num_processes: usize,
 ) -> Result<PartitionPlan, PartitionError> {
     if graph.pe_count() == 0 {
         return Err(PartitionError::EmptyGraph);
     }
-    let required = minimum_processes(graph);
+    // Pass 1: decide instance counts. Sources are single-instance unless
+    // explicitly pinned: several instances would replay the stream once per
+    // instance.
+    let counts: Vec<Option<usize>> = clustering
+        .clusters
+        .iter()
+        .map(|members| {
+            let specs: Vec<_> = members.iter().filter_map(|&pe| graph.pe(pe)).collect();
+            let pinned = specs.iter().filter_map(|spec| spec.instances).max();
+            let source = specs.iter().any(|spec| spec.kind() == PeKind::Source);
+            pinned.or(source.then_some(1))
+        })
+        .collect();
+    let fixed: usize = counts.iter().flatten().sum();
+    let flexible = counts.iter().filter(|count| count.is_none()).count();
+    let required = fixed + flexible;
     if num_processes < required {
         return Err(PartitionError::NotEnoughProcesses {
             required,
             available: num_processes,
         });
     }
+    let share = match flexible {
+        0 => 0,
+        n => ((num_processes - fixed) / n).max(1),
+    };
 
-    // Pass 1: decide instance counts. Source PEs are always single-instance
-    // unless explicitly pinned: giving a source several instances would
-    // replay the stream once per instance.
-    let mut counts = vec![0usize; graph.pe_count()];
-    let mut pinned_total = 0usize;
-    let mut fixed_single = 0usize; // unpinned sources fixed at 1
-    let mut flexible: Vec<PeId> = Vec::new();
-    for (id, pe) in graph.pes() {
-        if let Some(n) = pe.instances {
-            counts[id.0] = n;
-            pinned_total += n;
-        } else if pe.kind() == crate::node::PeKind::Source {
-            counts[id.0] = 1;
-            fixed_single += 1;
-        } else {
-            flexible.push(id);
-        }
-    }
-    if !flexible.is_empty() {
-        let pool = num_processes - pinned_total - fixed_single;
-        let share = (pool / flexible.len()).max(1);
-        for id in &flexible {
-            counts[id.0] = share;
-        }
-    }
-
-    // Pass 2: assign processes in topological-ish (id) order.
+    // Pass 2: assign processes cluster by cluster.
+    let mut allocations: Vec<InstanceAllocation> = graph
+        .pe_ids()
+        .map(|pe| InstanceAllocation {
+            pe,
+            instances: 0,
+            processes: Vec::new(),
+        })
+        .collect();
     let mut next_proc = 0usize;
-    let mut allocations = Vec::with_capacity(graph.pe_count());
-    for id in graph.pe_ids() {
-        let n = counts[id.0];
-        let processes: Vec<usize> = (0..n)
-            .map(|_| {
-                let p = next_proc;
-                next_proc += 1;
-                p
-            })
-            .collect();
-        allocations.push(InstanceAllocation {
-            pe: id,
-            instances: n,
-            processes,
-        });
+    for (count, members) in counts.into_iter().zip(&clustering.clusters) {
+        let n = count.unwrap_or(share);
+        let processes: Vec<usize> = (next_proc..next_proc + n).collect();
+        next_proc += n;
+        for pe in members {
+            allocations[pe.0].instances = n;
+            allocations[pe.0].processes = processes.clone();
+        }
     }
 
     Ok(PartitionPlan {
@@ -232,7 +240,7 @@ mod tests {
     #[test]
     fn figure1_allocation_matches_paper() {
         let g = figure1_graph();
-        let plan = partition(&g, 12).unwrap();
+        let plan = partition(&g, &Clustering::singletons(&g), 12).unwrap();
         assert_eq!(plan.instances_of(PeId(0)), 1, "source gets one process");
         for pe in 1..4 {
             assert_eq!(plan.instances_of(PeId(pe)), 3, "⌊(12-1)/3⌋ = 3");
@@ -249,8 +257,8 @@ mod tests {
     fn minimum_is_one_per_pe_without_pins() {
         let g = figure1_graph();
         assert_eq!(minimum_processes(&g), 4);
-        assert!(partition(&g, 3).is_err());
-        partition(&g, 4).unwrap();
+        assert!(partition(&g, &Clustering::singletons(&g), 3).is_err());
+        partition(&g, &Clustering::singletons(&g), 4).unwrap();
     }
 
     #[test]
@@ -267,16 +275,34 @@ mod tests {
             .unwrap();
         g.connect(grp, "out", top, "in", Grouping::Global).unwrap();
         assert_eq!(minimum_processes(&g), 7);
-        let plan = partition(&g, 8).unwrap();
+        let plan = partition(&g, &Clustering::singletons(&g), 8).unwrap();
         assert_eq!(plan.instances_of(grp), 4);
         assert_eq!(plan.instances_of(top), 2);
         assert_eq!(plan.instances_of(s), 1);
     }
 
     #[test]
+    fn a_cluster_counts_as_one_pe() {
+        // {src}, {a, b, k} on 4 processes: the source's one, and 3 for the
+        // body, each running all three members.
+        let g = figure1_graph();
+        let ids: Vec<PeId> = g.pe_ids().collect();
+        let clustering = Clustering {
+            clusters: vec![vec![ids[0]], ids[1..].to_vec()],
+        };
+        assert!(partition(&g, &clustering, 1).is_err());
+        let plan = partition(&g, &clustering, 4).unwrap();
+        assert_eq!(plan.instances_of(ids[0]), 1);
+        for &pe in &ids[1..] {
+            assert_eq!(plan.allocations[pe.0].processes, [1, 2, 3]);
+        }
+        assert_eq!(plan.idle_processes(), 0);
+    }
+
+    #[test]
     fn each_instance_gets_unique_process() {
         let g = figure1_graph();
-        let plan = partition(&g, 12).unwrap();
+        let plan = partition(&g, &Clustering::singletons(&g), 12).unwrap();
         let mut procs: Vec<usize> = plan
             .instances()
             .iter()
@@ -291,7 +317,7 @@ mod tests {
     #[test]
     fn exact_minimum_leaves_nothing_idle() {
         let g = figure1_graph();
-        let plan = partition(&g, 4).unwrap();
+        let plan = partition(&g, &Clustering::singletons(&g), 4).unwrap();
         assert_eq!(plan.total_instances(), 4);
         assert_eq!(plan.idle_processes(), 0);
     }
@@ -299,13 +325,16 @@ mod tests {
     #[test]
     fn empty_graph_rejected() {
         let g = WorkflowGraph::new("t");
-        assert_eq!(partition(&g, 4).unwrap_err(), PartitionError::EmptyGraph);
+        assert_eq!(
+            partition(&g, &Clustering::singletons(&g), 4).unwrap_err(),
+            PartitionError::EmptyGraph
+        );
     }
 
     #[test]
     fn instances_listing_is_dense() {
         let g = figure1_graph();
-        let plan = partition(&g, 12).unwrap();
+        let plan = partition(&g, &Clustering::singletons(&g), 12).unwrap();
         let insts = plan.instances();
         assert_eq!(insts.len(), plan.total_instances());
         assert_eq!(

@@ -3,6 +3,7 @@
 //! Runs on the in-repo seeded harness (`d4py_sync::prop`): every case is
 //! deterministic, and a failing case prints the seed to replay it.
 
+use d4py_graph::optimize::Clustering;
 use d4py_graph::{partition, Grouping, PeId, PeSpec, WorkflowGraph};
 use d4py_sync::prop::{for_all, Gen};
 
@@ -99,7 +100,7 @@ fn partition_covers_every_pe_at_minimum_processes() {
     for_all(|g| {
         let dag = gen_dag(g);
         let needed = partition::minimum_processes(&dag);
-        let plan = partition::partition(&dag, needed).unwrap();
+        let plan = partition::partition(&dag, &Clustering::singletons(&dag), needed).unwrap();
         for pe in dag.pe_ids() {
             assert!(plan.instances_of(pe) >= 1);
         }
@@ -114,7 +115,7 @@ fn partition_never_oversubscribes() {
         let dag = gen_dag(g);
         let extra = g.usize_in(0..20);
         let workers = partition::minimum_processes(&dag) + extra;
-        let plan = partition::partition(&dag, workers).unwrap();
+        let plan = partition::partition(&dag, &Clustering::singletons(&dag), workers).unwrap();
         // No process hosts two instances.
         let mut procs: Vec<usize> = plan
             .instances()

@@ -84,6 +84,12 @@ D4PY_BENCH_QUICK=1 cargo run -q --release --offline -p d4py-bench --bin repro --
     chaos --quick \
     || { echo "verify: FAIL — chaos matrix smoke violated an invariant" >&2; exit 1; }
 
+# Ablation smoke (~1 s): the three design ablations of DESIGN.md §5 in quick
+# mode. Ablation 3 runs `Multi::clustered(staging(g))`, the clustered
+# placement's one caller outside the tests; any run that errs panics here.
+cargo run -q --release --offline -p d4py-bench --bin repro -- ablation --quick \
+    || { echo "verify: FAIL — repro ablation smoke" >&2; exit 1; }
+
 # The repo benchmark (BENCHMARK.json) is a package of its own that the root
 # build does not compile, yet it imports the engines' front doors directly
 # (run_dynamic, run_hybrid, QueueFactory, TaskQueue, Router, ...). Build it

@@ -8,6 +8,7 @@
 //! `D4PY_BACKPRESSURE_ITEMS` sets the long stream's length (default
 //! 200 000); the nightly soak runs it at 50×.
 
+use dispel4py::graph::optimize::staging;
 use dispel4py::graph::partition;
 use dispel4py::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -151,7 +152,8 @@ fn long_chain(items: i64, steps: usize, pinned: bool) -> (Executable, Arc<Finger
 /// runs at most its credit ahead, plus one write of its own and one popped
 /// batch per worker that the helping source cannot reach — also when each
 /// of its items drives a nine-step chain, whose steps are called inline by
-/// the worker that pops the item or, under `multi`, are a slot each.
+/// the worker that pops the item or, under `multi`, are a slot each, or,
+/// with the chain's staging placed on `multi`, calls of the body's slots.
 #[test]
 fn a_long_stream_stays_within_the_credit() {
     let items = stream_len();
@@ -160,7 +162,14 @@ fn a_long_stream_stays_within_the_credit() {
         let simple = Simple.execute(&exe, &ExecutionOptions::new(1)).unwrap();
         let reference = seen.read();
         assert_eq!(reference[0], items as u64);
-        for row in rows() {
+        let mut rows = rows();
+        if steps == 9 {
+            rows.push(Row {
+                mapping: Box::new(Multi::clustered(staging(exe.graph()))),
+                pinned_source: false,
+            });
+        }
+        for row in rows {
             for workers in row.workers(exe.graph()) {
                 let (exe, seen) = long_chain(items, steps, row.pinned_source);
                 let report = row
@@ -278,14 +287,15 @@ fn the_first_result_arrives_before_the_source_returns() {
 }
 
 /// A source that panics after 1 000 emissions loses only what it still
-/// buffered: the sink receives exactly the prefix it wrote out — at least
-/// every whole [`EMIT_KEEP`] window — and the run still ends at
-/// quiescence. Without streaming emission (and under `multi` while it
-/// buffered the whole call) the panic discarded all 1 000.
+/// buffered: the sink receives exactly the prefix it wrote out — all but
+/// fewer than [`EMIT_KEEP`] emissions, since a call writes at its
+/// [`EMIT_KEEP`]-th buffered emission at the latest (and earlier whenever
+/// the service-time rule fires, which shifts the windows) — and the run
+/// still ends at quiescence. Without streaming emission (and under `multi`
+/// while it buffered the whole call) the panic discarded all 1 000.
 #[test]
 fn a_panicking_source_keeps_what_it_wrote_out() {
     const EMITTED: i64 = 1_000;
-    let written = EMITTED - EMITTED % EMIT_KEEP as i64;
     for row in rows() {
         let mut g = WorkflowGraph::new("panics");
         let src = g.add_pe(source(row.pinned_source));
@@ -320,8 +330,8 @@ fn a_panicking_source_keeps_what_it_wrote_out() {
                 "{name}: a written-out prefix"
             );
             assert!(
-                (written..=EMITTED).contains(&k),
-                "{name}: {k} delivered, every window up to {written} was written out"
+                k > EMITTED - EMIT_KEEP as i64,
+                "{name}: {k} delivered, fewer than {EMIT_KEEP} may be lost"
             );
             let retried = report.warnings.iter().any(|w| w.contains("retry protocol"));
             assert!(

@@ -2,6 +2,7 @@
 //! the same abstract workflow — the semantic contract Figure 1's
 //! abstract/concrete split promises.
 
+use dispel4py::graph::optimize::staging;
 use dispel4py::prelude::*;
 use dispel4py::workflows::astro;
 
@@ -34,8 +35,10 @@ fn all_seven_mappings_agree_on_the_galaxy_workflow() {
     assert_eq!(reference.len(), 100);
 
     let backend = RedisBackend::in_proc();
+    let staged = staging(astro::build(&fast_cfg()).0.graph());
     let mappings: Vec<(Box<dyn Mapping>, usize)> = vec![
         (Box::new(Multi), 6),
+        (Box::new(Multi::clustered(staged)), 6),
         (Box::new(DynMulti), 4),
         (Box::new(DynAutoMulti::new()), 6),
         (Box::new(HybridMulti), 4),
@@ -255,8 +258,10 @@ fn a_stream_longer_than_the_credit_agrees_across_mappings() {
     let reference = run(&Simple, 1);
     assert_eq!(reference, (0..2 * ITEMS).collect::<Vec<_>>());
     let backend = RedisBackend::in_proc();
+    let staged = staging(build().0.graph());
     let mappings: Vec<(Box<dyn Mapping>, usize)> = vec![
         (Box::new(Multi), 4),
+        (Box::new(Multi::clustered(staged)), 4),
         (Box::new(DynMulti), 1),
         (Box::new(DynMulti), 3),
         (Box::new(DynAutoMulti::new()), 3),

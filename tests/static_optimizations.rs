@@ -1,7 +1,7 @@
 //! Integration: the static-optimization loop end to end — profile a
 //! workflow, derive a *naive assignment* clustering from the measured
-//! costs, fuse it, and run the fused workflow; plus *staging* applied to
-//! the real seismic pipeline.
+//! costs, and place it on `multi`; plus *staging* placed on `multi` for the
+//! real seismic and galaxy pipelines.
 
 use dispel4py::core::profile::{profile_workflow, CommCostModel};
 use dispel4py::graph::optimize::{naive_assignment, staging};
@@ -64,11 +64,12 @@ fn profile_naive_assignment_fuse_run() {
     let digest = exe.graph().pe_by_name("digest").unwrap();
     assert!(clustering.fused(inflate, digest), "{clustering:?}");
 
-    // 3. Fuse and run: results identical to the unfused workflow.
+    // 3. Place it and run: results identical to the unclustered workflow.
     let (exe2, fused_results) = chatty_pipeline();
-    let fused = fuse(&exe2, &clustering).unwrap();
-    assert!(fused.graph().pe_count() < exe2.graph().pe_count());
-    DynMulti.execute(&fused, &ExecutionOptions::new(4)).unwrap();
+    assert!(clustering.len() < exe2.graph().pe_count());
+    Multi::clustered(clustering)
+        .execute(&exe2, &ExecutionOptions::new(4))
+        .unwrap();
 
     let (exe3, plain_results) = chatty_pipeline();
     DynMulti.execute(&exe3, &ExecutionOptions::new(4)).unwrap();
@@ -86,17 +87,19 @@ fn staging_fuses_the_seismic_pipeline_and_preserves_output() {
     let cfg = WorkloadConfig::standard().with_time_scale(0.002);
 
     let (exe, unfused_written) = seismic::build(&cfg);
-    DynMulti.execute(&exe, &ExecutionOptions::new(4)).unwrap();
+    let unfused = DynMulti.execute(&exe, &ExecutionOptions::new(4)).unwrap();
 
     let (exe, fused_written) = seismic::build(&cfg);
     let clustering = staging(exe.graph());
     // Source alone + the 8-PE processing/writing body.
     assert_eq!(clustering.len(), 2);
-    let fused = fuse(&exe, &clustering).unwrap();
-    assert_eq!(fused.graph().pe_count(), 2);
-    let report = DynMulti.execute(&fused, &ExecutionOptions::new(4)).unwrap();
-    // 1 kickoff + 50 stations through the fused body.
-    assert_eq!(report.tasks_executed, 51);
+    let report = Multi::clustered(clustering)
+        .execute(&exe, &ExecutionOptions::new(4))
+        .unwrap();
+    // 1 kickoff + 50 stations through the 8 PEs of the body: the report
+    // counts PE calls, and the staged body calls them all inline.
+    assert_eq!(report.tasks_executed, 1 + 50 * 8);
+    assert_eq!(report.per_pe_tasks, unfused.per_pe_tasks);
 
     let sorted = |h: &std::sync::Arc<d4py_sync::Mutex<Vec<String>>>| {
         let mut v = h.lock().clone();
@@ -113,8 +116,9 @@ fn fused_astro_matches_reference_extinctions() {
     Simple.execute(&exe, &ExecutionOptions::new(1)).unwrap();
 
     let (exe, fused_results) = dispel4py::workflows::astro::build(&cfg);
-    let fused = fuse_staged(&exe).unwrap();
-    DynMulti.execute(&fused, &ExecutionOptions::new(6)).unwrap();
+    Multi::clustered(staging(exe.graph()))
+        .execute(&exe, &ExecutionOptions::new(6))
+        .unwrap();
 
     let extract = |h: &std::sync::Arc<d4py_sync::Mutex<Vec<Value>>>| {
         let mut v: Vec<(i64, f64)> = h
