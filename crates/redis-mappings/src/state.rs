@@ -3,7 +3,7 @@
 //! [`d4py_core::state::snapshot`]).
 //!
 //! This is the deployment-grade sibling of the in-memory store: snapshots
-//! survive the workflow process, are inspectable with plain `HGETALL`, and
+//! survive the workflow process, are inspectable with plain `HKEYS`/`HGET`, and
 //! can warm-start a later run on a different machine that shares the
 //! Redis. Because both stores persist the identical framed bytes, a
 //! snapshot written through one loads byte-identically through the other

@@ -137,13 +137,13 @@ mod tests {
         {
             let aof = Aof::open(&path, FsyncPolicy::No).unwrap();
             aof.append(&cmd(&["SET", "k", "v"])).unwrap();
-            aof.append(&cmd(&["LPUSH", "q", "a", "b"])).unwrap();
+            aof.append(&cmd(&["XADD", "q", "1-0", "a", "b"])).unwrap();
             aof.flush().unwrap();
         }
         let commands = Aof::load(&path).unwrap();
         assert_eq!(commands.len(), 2);
         assert_eq!(commands[0], cmd(&["SET", "k", "v"]));
-        assert_eq!(commands[1], cmd(&["LPUSH", "q", "a", "b"]));
+        assert_eq!(commands[1], cmd(&["XADD", "q", "1-0", "a", "b"]));
         let _ = std::fs::remove_file(&path);
     }
 

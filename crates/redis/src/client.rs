@@ -90,7 +90,7 @@ pub trait Connection: Send {
 /// and then never replies surfaces as `ErrorKind::TimedOut` (classified
 /// transient, so idempotent commands get the bounded reconnect-retry)
 /// instead of blocking the calling worker forever. Blocking reads
-/// (`XREADGROUP ... BLOCK ms`, `BLPOP`) automatically extend the read
+/// (`XREAD`/`XREADGROUP ... BLOCK ms`) automatically extend the read
 /// deadline by their server-side block time, so a legitimate long poll is
 /// never misread as a stall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,14 +256,15 @@ impl Client {
     }
 }
 
-/// How long a command may legitimately sit server-side before replying.
+/// How long a command may legitimately sit server-side before replying:
+/// only a stream read with `BLOCK` waits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockHint {
     /// Replies immediately — the configured read deadline applies as-is.
     None,
-    /// Blocks up to this long (`BLOCK ms`, `BLPOP secs`).
+    /// Blocks up to this long (`BLOCK ms`).
     Extra(Duration),
-    /// Blocks indefinitely (`BLOCK 0`, `BLPOP key 0`).
+    /// Blocks indefinitely (`BLOCK 0`).
     Forever,
 }
 
@@ -286,34 +287,22 @@ fn block_hint(args: &[&[u8]]) -> BlockHint {
     let Some(verb) = args.first() else {
         return BlockHint::None;
     };
-    if verb.eq_ignore_ascii_case(b"XREAD") || verb.eq_ignore_ascii_case(b"XREADGROUP") {
-        for pair in args.windows(2) {
-            if pair[0].eq_ignore_ascii_case(b"BLOCK") {
-                let ms = std::str::from_utf8(pair[1])
-                    .ok()
-                    .and_then(|s| s.parse::<u64>().ok());
-                return match ms {
-                    Some(0) => BlockHint::Forever,
-                    Some(ms) => BlockHint::Extra(Duration::from_millis(ms)),
-                    None => BlockHint::None,
-                };
-            }
-        }
-        BlockHint::None
-    } else if verb.eq_ignore_ascii_case(b"BLPOP") || verb.eq_ignore_ascii_case(b"BRPOP") {
-        let secs = args
-            .last()
-            .and_then(|raw| std::str::from_utf8(raw).ok())
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|s| s.is_finite() && *s >= 0.0);
-        match secs {
-            Some(0.0) => BlockHint::Forever,
-            Some(s) => BlockHint::Extra(Duration::from_secs_f64(s)),
-            None => BlockHint::None,
-        }
-    } else {
-        BlockHint::None
+    if !verb.eq_ignore_ascii_case(b"XREAD") && !verb.eq_ignore_ascii_case(b"XREADGROUP") {
+        return BlockHint::None;
     }
+    for pair in args.windows(2) {
+        if pair[0].eq_ignore_ascii_case(b"BLOCK") {
+            let ms = std::str::from_utf8(pair[1])
+                .ok()
+                .and_then(|s| s.parse::<u64>().ok());
+            return match ms {
+                Some(0) => BlockHint::Forever,
+                Some(ms) => BlockHint::Extra(Duration::from_millis(ms)),
+                None => BlockHint::None,
+            };
+        }
+    }
+    BlockHint::None
 }
 
 /// Commands that are safe to re-issue blindly after a dropped connection:
@@ -909,7 +898,7 @@ mod tests {
         use super::super::*;
 
         #[test]
-        fn block_hint_reads_xreadgroup_and_blpop() {
+        fn block_hint_reads_xread_and_xreadgroup() {
             assert_eq!(block_hint(&[b"GET", b"k"]), BlockHint::None);
             assert_eq!(
                 block_hint(&[b"XREADGROUP", b"GROUP", b"g", b"c", b"BLOCK", b"250"]),
@@ -920,10 +909,10 @@ mod tests {
                 BlockHint::Forever
             );
             assert_eq!(
-                block_hint(&[b"BLPOP", b"q", b"1.5"]),
-                BlockHint::Extra(Duration::from_millis(1500))
+                block_hint(&[b"SET", b"BLOCK", b"250"]),
+                BlockHint::None,
+                "only a stream read blocks"
             );
-            assert_eq!(block_hint(&[b"BRPOP", b"q", b"0"]), BlockHint::Forever);
             assert_eq!(
                 block_hint(&[b"XREADGROUP", b"GROUP", b"g", b"c", b"STREAMS", b"s", b">"]),
                 BlockHint::None

@@ -1,16 +1,18 @@
-//! Hash commands.
+//! Hash commands: HSET, HGET and HKEYS (the state store's three verbs).
 
-use super::{now, parse_int, wrong_args, wrong_type};
+use super::{bulk_array, wrong_args, wrong_type};
 use crate::resp::Frame;
 use crate::store::{Db, RValue};
 use d4py_sync::SharedBuf;
-use std::collections::HashMap;
 
-pub(crate) fn hset(db: &mut Db, args: &[SharedBuf], legacy_hmset: bool) -> Frame {
+pub(crate) fn hset(db: &mut Db, args: &[SharedBuf]) -> Frame {
     if args.len() < 3 || args.len().is_multiple_of(2) {
-        return wrong_args(if legacy_hmset { "HMSET" } else { "HSET" });
+        return wrong_args("HSET");
     }
-    match db.get_or_create(&args[0], now(), || RValue::Hash(HashMap::new())) {
+    match db
+        .entry(args[0].to_vec())
+        .or_insert_with(|| RValue::Hash(Default::default()))
+    {
         RValue::Hash(h) => {
             let mut added = 0;
             for pair in args[1..].chunks(2) {
@@ -18,11 +20,7 @@ pub(crate) fn hset(db: &mut Db, args: &[SharedBuf], legacy_hmset: bool) -> Frame
                     added += 1;
                 }
             }
-            if legacy_hmset {
-                Frame::ok()
-            } else {
-                Frame::Integer(added)
-            }
+            Frame::Integer(added)
         }
         _ => wrong_type(),
     }
@@ -32,7 +30,7 @@ pub(crate) fn hget(db: &mut Db, args: &[SharedBuf]) -> Frame {
     if args.len() != 2 {
         return wrong_args("HGET");
     }
-    match db.get(&args[0], now()) {
+    match db.get(args[0].as_slice()) {
         None => Frame::Null,
         Some(RValue::Hash(h)) => h
             .get(args[1].as_slice())
@@ -42,120 +40,16 @@ pub(crate) fn hget(db: &mut Db, args: &[SharedBuf]) -> Frame {
     }
 }
 
-pub(crate) fn hdel(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() < 2 {
-        return wrong_args("HDEL");
-    }
-    let (removed, emptied) = match db.get_mut(&args[0], now()) {
-        None => return Frame::Integer(0),
-        Some(RValue::Hash(h)) => {
-            let removed = args[1..]
-                .iter()
-                .filter(|f| h.remove(f.as_slice()).is_some())
-                .count();
-            (removed, h.is_empty())
-        }
-        Some(_) => return wrong_type(),
-    };
-    if emptied {
-        db.del(&args[0], now());
-    }
-    Frame::Integer(removed as i64)
-}
-
-pub(crate) fn hgetall(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("HGETALL");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Array(vec![]),
-        Some(RValue::Hash(h)) => {
-            let mut pairs: Vec<(&Vec<u8>, &Vec<u8>)> = h.iter().collect();
-            pairs.sort_by(|a, b| a.0.cmp(b.0)); // deterministic ordering
-            Frame::Array(
-                pairs
-                    .into_iter()
-                    .flat_map(|(k, v)| [Frame::bulk(k.clone()), Frame::bulk(v.clone())])
-                    .collect(),
-            )
-        }
-        Some(_) => wrong_type(),
-    }
-}
-
-pub(crate) fn hlen(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("HLEN");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Integer(0),
-        Some(RValue::Hash(h)) => Frame::Integer(h.len() as i64),
-        Some(_) => wrong_type(),
-    }
-}
-
-pub(crate) fn hexists(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("HEXISTS");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Integer(0),
-        Some(RValue::Hash(h)) => Frame::Integer(i64::from(h.contains_key(args[1].as_slice()))),
-        Some(_) => wrong_type(),
-    }
-}
-
-pub(crate) fn hincrby(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 3 {
-        return wrong_args("HINCRBY");
-    }
-    let Some(delta) = parse_int(&args[2]) else {
-        return Frame::error("value is not an integer or out of range");
-    };
-    match db.get_or_create(&args[0], now(), || RValue::Hash(HashMap::new())) {
-        RValue::Hash(h) => {
-            let slot = h.entry(args[1].to_vec()).or_insert_with(|| b"0".to_vec());
-            let Some(cur) = std::str::from_utf8(slot)
-                .ok()
-                .and_then(|s| s.parse::<i64>().ok())
-            else {
-                return Frame::error("hash value is not an integer");
-            };
-            let Some(next) = cur.checked_add(delta) else {
-                return Frame::error("increment or decrement would overflow");
-            };
-            *slot = next.to_string().into_bytes();
-            Frame::Integer(next)
-        }
-        _ => wrong_type(),
-    }
-}
-
 pub(crate) fn hkeys(db: &mut Db, args: &[SharedBuf]) -> Frame {
     if args.len() != 1 {
         return wrong_args("HKEYS");
     }
-    match db.get(&args[0], now()) {
+    match db.get(args[0].as_slice()) {
         None => Frame::Array(vec![]),
         Some(RValue::Hash(h)) => {
             let mut keys: Vec<Vec<u8>> = h.keys().cloned().collect();
             keys.sort();
-            super::bulk_array(keys)
-        }
-        Some(_) => wrong_type(),
-    }
-}
-
-pub(crate) fn hvals(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("HVALS");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Array(vec![]),
-        Some(RValue::Hash(h)) => {
-            let mut pairs: Vec<(&Vec<u8>, &Vec<u8>)> = h.iter().collect();
-            pairs.sort_by(|a, b| a.0.cmp(b.0));
-            super::bulk_array(pairs.into_iter().map(|(_, v)| v.clone()).collect())
+            bulk_array(keys)
         }
         Some(_) => wrong_type(),
     }
@@ -176,88 +70,37 @@ mod tests {
     fn hset_hget_roundtrip() {
         let mut db = Db::new();
         assert_eq!(
-            hset(&mut db, &f(&["h", "a", "1", "b", "2"]), false),
+            hset(&mut db, &f(&["h", "a", "1", "b", "2"])),
             Frame::Integer(2)
         );
         assert_eq!(
-            hset(&mut db, &f(&["h", "a", "9"]), false),
+            hset(&mut db, &f(&["h", "a", "9"])),
             Frame::Integer(0),
             "overwrite"
         );
         assert_eq!(hget(&mut db, &f(&["h", "a"])), Frame::bulk("9"));
         assert_eq!(hget(&mut db, &f(&["h", "zz"])), Frame::Null);
         assert_eq!(hget(&mut db, &f(&["nope", "a"])), Frame::Null);
+        assert!(hset(&mut db, &f(&["h", "a"])).is_error(), "odd pairs");
     }
 
     #[test]
-    fn hmset_replies_ok() {
+    fn hkeys_sorted() {
         let mut db = Db::new();
-        assert_eq!(hset(&mut db, &f(&["h", "a", "1"]), true), Frame::ok());
-    }
-
-    #[test]
-    fn hdel_and_empty_removal() {
-        let mut db = Db::new();
-        hset(&mut db, &f(&["h", "a", "1", "b", "2"]), false);
-        assert_eq!(hdel(&mut db, &f(&["h", "a", "zz"])), Frame::Integer(1));
-        assert_eq!(hdel(&mut db, &f(&["h", "b"])), Frame::Integer(1));
-        assert!(db.get(b"h", now()).is_none(), "empty hash key removed");
-    }
-
-    #[test]
-    fn hgetall_sorted_pairs() {
-        let mut db = Db::new();
-        hset(&mut db, &f(&["h", "b", "2", "a", "1"]), false);
-        assert_eq!(
-            hgetall(&mut db, &f(&["h"])),
-            Frame::Array(vec![
-                Frame::bulk("a"),
-                Frame::bulk("1"),
-                Frame::bulk("b"),
-                Frame::bulk("2")
-            ])
-        );
-    }
-
-    #[test]
-    fn hlen_hexists() {
-        let mut db = Db::new();
-        hset(&mut db, &f(&["h", "a", "1"]), false);
-        assert_eq!(hlen(&mut db, &f(&["h"])), Frame::Integer(1));
-        assert_eq!(hexists(&mut db, &f(&["h", "a"])), Frame::Integer(1));
-        assert_eq!(hexists(&mut db, &f(&["h", "b"])), Frame::Integer(0));
-        assert_eq!(hlen(&mut db, &f(&["nope"])), Frame::Integer(0));
-    }
-
-    #[test]
-    fn hincrby_counts() {
-        let mut db = Db::new();
-        assert_eq!(hincrby(&mut db, &f(&["h", "n", "5"])), Frame::Integer(5));
-        assert_eq!(hincrby(&mut db, &f(&["h", "n", "-2"])), Frame::Integer(3));
-        hset(&mut db, &f(&["h", "s", "abc"]), false);
-        assert!(hincrby(&mut db, &f(&["h", "s", "1"])).is_error());
-    }
-
-    #[test]
-    fn hkeys_hvals_sorted() {
-        let mut db = Db::new();
-        hset(&mut db, &f(&["h", "b", "2", "a", "1"]), false);
+        hset(&mut db, &f(&["h", "b", "2", "a", "1"]));
         assert_eq!(
             hkeys(&mut db, &f(&["h"])),
             Frame::Array(vec![Frame::bulk("a"), Frame::bulk("b")])
         );
-        assert_eq!(
-            hvals(&mut db, &f(&["h"])),
-            Frame::Array(vec![Frame::bulk("1"), Frame::bulk("2")])
-        );
+        assert_eq!(hkeys(&mut db, &f(&["nope"])), Frame::Array(vec![]));
     }
 
     #[test]
     fn wrong_type_everywhere() {
         let mut db = Db::new();
-        db.set(b"s".to_vec(), RValue::Str(vec![]));
-        assert!(hset(&mut db, &f(&["s", "a", "1"]), false).is_error());
+        db.insert(b"s".to_vec(), RValue::Str(vec![]));
+        assert!(hset(&mut db, &f(&["s", "a", "1"])).is_error());
         assert!(hget(&mut db, &f(&["s", "a"])).is_error());
-        assert!(hgetall(&mut db, &f(&["s"])).is_error());
+        assert!(hkeys(&mut db, &f(&["s"])).is_error());
     }
 }

@@ -1,103 +1,15 @@
-//! Generic keyspace commands: DEL, EXISTS, TYPE, KEYS, expiry family.
+//! Generic keyspace commands: KEYS.
 
-use super::{bulk_array, ms, now, parse_int, wrong_args};
+use super::{bulk_array, wrong_args};
 use crate::resp::Frame;
-use crate::store::Db;
+use crate::store::{keys_matching, Db};
 use d4py_sync::SharedBuf;
-use std::time::Duration;
-
-pub(crate) fn del(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.is_empty() {
-        return wrong_args("DEL");
-    }
-    let n = args.iter().filter(|k| db.del(k, now())).count();
-    Frame::Integer(n as i64)
-}
-
-pub(crate) fn exists(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.is_empty() {
-        return wrong_args("EXISTS");
-    }
-    let n = args.iter().filter(|k| db.exists(k, now())).count();
-    Frame::Integer(n as i64)
-}
-
-pub(crate) fn type_(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("TYPE");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Simple("none".into()),
-        Some(v) => Frame::Simple(v.type_name().into()),
-    }
-}
 
 pub(crate) fn keys(db: &mut Db, args: &[SharedBuf]) -> Frame {
     if args.len() != 1 {
         return wrong_args("KEYS");
     }
-    bulk_array(db.keys_matching(&args[0], now()))
-}
-
-pub(crate) fn expire(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("EXPIRE");
-    }
-    let Some(secs) = parse_int(&args[1]) else {
-        return Frame::error("value is not an integer or out of range");
-    };
-    if secs <= 0 {
-        return Frame::Integer(i64::from(db.del(&args[0], now())));
-    }
-    let ok = db.expire(&args[0], now() + Duration::from_secs(secs as u64), now());
-    Frame::Integer(i64::from(ok))
-}
-
-pub(crate) fn pexpire(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("PEXPIRE");
-    }
-    let Some(millis) = parse_int(&args[1]) else {
-        return Frame::error("value is not an integer or out of range");
-    };
-    if millis <= 0 {
-        return Frame::Integer(i64::from(db.del(&args[0], now())));
-    }
-    let ok = db.expire(
-        &args[0],
-        now() + Duration::from_millis(millis as u64),
-        now(),
-    );
-    Frame::Integer(i64::from(ok))
-}
-
-pub(crate) fn ttl(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("TTL");
-    }
-    match db.ttl(&args[0], now()) {
-        None => Frame::Integer(-2),
-        Some(None) => Frame::Integer(-1),
-        Some(Some(d)) => Frame::Integer(d.as_secs() as i64),
-    }
-}
-
-pub(crate) fn pttl(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("PTTL");
-    }
-    match db.ttl(&args[0], now()) {
-        None => Frame::Integer(-2),
-        Some(None) => Frame::Integer(-1),
-        Some(Some(d)) => Frame::Integer(ms(d)),
-    }
-}
-
-pub(crate) fn persist(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("PERSIST");
-    }
-    Frame::Integer(i64::from(db.persist(&args[0], now())))
+    bulk_array(keys_matching(db, &args[0]))
 }
 
 #[cfg(test)]
@@ -112,73 +24,14 @@ mod tests {
             .collect()
     }
 
-    fn seeded() -> Db {
-        let mut db = Db::new();
-        db.set(b"a".to_vec(), RValue::Str(b"1".to_vec()));
-        db.set(b"b".to_vec(), RValue::Str(b"2".to_vec()));
-        db
-    }
-
-    #[test]
-    fn del_counts_existing() {
-        let mut db = seeded();
-        assert_eq!(del(&mut db, &f(&["a", "missing", "b"])), Frame::Integer(2));
-        assert_eq!(exists(&mut db, &f(&["a", "b"])), Frame::Integer(0));
-    }
-
-    #[test]
-    fn exists_counts_multiplicity() {
-        let mut db = seeded();
-        assert_eq!(exists(&mut db, &f(&["a", "a", "b"])), Frame::Integer(3));
-    }
-
-    #[test]
-    fn type_reports() {
-        let mut db = seeded();
-        assert_eq!(type_(&mut db, &f(&["a"])), Frame::Simple("string".into()));
-        assert_eq!(type_(&mut db, &f(&["nope"])), Frame::Simple("none".into()));
-    }
-
     #[test]
     fn keys_pattern() {
-        let mut db = seeded();
+        let mut db = Db::new();
+        db.insert(b"a".to_vec(), RValue::Str(b"1".to_vec()));
+        db.insert(b"b".to_vec(), RValue::Str(b"2".to_vec()));
         assert_eq!(
             keys(&mut db, &f(&["*"])),
             Frame::Array(vec![Frame::bulk("a"), Frame::bulk("b")])
         );
-    }
-
-    #[test]
-    fn ttl_lifecycle() {
-        let mut db = seeded();
-        assert_eq!(ttl(&mut db, &f(&["missing"])), Frame::Integer(-2));
-        assert_eq!(ttl(&mut db, &f(&["a"])), Frame::Integer(-1));
-        assert_eq!(expire(&mut db, &f(&["a", "100"])), Frame::Integer(1));
-        let t = ttl(&mut db, &f(&["a"])).as_int().unwrap();
-        assert!((99..=100).contains(&t));
-        assert_eq!(persist(&mut db, &f(&["a"])), Frame::Integer(1));
-        assert_eq!(ttl(&mut db, &f(&["a"])), Frame::Integer(-1));
-    }
-
-    #[test]
-    fn pexpire_and_pttl() {
-        let mut db = seeded();
-        assert_eq!(pexpire(&mut db, &f(&["a", "5000"])), Frame::Integer(1));
-        let t = pttl(&mut db, &f(&["a"])).as_int().unwrap();
-        assert!(t > 4000 && t <= 5000);
-    }
-
-    #[test]
-    fn non_positive_expire_deletes() {
-        let mut db = seeded();
-        assert_eq!(expire(&mut db, &f(&["a", "0"])), Frame::Integer(1));
-        assert_eq!(exists(&mut db, &f(&["a"])), Frame::Integer(0));
-        assert_eq!(expire(&mut db, &f(&["a", "-5"])), Frame::Integer(0));
-    }
-
-    #[test]
-    fn expire_missing_key() {
-        let mut db = Db::new();
-        assert_eq!(expire(&mut db, &f(&["ghost", "10"])), Frame::Integer(0));
     }
 }

@@ -4,12 +4,14 @@
 //! so the whole command surface is unit-testable without sockets. Blocking
 //! behaviour lives in [`crate::engine`]; the handlers here are the
 //! non-blocking cores it retries.
+//!
+//! The surface is what the reproduction sends: the stream verbs of the
+//! Redis mappings, `HSET`/`HGET`/`HKEYS` for the state store, `SET`/`GET`,
+//! the keyspace and server verbs, and the handful `redis-cli` needs.
 
 mod hashes;
 mod keys;
-mod lists;
 mod server;
-mod sets;
 mod streams;
 mod strings;
 
@@ -17,133 +19,95 @@ use crate::resp::Frame;
 use crate::store::stream::StreamId;
 use crate::store::{Db, RValue};
 use d4py_sync::SharedBuf;
-use std::time::{Duration, Instant};
 
-pub use lists::try_pop_any;
 pub use streams::{execute_stream_read, parse_stream_read, resolve_stream_ids, StreamReadCmd};
 
-/// Executes one non-blocking command. `name` is already upper-cased.
-pub fn execute(db: &mut Db, now_ms: u64, name: &str, args: &[SharedBuf]) -> Frame {
-    match name {
-        // connection / server
-        "PING" => server::ping(args),
-        "ECHO" => server::echo(args),
-        "SELECT" => Frame::ok(),
-        "QUIT" => Frame::ok(),
-        "FLUSHALL" | "FLUSHDB" => server::flushall(db),
-        "DBSIZE" => server::dbsize(db),
-        "COMMAND" => Frame::Array(vec![]),
-        "INFO" => server::info(db),
+/// A handler: keyspace, server clock in ms (for auto stream ids), arguments.
+type Handler = fn(&mut Db, u64, &[SharedBuf]) -> Frame;
 
-        // generic keyspace
-        "DEL" => keys::del(db, args),
-        "EXISTS" => keys::exists(db, args),
-        "TYPE" => keys::type_(db, args),
-        "KEYS" => keys::keys(db, args),
-        "EXPIRE" => keys::expire(db, args),
-        "PEXPIRE" => keys::pexpire(db, args),
-        "TTL" => keys::ttl(db, args),
-        "PTTL" => keys::pttl(db, args),
-        "PERSIST" => keys::persist(db, args),
+/// One verb of the dispatch table.
+#[derive(Clone, Copy)]
+pub(crate) struct Command {
+    /// True if the verb may change the keyspace. A write moves the write
+    /// epoch (so parked readers retry) and, when it succeeds, is appended
+    /// to the AOF.
+    pub(crate) writes: bool,
+    handler: Handler,
+}
 
-        // strings
-        "SET" => strings::set(db, args),
-        "GET" => strings::get(db, args),
-        "GETSET" => strings::getset(db, args),
-        "SETNX" => strings::setnx(db, args),
-        "APPEND" => strings::append(db, args),
-        "STRLEN" => strings::strlen(db, args),
-        "INCR" => strings::incrby(
-            db,
-            &[args.first().cloned().unwrap_or_default(), b"1".into()],
-        ),
-        "DECR" => strings::incrby(
-            db,
-            &[args.first().cloned().unwrap_or_default(), b"-1".into()],
-        ),
-        "INCRBY" => strings::incrby(db, args),
-        "DECRBY" => strings::decrby(db, args),
-        "MSET" => strings::mset(db, args),
-        "MGET" => strings::mget(db, args),
-
-        // lists
-        "LPUSH" => lists::push(db, args, true),
-        "RPUSH" => lists::push(db, args, false),
-        "LPOP" => lists::pop(db, args, true),
-        "RPOP" => lists::pop(db, args, false),
-        "LLEN" => lists::llen(db, args),
-        "LRANGE" => lists::lrange(db, args),
-
-        // hashes
-        "HSET" | "HMSET" => hashes::hset(db, args, name == "HMSET"),
-        "HGET" => hashes::hget(db, args),
-        "HDEL" => hashes::hdel(db, args),
-        "HGETALL" => hashes::hgetall(db, args),
-        "HLEN" => hashes::hlen(db, args),
-        "HEXISTS" => hashes::hexists(db, args),
-        "HINCRBY" => hashes::hincrby(db, args),
-        "HKEYS" => hashes::hkeys(db, args),
-        "HVALS" => hashes::hvals(db, args),
-
-        // sets
-        "SADD" => sets::sadd(db, args),
-        "SREM" => sets::srem(db, args),
-        "SISMEMBER" => sets::sismember(db, args),
-        "SMEMBERS" => sets::smembers(db, args),
-        "SCARD" => sets::scard(db, args),
-
-        // streams (non-read side; XREAD/XREADGROUP are handled in engine)
-        "XADD" => streams::xadd(db, now_ms, args),
-        "XLEN" => streams::xlen(db, args),
-        "XRANGE" => streams::xrange(db, args),
-        "XDEL" => streams::xdel(db, args),
-        "XTRIM" => streams::xtrim(db, args),
-        "XACK" => streams::xack(db, args),
-        "XAUTOCLAIM" => streams::xautoclaim(db, args),
-        "XGROUP" => streams::xgroup(db, args),
-        "XPENDING" => streams::xpending(db, args),
-        "XINFO" => streams::xinfo(db, args),
-
-        other => Frame::error(format!("unknown command '{other}'")),
+impl Command {
+    /// Runs the verb over `db`.
+    pub(crate) fn run(&self, db: &mut Db, now_ms: u64, args: &[SharedBuf]) -> Frame {
+        (self.handler)(db, now_ms, args)
     }
 }
 
-/// True if the command mutates the keyspace (used to pulse blocked readers).
-pub fn is_write(name: &str) -> bool {
-    matches!(
-        name,
-        "SET"
-            | "GETSET"
-            | "SETNX"
-            | "APPEND"
-            | "INCR"
-            | "DECR"
-            | "INCRBY"
-            | "DECRBY"
-            | "MSET"
-            | "DEL"
-            | "EXPIRE"
-            | "PEXPIRE"
-            | "PERSIST"
-            | "FLUSHALL"
-            | "FLUSHDB"
-            | "LPUSH"
-            | "RPUSH"
-            | "LPOP"
-            | "RPOP"
-            | "HSET"
-            | "HMSET"
-            | "HDEL"
-            | "HINCRBY"
-            | "SADD"
-            | "SREM"
-            | "XADD"
-            | "XDEL"
-            | "XTRIM"
-            | "XACK"
-            | "XAUTOCLAIM"
-            | "XGROUP"
-    )
+const fn read(handler: Handler) -> Command {
+    Command {
+        writes: false,
+        handler,
+    }
+}
+
+const fn write(handler: Handler) -> Command {
+    Command {
+        writes: true,
+        handler,
+    }
+}
+
+/// The dispatch table: every non-blocking verb with its read/write class.
+/// `XREAD`/`XREADGROUP` may block, so [`crate::engine`] runs them itself.
+pub(crate) const COMMANDS: &[(&str, Command)] = &[
+    // streams (the queue's hot verbs first)
+    ("XADD", write(streams::xadd)),
+    ("XACK", write(|db, _, a| streams::xack(db, a))),
+    ("XDEL", write(|db, _, a| streams::xdel(db, a))),
+    ("XAUTOCLAIM", write(|db, _, a| streams::xautoclaim(db, a))),
+    ("XGROUP", write(|db, _, a| streams::xgroup(db, a))),
+    ("XLEN", read(|db, _, a| streams::xlen(db, a))),
+    ("XRANGE", read(|db, _, a| streams::xrange(db, a))),
+    ("XINFO", read(|db, _, a| streams::xinfo(db, a))),
+    // hashes (the state store)
+    ("HSET", write(|db, _, a| hashes::hset(db, a))),
+    ("HGET", read(|db, _, a| hashes::hget(db, a))),
+    ("HKEYS", read(|db, _, a| hashes::hkeys(db, a))),
+    // strings
+    ("SET", write(|db, _, a| strings::set(db, a))),
+    ("GET", read(|db, _, a| strings::get(db, a))),
+    // keyspace
+    ("KEYS", read(|db, _, a| keys::keys(db, a))),
+    ("DBSIZE", read(|db, _, _| server::dbsize(db))),
+    ("FLUSHALL", write(|db, _, _| server::flushall(db))),
+    ("FLUSHDB", write(|db, _, _| server::flushall(db))),
+    // connection / server
+    ("PING", read(|_, _, a| server::ping(a))),
+    ("ECHO", read(|_, _, a| server::echo(a))),
+    ("SELECT", read(|_, _, _| Frame::ok())),
+    ("QUIT", read(|_, _, _| Frame::ok())),
+    ("COMMAND", read(|_, _, _| Frame::Array(vec![]))),
+    ("INFO", read(|db, _, _| server::info(db))),
+];
+
+/// The table entry for `name` (already upper-cased).
+pub(crate) fn lookup(name: &str) -> Option<Command> {
+    COMMANDS
+        .iter()
+        .find(|(verb, _)| *verb == name)
+        .map(|&(_, command)| command)
+}
+
+/// Executes one non-blocking command. `name` is already upper-cased.
+pub fn execute(db: &mut Db, now_ms: u64, name: &str, args: &[SharedBuf]) -> Frame {
+    match lookup(name) {
+        Some(command) => command.run(db, now_ms, args),
+        None => unknown(name),
+    }
+}
+
+/// The reply to a verb outside the table.
+pub(crate) fn unknown(name: &str) -> Frame {
+    Frame::error(format!("unknown command '{name}'"))
 }
 
 // ---- shared helpers used by the submodules ----
@@ -159,16 +123,8 @@ pub(crate) fn wrong_type() -> Frame {
     Frame::Error("WRONGTYPE Operation against a key holding the wrong kind of value".into())
 }
 
-pub(crate) fn parse_int(raw: &[u8]) -> Option<i64> {
-    std::str::from_utf8(raw).ok()?.parse().ok()
-}
-
 pub(crate) fn parse_uint(raw: &[u8]) -> Option<u64> {
     std::str::from_utf8(raw).ok()?.parse().ok()
-}
-
-pub(crate) fn now() -> Instant {
-    Instant::now()
 }
 
 pub(crate) fn bulk_array(items: Vec<Vec<u8>>) -> Frame {
@@ -193,13 +149,9 @@ pub(crate) fn stream_of<'a>(
     db: &'a mut Db,
     key: &[u8],
 ) -> Result<Option<&'a mut crate::store::stream::Stream>, Frame> {
-    match db.get_mut(key, now()) {
+    match db.get_mut(key) {
         None => Ok(None),
         Some(RValue::Stream(s)) => Ok(Some(s)),
         Some(_) => Err(wrong_type()),
     }
-}
-
-pub(crate) fn ms(duration: Duration) -> i64 {
-    duration.as_millis() as i64
 }

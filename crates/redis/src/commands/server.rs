@@ -1,6 +1,6 @@
 //! Connection/server commands.
 
-use super::{now, wrong_args};
+use super::wrong_args;
 use crate::resp::Frame;
 use crate::store::Db;
 use d4py_sync::SharedBuf;
@@ -25,14 +25,14 @@ pub(crate) fn flushall(db: &mut Db) -> Frame {
     Frame::ok()
 }
 
-pub(crate) fn dbsize(db: &mut Db) -> Frame {
-    Frame::Integer(db.len(now()) as i64)
+pub(crate) fn dbsize(db: &Db) -> Frame {
+    Frame::Integer(db.len() as i64)
 }
 
-pub(crate) fn info(db: &mut Db) -> Frame {
+pub(crate) fn info(db: &Db) -> Frame {
     Frame::bulk(format!(
         "# Server\r\nredis_version:redis-lite-0.1\r\n# Keyspace\r\ndb0:keys={}\r\n",
-        db.len(now())
+        db.len()
     ))
 }
 
@@ -57,17 +57,17 @@ mod tests {
     #[test]
     fn flush_and_size() {
         let mut db = Db::new();
-        db.set(b"a".to_vec(), RValue::Str(vec![]));
-        db.set(b"b".to_vec(), RValue::Str(vec![]));
-        assert_eq!(dbsize(&mut db), Frame::Integer(2));
+        db.insert(b"a".to_vec(), RValue::Str(vec![]));
+        db.insert(b"b".to_vec(), RValue::Str(vec![]));
+        assert_eq!(dbsize(&db), Frame::Integer(2));
         assert_eq!(flushall(&mut db), Frame::ok());
-        assert_eq!(dbsize(&mut db), Frame::Integer(0));
+        assert_eq!(dbsize(&db), Frame::Integer(0));
     }
 
     #[test]
     fn info_mentions_keyspace() {
-        let mut db = Db::new();
-        let text = info(&mut db).as_text().unwrap();
+        let db = Db::new();
+        let text = info(&db).as_text().unwrap();
         assert!(text.contains("redis-lite"));
         assert!(text.contains("keys=0"));
     }

@@ -1,188 +1,34 @@
-//! String commands: SET/GET family, counters, multi-key forms.
+//! String commands: SET and GET.
 
-use super::{now, parse_int, wrong_args, wrong_type};
+use super::{wrong_args, wrong_type};
 use crate::resp::Frame;
 use crate::store::{Db, RValue};
 use d4py_sync::SharedBuf;
-use std::time::Duration;
 
+/// `SET key value`: exactly a key and a value; an option is a syntax error.
 pub(crate) fn set(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() < 2 {
-        return wrong_args("SET");
-    }
-    let (key, value) = (&args[0], &args[1]);
-    let mut expiry: Option<Duration> = None;
-    let mut nx = false;
-    let mut xx = false;
-    let mut i = 2;
-    while i < args.len() {
-        match args[i].to_ascii_uppercase().as_slice() {
-            b"EX" => {
-                let Some(secs) = args
-                    .get(i + 1)
-                    .and_then(|a| parse_int(a))
-                    .filter(|&s| s > 0)
-                else {
-                    return Frame::error("invalid expire time in 'set' command");
-                };
-                expiry = Some(Duration::from_secs(secs as u64));
-                i += 2;
-            }
-            b"PX" => {
-                let Some(ms) = args
-                    .get(i + 1)
-                    .and_then(|a| parse_int(a))
-                    .filter(|&s| s > 0)
-                else {
-                    return Frame::error("invalid expire time in 'set' command");
-                };
-                expiry = Some(Duration::from_millis(ms as u64));
-                i += 2;
-            }
-            b"NX" => {
-                nx = true;
-                i += 1;
-            }
-            b"XX" => {
-                xx = true;
-                i += 1;
-            }
-            other => {
-                return Frame::error(format!(
-                    "syntax error near '{}'",
-                    String::from_utf8_lossy(other)
-                ))
-            }
+    match args {
+        [key, value] => {
+            db.insert(key.to_vec(), RValue::Str(value.to_vec()));
+            Frame::ok()
         }
+        [_, _, extra, ..] => Frame::error(format!(
+            "syntax error near '{}'",
+            String::from_utf8_lossy(extra)
+        )),
+        _ => wrong_args("SET"),
     }
-    let exists = db.exists(key, now());
-    if (nx && exists) || (xx && !exists) {
-        return Frame::Null;
-    }
-    match expiry {
-        Some(d) => db.set_with_expiry(key.to_vec(), RValue::Str(value.to_vec()), now() + d),
-        None => db.set(key.to_vec(), RValue::Str(value.to_vec())),
-    }
-    Frame::ok()
 }
 
 pub(crate) fn get(db: &mut Db, args: &[SharedBuf]) -> Frame {
     if args.len() != 1 {
         return wrong_args("GET");
     }
-    match db.get(&args[0], now()) {
+    match db.get(args[0].as_slice()) {
         None => Frame::Null,
         Some(RValue::Str(v)) => Frame::bulk(v.clone()),
         Some(_) => wrong_type(),
     }
-}
-
-pub(crate) fn getset(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("GETSET");
-    }
-    let old = match db.get(&args[0], now()) {
-        None => Frame::Null,
-        Some(RValue::Str(v)) => Frame::bulk(v.clone()),
-        Some(_) => return wrong_type(),
-    };
-    db.set(args[0].to_vec(), RValue::Str(args[1].to_vec()));
-    old
-}
-
-pub(crate) fn setnx(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("SETNX");
-    }
-    if db.exists(&args[0], now()) {
-        Frame::Integer(0)
-    } else {
-        db.set(args[0].to_vec(), RValue::Str(args[1].to_vec()));
-        Frame::Integer(1)
-    }
-}
-
-pub(crate) fn append(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("APPEND");
-    }
-    match db.get_or_create(&args[0], now(), || RValue::Str(Vec::new())) {
-        RValue::Str(v) => {
-            v.extend_from_slice(&args[1]);
-            Frame::Integer(v.len() as i64)
-        }
-        _ => wrong_type(),
-    }
-}
-
-pub(crate) fn strlen(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("STRLEN");
-    }
-    match db.get(&args[0], now()) {
-        None => Frame::Integer(0),
-        Some(RValue::Str(v)) => Frame::Integer(v.len() as i64),
-        Some(_) => wrong_type(),
-    }
-}
-
-pub(crate) fn incrby(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("INCRBY");
-    }
-    let Some(delta) = parse_int(&args[1]) else {
-        return Frame::error("value is not an integer or out of range");
-    };
-    match db.get_or_create(&args[0], now(), || RValue::Str(b"0".to_vec())) {
-        RValue::Str(v) => {
-            let Some(cur) = std::str::from_utf8(v)
-                .ok()
-                .and_then(|s| s.parse::<i64>().ok())
-            else {
-                return Frame::error("value is not an integer or out of range");
-            };
-            let Some(next) = cur.checked_add(delta) else {
-                return Frame::error("increment or decrement would overflow");
-            };
-            *v = next.to_string().into_bytes();
-            Frame::Integer(next)
-        }
-        _ => wrong_type(),
-    }
-}
-
-pub(crate) fn decrby(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 2 {
-        return wrong_args("DECRBY");
-    }
-    let Some(delta) = parse_int(&args[1]) else {
-        return Frame::error("value is not an integer or out of range");
-    };
-    incrby(db, &[args[0].clone(), (-delta).to_string().into()])
-}
-
-pub(crate) fn mset(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.is_empty() || !args.len().is_multiple_of(2) {
-        return wrong_args("MSET");
-    }
-    for pair in args.chunks(2) {
-        db.set(pair[0].to_vec(), RValue::Str(pair[1].to_vec()));
-    }
-    Frame::ok()
-}
-
-pub(crate) fn mget(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.is_empty() {
-        return wrong_args("MGET");
-    }
-    Frame::Array(
-        args.iter()
-            .map(|k| match db.get(k, now()) {
-                Some(RValue::Str(v)) => Frame::bulk(v.clone()),
-                _ => Frame::Null, // wrong-type keys read as nil in MGET
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -204,97 +50,33 @@ mod tests {
     }
 
     #[test]
-    fn set_nx_and_xx() {
-        let mut db = Db::new();
-        assert_eq!(
-            set(&mut db, &f(&["k", "v", "XX"])),
-            Frame::Null,
-            "XX on missing"
-        );
-        assert_eq!(set(&mut db, &f(&["k", "v", "NX"])), Frame::ok());
-        assert_eq!(
-            set(&mut db, &f(&["k", "w", "NX"])),
-            Frame::Null,
-            "NX on existing"
-        );
-        assert_eq!(set(&mut db, &f(&["k", "w", "XX"])), Frame::ok());
-        assert_eq!(get(&mut db, &f(&["k"])), Frame::bulk("w"));
-    }
-
-    #[test]
-    fn set_px_expires() {
-        let mut db = Db::new();
-        set(&mut db, &f(&["k", "v", "PX", "10"]));
-        assert_eq!(get(&mut db, &f(&["k"])), Frame::bulk("v"));
-        std::thread::sleep(Duration::from_millis(15));
-        assert_eq!(get(&mut db, &f(&["k"])), Frame::Null);
-    }
-
-    #[test]
     fn set_rejects_bad_expiry_and_syntax() {
+        // Keys never expire: every option, an expiry among them, is a
+        // syntax error.
         let mut db = Db::new();
-        assert!(set(&mut db, &f(&["k", "v", "EX", "0"])).is_error());
-        assert!(set(&mut db, &f(&["k", "v", "EX", "abc"])).is_error());
-        assert!(set(&mut db, &f(&["k", "v", "BOGUS"])).is_error());
-    }
-
-    #[test]
-    fn incr_decr_family() {
-        let mut db = Db::new();
-        assert_eq!(incrby(&mut db, &f(&["n", "5"])), Frame::Integer(5));
-        assert_eq!(incrby(&mut db, &f(&["n", "3"])), Frame::Integer(8));
-        assert_eq!(decrby(&mut db, &f(&["n", "10"])), Frame::Integer(-2));
-        set(&mut db, &f(&["s", "notanumber"]));
-        assert!(incrby(&mut db, &f(&["s", "1"])).is_error());
-    }
-
-    #[test]
-    fn incr_overflow_detected() {
-        let mut db = Db::new();
-        set(&mut db, &f(&["n", &i64::MAX.to_string()]));
-        assert!(incrby(&mut db, &f(&["n", "1"])).is_error());
-    }
-
-    #[test]
-    fn append_and_strlen() {
-        let mut db = Db::new();
-        assert_eq!(append(&mut db, &f(&["k", "foo"])), Frame::Integer(3));
-        assert_eq!(append(&mut db, &f(&["k", "bar"])), Frame::Integer(6));
-        assert_eq!(strlen(&mut db, &f(&["k"])), Frame::Integer(6));
-        assert_eq!(strlen(&mut db, &f(&["missing"])), Frame::Integer(0));
-    }
-
-    #[test]
-    fn getset_swaps() {
-        let mut db = Db::new();
-        assert_eq!(getset(&mut db, &f(&["k", "new"])), Frame::Null);
-        assert_eq!(getset(&mut db, &f(&["k", "newer"])), Frame::bulk("new"));
-    }
-
-    #[test]
-    fn setnx_only_once() {
-        let mut db = Db::new();
-        assert_eq!(setnx(&mut db, &f(&["k", "a"])), Frame::Integer(1));
-        assert_eq!(setnx(&mut db, &f(&["k", "b"])), Frame::Integer(0));
-        assert_eq!(get(&mut db, &f(&["k"])), Frame::bulk("a"));
-    }
-
-    #[test]
-    fn mset_mget() {
-        let mut db = Db::new();
-        assert_eq!(mset(&mut db, &f(&["a", "1", "b", "2"])), Frame::ok());
-        assert_eq!(
-            mget(&mut db, &f(&["a", "missing", "b"])),
-            Frame::Array(vec![Frame::bulk("1"), Frame::Null, Frame::bulk("2")])
-        );
-        assert!(mset(&mut db, &f(&["odd"])).is_error());
+        for extra in [
+            &["EX", "10"][..],
+            &["PX", "5"],
+            &["NX"],
+            &["XX"],
+            &["BOGUS"],
+        ] {
+            let mut args = vec!["k", "v"];
+            args.extend_from_slice(extra);
+            let reply = set(&mut db, &f(&args));
+            assert!(
+                reply.as_text().is_some_and(|t| t.contains("syntax error")),
+                "SET k v {extra:?}: {reply:?}"
+            );
+        }
+        assert!(set(&mut db, &f(&["k"])).is_error());
+        assert_eq!(get(&mut db, &f(&["k"])), Frame::Null, "nothing was set");
     }
 
     #[test]
     fn wrong_type_reported() {
         let mut db = Db::new();
-        db.set(b"l".to_vec(), RValue::List(Default::default()));
-        assert!(get(&mut db, &f(&["l"])).is_error());
-        assert!(incrby(&mut db, &f(&["l", "1"])).is_error());
+        db.insert(b"h".to_vec(), RValue::Hash(Default::default()));
+        assert!(get(&mut db, &f(&["h"])).is_error());
     }
 }

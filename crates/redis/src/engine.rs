@@ -1,12 +1,12 @@
 //! The command engine: shared keyspace, dispatch, and blocking semantics.
 //!
 //! [`Shared`] is the server's heart: the keyspace behind a mutex plus a
-//! condvar that write commands pulse so blocking reads (`BLPOP`, `XREAD
+//! condvar that write commands pulse so blocking stream reads (`XREAD
 //! BLOCK`, `XREADGROUP ... BLOCK`) can wake without polling — the same
 //! wait-for-data shape real Redis gives its blocked clients.
 //!
 //! Every command goes through one non-parking surface,
-//! [`Shared::dispatch_nonblocking`]: a blocking command that finds no data
+//! [`Shared::dispatch_nonblocking`]: a blocking read that finds no data
 //! returns [`Dispatch::Blocked`], and one attempt (`Shared::attempt`)
 //! retries it. Its two callers differ only in how they wait between
 //! attempts:
@@ -20,15 +20,19 @@
 //! * the in-process transport calls [`Shared::dispatch`], which parks the
 //!   calling thread on the `wakeup` condvar. It keeps the keyspace lock from
 //!   a failed attempt into the wait, so no write can fall between them.
+//!
+//! Which verbs write is declared once, in the dispatch table
+//! (`commands::COMMANDS`): that class moves the epoch and picks what the
+//! AOF logs.
 
 use crate::aof::{Aof, FsyncPolicy};
-use crate::commands;
+use crate::commands::{self, StreamReadCmd};
 use crate::resp::Frame;
 use crate::store::Db;
 use d4py_sync::{Condvar, Mutex, MutexGuard, SharedBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Shared server state: one keyspace + wakeup machinery.
 pub struct Shared {
@@ -54,30 +58,19 @@ impl Default for Shared {
 pub enum Dispatch {
     /// The command completed; reply with this frame.
     Ready(Frame),
-    /// A blocking command found no data: park the connection and retry via
+    /// A blocking read found no data: park the connection and retry via
     /// [`Shared::poll_blocked`].
     Blocked(BlockedCmd),
 }
 
-/// A blocking command parked until data arrives or its deadline passes.
+/// A blocking stream read parked until data arrives or its deadline passes.
 pub struct BlockedCmd {
-    kind: BlockedKind,
+    read: StreamReadCmd,
     /// `None` = wait forever. A non-blocking `XREAD` is born expired, so its
     /// first attempt answers it.
     deadline: Option<Instant>,
     /// Write epoch observed before the last (failed) attempt.
     epoch_seen: u64,
-}
-
-enum BlockedKind {
-    List {
-        keys: Vec<SharedBuf>,
-        left: bool,
-    },
-    Stream {
-        is_group: bool,
-        parsed: commands::StreamReadCmd,
-    },
 }
 
 impl BlockedCmd {
@@ -108,46 +101,58 @@ impl Shared {
     /// existing log at `path` is replayed into the keyspace, then every
     /// subsequent successful write command is appended.
     ///
-    /// Scope: the explicit write-command subset (see
-    /// [`commands::is_write`]) plus the effects of blocking pops.
+    /// Scope: the verbs the dispatch table (`commands::COMMANDS`) classes
+    /// as writes.
     /// Consumer-group cursors/PELs are runtime-transient and not persisted
     /// — matching how the workflow mappings rebuild their groups per run.
+    ///
+    /// The log holds only writes that succeeded, so an entry that fails on
+    /// replay (a verb this server does not serve, say) means the log and
+    /// the server disagree: that is `InvalidData`, naming the entry.
     pub fn with_aof(
         path: impl AsRef<std::path::Path>,
         policy: FsyncPolicy,
     ) -> std::io::Result<Self> {
         let mut shared = Self::new();
-        for args in Aof::load(&path)? {
+        for (index, args) in Aof::load(&path)?.into_iter().enumerate() {
             // Replay moves each arg into a SharedBuf (no payload copy).
             let args: Vec<SharedBuf> = args.into_iter().map(SharedBuf::from).collect();
             let Some(cmd) = args.first() else { continue };
             let name = String::from_utf8_lossy(cmd).to_ascii_uppercase();
-            let mut db = shared.db.lock();
-            let _ = commands::execute(&mut db, shared.now_ms(), &name, &args[1..]);
+            let reply =
+                commands::execute(&mut shared.db.lock(), shared.now_ms(), &name, &args[1..]);
+            if let Frame::Error(e) = reply {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("AOF entry {index} ({name}) fails on replay: {e}"),
+                ));
+            }
         }
         shared.aof = Some(Aof::open(path, policy)?);
         Ok(shared)
     }
 
+    /// Appends a successful write to the AOF, if there is one. Called with
+    /// the keyspace lock held, so the log's order is the execution order.
     fn log_write(&self, name: &str, args: &[SharedBuf], reply: &Frame) {
-        if let Some(aof) = &self.aof {
-            if commands::is_write(name) && !reply.is_error() {
-                let mut entry: Vec<SharedBuf> = Vec::with_capacity(args.len() + 1);
-                entry.push(SharedBuf::from(name.as_bytes()));
-                entry.extend(args.iter().cloned());
-                let _ = aof.append(&entry);
-            }
+        let Some(aof) = &self.aof else { return };
+        if reply.is_error() {
+            return;
         }
+        let mut entry: Vec<SharedBuf> = Vec::with_capacity(args.len() + 1);
+        entry.push(SharedBuf::from(name.as_bytes()));
+        entry.extend(args.iter().cloned());
+        // `XADD key * ...` is logged with the id it was given, as Redis
+        // propagates it: a replay must recreate the ids a logged XDEL names.
+        if let (true, Frame::Bulk(id)) = (name == "XADD", reply) {
+            entry[2] = id.clone();
+        }
+        let _ = aof.append(&entry);
     }
 
     /// Milliseconds since server start — the clock for auto stream ids.
     pub fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
-    }
-
-    /// Runs `f` with the keyspace locked.
-    pub fn with_db<T>(&self, f: impl FnOnce(&mut Db) -> T) -> T {
-        f(&mut self.db.lock())
     }
 
     /// The current write epoch. Moves exactly when a write completes, so a
@@ -176,7 +181,7 @@ impl Shared {
     }
 
     /// Executes one client command, parking the calling thread for blocking
-    /// commands (the in-process surface): [`dispatch_nonblocking`], then the
+    /// reads (the in-process surface): [`dispatch_nonblocking`], then the
     /// reactor's attempt, repeated with the keyspace lock held from each
     /// failed attempt into the wait on `wakeup` — a write needs that lock,
     /// so it cannot land between the two unseen.
@@ -189,7 +194,7 @@ impl Shared {
         };
         let mut db = self.db.lock();
         loop {
-            db = match self.attempt(db, &blocked.kind, blocked.expired()) {
+            db = match self.attempt(db, &blocked.read, blocked.expired()) {
                 Ok(frame) => return frame,
                 Err(db) => db,
             };
@@ -204,8 +209,8 @@ impl Shared {
         }
     }
 
-    /// Executes one client command without ever parking: blocking commands
-    /// that find no data return [`Dispatch::Blocked`] for the caller (the
+    /// Executes one client command without ever parking: a blocking read
+    /// that finds no data returns [`Dispatch::Blocked`] for the caller (the
     /// reactor) to hold as connection state and retry with
     /// [`Shared::poll_blocked`].
     pub fn dispatch_nonblocking(&self, args: &[SharedBuf]) -> Dispatch {
@@ -214,12 +219,10 @@ impl Shared {
         };
         let name = String::from_utf8_lossy(cmd).to_ascii_uppercase();
         let args = &args[1..];
-        let parsed = match name.as_str() {
-            "BLPOP" | "BRPOP" => Self::parse_blocking_list(&name, args),
-            "XREAD" | "XREADGROUP" => Self::parse_stream_read(&name, args),
-            _ => return Dispatch::Ready(self.execute_plain(&name, args)),
-        };
-        match parsed {
+        if name != "XREAD" && name != "XREADGROUP" {
+            return Dispatch::Ready(self.execute_plain(&name, args));
+        }
+        match Self::parse_stream_read(&name, args) {
             Ok(blocked) => self.start_blocking(blocked),
             Err(frame) => Dispatch::Ready(frame),
         }
@@ -238,10 +241,10 @@ impl Shared {
         // Record the epoch *before* retrying: a write completing after this
         // load moves the epoch again, so missing it here still retries later.
         blocked.epoch_seen = epoch_now;
-        self.attempt(self.db.lock(), &blocked.kind, expired).ok()
+        self.attempt(self.db.lock(), &blocked.read, expired).ok()
     }
 
-    /// A blocking command's first attempt: `Ready` if it found data (or
+    /// A blocking read's first attempt: `Ready` if it found data (or
     /// failed, or may not block), else `Blocked` for the caller to retry.
     fn start_blocking(&self, mut blocked: BlockedCmd) -> Dispatch {
         // Read the epoch *before* the attempt: a concurrent write either
@@ -249,145 +252,126 @@ impl Shared {
         // load (poll_blocked sees the change). No window for a lost wakeup.
         blocked.epoch_seen = self.write_epoch();
         let mut db = self.db.lock();
-        if let BlockedKind::Stream { parsed, .. } = &mut blocked.kind {
-            // `$` snapshots the stream's last id once, before any waiting.
-            commands::resolve_stream_ids(&mut db, parsed);
-        }
-        match self.attempt(db, &blocked.kind, blocked.expired()) {
+        // `$` snapshots the stream's last id once, before any waiting.
+        commands::resolve_stream_ids(&mut db, &mut blocked.read);
+        match self.attempt(db, &blocked.read, blocked.expired()) {
             Ok(frame) => Dispatch::Ready(frame),
             Err(_unlocked) => Dispatch::Blocked(blocked),
         }
     }
 
-    /// One attempt at a blocking command under the keyspace lock `db`.
+    /// One attempt at a blocking read under the keyspace lock `db`.
     ///
     /// Answered — data, an error, or the null reply once `expired` — it
-    /// unlocks, records what the read changed (AOF entry of a pop, write
-    /// epoch, wakeups) and returns the reply. Otherwise it hands the lock
-    /// back still held, so a caller that parks on `wakeup` leaves no gap
-    /// between the failed attempt and its wait.
+    /// unlocks, marks the write a group read makes and returns the reply.
+    /// Otherwise it hands the lock back still held, so a caller that parks
+    /// on `wakeup` leaves no gap between the failed attempt and its wait.
     fn attempt<'a>(
         &self,
         mut db: MutexGuard<'a, Db>,
-        kind: &BlockedKind,
+        read: &StreamReadCmd,
         expired: bool,
     ) -> Result<Frame, MutexGuard<'a, Db>> {
-        let (frame, wrote) = match kind {
-            BlockedKind::List { keys, left } => match commands::try_pop_any(&mut db, keys, *left) {
-                Some(frame) => (frame, true), // the pop mutated a list
-                None if expired => (Frame::NullArray, false),
-                None => return Err(db),
-            },
-            BlockedKind::Stream { is_group, parsed } => {
-                match commands::execute_stream_read(&mut db, self.now_ms(), parsed) {
-                    // XREADGROUP moves the group's cursor and PEL.
-                    Ok(Some(frame)) => (frame, *is_group),
-                    Ok(None) if expired => (Frame::NullArray, false),
-                    Ok(None) => return Err(db),
-                    Err(frame) => (frame, false),
-                }
-            }
+        let frame = match commands::execute_stream_read(&mut db, read) {
+            Ok(Some(frame)) => frame,
+            Ok(None) if expired => return Ok(Frame::NullArray),
+            Ok(None) => return Err(db),
+            Err(frame) => return Ok(frame),
         };
         drop(db);
-        if wrote {
-            if let BlockedKind::List { left, .. } = kind {
-                self.log_list_pop(*left, &frame);
-            }
+        // XREADGROUP moves the group's cursor and PEL.
+        if read.group.is_some() {
             self.mark_write();
         }
         Ok(frame)
     }
 
-    /// Non-blocking command under the lock + AOF + wakeup pulse.
+    /// A table verb under the lock, then for a write its AOF entry (still
+    /// under the lock) and the wakeup pulse.
     fn execute_plain(&self, name: &str, args: &[SharedBuf]) -> Frame {
+        let Some(command) = commands::lookup(name) else {
+            return commands::unknown(name);
+        };
         let reply = {
             let mut db = self.db.lock();
-            commands::execute(&mut db, self.now_ms(), name, args)
+            let reply = command.run(&mut db, self.now_ms(), args);
+            if command.writes {
+                self.log_write(name, args, &reply);
+            }
+            reply
         };
-        self.log_write(name, args, &reply);
-        if commands::is_write(name) {
+        if command.writes {
             self.mark_write();
         }
         reply
     }
 
-    /// Persists a successful blocking pop as its non-blocking equivalent.
-    fn log_list_pop(&self, left: bool, frame: &Frame) {
-        if let Some(Frame::Bulk(k)) = frame.as_array().and_then(|a| a.first()) {
-            let effect = if left { "LPOP" } else { "RPOP" };
-            self.log_write(effect, std::slice::from_ref(k), frame);
-        }
-    }
-
-    /// Validates BLPOP/BRPOP arguments.
-    fn parse_blocking_list(name: &str, args: &[SharedBuf]) -> Result<BlockedCmd, Frame> {
-        if args.len() < 2 {
-            return Err(Frame::error(format!(
-                "wrong number of arguments for '{name}'"
-            )));
-        }
-        let timeout = match parse_secs(args.last().expect("arity checked above")) {
-            Some(t) => t,
-            None => return Err(Frame::error("timeout is not a float or out of range")),
-        };
-        Ok(BlockedCmd {
-            kind: BlockedKind::List {
-                keys: args[..args.len() - 1].to_vec(),
-                left: name == "BLPOP",
-            },
-            deadline: (timeout > Duration::ZERO).then(|| Instant::now() + timeout),
-            epoch_seen: 0,
-        })
-    }
-
     /// Validates XREAD/XREADGROUP arguments, with or without BLOCK.
     fn parse_stream_read(name: &str, args: &[SharedBuf]) -> Result<BlockedCmd, Frame> {
-        let parsed = commands::parse_stream_read(name, args)?;
-        let deadline = match parsed.block {
+        let read = commands::parse_stream_read(name, args)?;
+        let deadline = match read.block {
             None => Some(Instant::now()),   // non-blocking form: born expired
             Some(d) if d.is_zero() => None, // BLOCK 0 = wait forever
             Some(d) => Some(Instant::now() + d),
         };
         Ok(BlockedCmd {
-            kind: BlockedKind::Stream {
-                is_group: name == "XREADGROUP",
-                parsed,
-            },
+            read,
             deadline,
             epoch_seen: 0,
         })
     }
 }
 
-/// Parses Redis's float-seconds timeout ("0" = infinite → Duration::ZERO).
-fn parse_secs(raw: &[u8]) -> Option<Duration> {
-    let s = std::str::from_utf8(raw).ok()?;
-    let secs: f64 = s.parse().ok()?;
-    if secs < 0.0 || !secs.is_finite() {
-        return None;
-    }
-    Some(Duration::from_secs_f64(secs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn cmd(shared: &Shared, parts: &[&str]) -> Frame {
-        let args: Vec<SharedBuf> = parts
+    fn args(parts: &[&str]) -> Vec<SharedBuf> {
+        parts
             .iter()
             .map(|p| SharedBuf::from(p.as_bytes()))
-            .collect();
-        shared.dispatch(&args)
+            .collect()
+    }
+
+    fn cmd(shared: &Shared, parts: &[&str]) -> Frame {
+        shared.dispatch(&args(parts))
     }
 
     fn cmd_nb(shared: &Shared, parts: &[&str]) -> Dispatch {
-        let args: Vec<SharedBuf> = parts
-            .iter()
-            .map(|p| SharedBuf::from(p.as_bytes()))
-            .collect();
-        shared.dispatch_nonblocking(&args)
+        shared.dispatch_nonblocking(&args(parts))
+    }
+
+    /// A stream `q` with group `g` and nothing in it.
+    fn queue() -> Shared {
+        let s = Shared::new();
+        assert_eq!(
+            cmd(&s, &["XGROUP", "CREATE", "q", "g", "0", "MKSTREAM"]),
+            Frame::ok()
+        );
+        s
+    }
+
+    /// `XREADGROUP GROUP g <consumer> COUNT 1 BLOCK <ms> STREAMS q >`.
+    fn group_read(consumer: &str, block_ms: &str) -> Vec<SharedBuf> {
+        args(&[
+            "XREADGROUP",
+            "GROUP",
+            "g",
+            consumer,
+            "COUNT",
+            "1",
+            "BLOCK",
+            block_ms,
+            "STREAMS",
+            "q",
+            ">",
+        ])
+    }
+
+    fn delivers(frame: &Frame, value: &str) -> bool {
+        format!("{frame:?}").contains(value)
     }
 
     #[test]
@@ -410,36 +394,38 @@ mod tests {
     }
 
     #[test]
-    fn blpop_returns_immediately_when_data_exists() {
+    fn xread_returns_immediately_when_data_exists() {
         let s = Shared::new();
-        cmd(&s, &["RPUSH", "q", "a"]);
-        let reply = cmd(&s, &["BLPOP", "q", "1"]);
-        assert_eq!(
-            reply,
-            Frame::Array(vec![Frame::bulk("q"), Frame::bulk("a")])
-        );
+        cmd(&s, &["XADD", "st", "*", "f", "a"]);
+        let start = Instant::now();
+        let reply = cmd(&s, &["XREAD", "BLOCK", "5000", "STREAMS", "st", "0-0"]);
+        assert!(delivers(&reply, "a"), "{reply:?}");
+        // timing: generous bound pinning "answered, not parked" — the
+        // BLOCK budget is 5 s.
+        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]
-    fn blpop_times_out_with_null_array() {
+    fn xread_block_times_out_with_null_array() {
         let s = Shared::new();
         let start = Instant::now();
-        assert_eq!(cmd(&s, &["BLPOP", "empty", "0.05"]), Frame::NullArray);
+        assert_eq!(
+            cmd(&s, &["XREAD", "BLOCK", "50", "STREAMS", "empty", "$"]),
+            Frame::NullArray
+        );
         assert!(start.elapsed() >= Duration::from_millis(50));
     }
 
     #[test]
-    fn blpop_wakes_on_concurrent_push() {
-        let s = Arc::new(Shared::new());
+    fn xreadgroup_block_wakes_on_concurrent_xadd() {
+        let s = Arc::new(queue());
         let s2 = s.clone();
-        let waiter = std::thread::spawn(move || cmd(&s2, &["BLPOP", "q", "2"]));
+        let waiter = std::thread::spawn(move || s2.dispatch(&group_read("c", "2000")));
+        // sleep: lets the reader park first; the assertion holds either way.
         std::thread::sleep(Duration::from_millis(30));
-        cmd(&s, &["LPUSH", "q", "x"]);
+        cmd(&s, &["XADD", "q", "*", "f", "x"]);
         let reply = waiter.join().unwrap();
-        assert_eq!(
-            reply,
-            Frame::Array(vec![Frame::bulk("q"), Frame::bulk("x")])
-        );
+        assert!(delivers(&reply, "x"), "{reply:?}");
     }
 
     #[test]
@@ -463,51 +449,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parse_secs_accepts_fractions_rejects_garbage() {
-        assert_eq!(parse_secs(b"0.5"), Some(Duration::from_millis(500)));
-        assert_eq!(parse_secs(b"0"), Some(Duration::ZERO));
-        assert_eq!(parse_secs(b"nope"), None);
-        assert_eq!(parse_secs(b"-1"), None);
-    }
-
     // ---- non-parking dispatch surface (reactor path) ----
 
     #[test]
-    fn nonblocking_blpop_parks_and_polls() {
-        let s = Shared::new();
-        let Dispatch::Blocked(mut blocked) = cmd_nb(&s, &["BLPOP", "q", "0"]) else {
+    fn nonblocking_xreadgroup_parks_and_polls() {
+        let s = queue();
+        let Dispatch::Blocked(mut blocked) = s.dispatch_nonblocking(&group_read("c", "0")) else {
             panic!("empty queue must park");
         };
-        assert_eq!(blocked.deadline(), None, "timeout 0 waits forever");
+        assert_eq!(blocked.deadline(), None, "BLOCK 0 waits forever");
         // No data, no writes: polling is a cheap no-op.
         assert!(s.poll_blocked(&mut blocked).is_none());
-        // A write moves the epoch; the next poll finds the value.
-        cmd(&s, &["RPUSH", "q", "x"]);
+        // A write moves the epoch; the next poll finds the entry.
+        cmd(&s, &["XADD", "q", "*", "f", "x"]);
         let frame = s.poll_blocked(&mut blocked).expect("data arrived");
-        assert_eq!(
-            frame,
-            Frame::Array(vec![Frame::bulk("q"), Frame::bulk("x")])
-        );
+        assert!(delivers(&frame, "x"), "{frame:?}");
     }
 
     #[test]
-    fn nonblocking_blpop_ready_when_data_exists() {
-        let s = Shared::new();
-        cmd(&s, &["RPUSH", "q", "a"]);
-        let Dispatch::Ready(frame) = cmd_nb(&s, &["BLPOP", "q", "1"]) else {
+    fn nonblocking_xreadgroup_ready_when_data_exists() {
+        let s = queue();
+        cmd(&s, &["XADD", "q", "*", "f", "a"]);
+        let Dispatch::Ready(frame) = s.dispatch_nonblocking(&group_read("c", "1000")) else {
             panic!("data present must not park");
         };
-        assert_eq!(
-            frame,
-            Frame::Array(vec![Frame::bulk("q"), Frame::bulk("a")])
-        );
+        assert!(delivers(&frame, "a"), "{frame:?}");
     }
 
     #[test]
-    fn nonblocking_blpop_deadline_expires() {
+    fn nonblocking_xread_deadline_expires() {
         let s = Shared::new();
-        let Dispatch::Blocked(mut blocked) = cmd_nb(&s, &["BLPOP", "q", "0.02"]) else {
+        let Dispatch::Blocked(mut blocked) =
+            cmd_nb(&s, &["XREAD", "BLOCK", "20", "STREAMS", "q", "$"])
+        else {
             panic!("must park");
         };
         assert!(blocked.deadline().is_some());
@@ -550,18 +524,79 @@ mod tests {
         assert!(s.write_epoch() > e0, "writes move the epoch");
     }
 
+    /// Every verb of the dispatch table, run once on a seeded keyspace: a
+    /// write moves the write epoch, which is what makes a parked `XREAD
+    /// BLOCK` attempt again, and a read leaves it alone.
+    #[test]
+    fn each_write_verb_moves_the_epoch_and_each_read_verb_does_not() {
+        let cases: &[&[&str]] = &[
+            &["XADD", "st", "*", "f", "v"],
+            &["XACK", "st", "g", "0-1"],
+            &["XDEL", "st", "0-1"],
+            &["XAUTOCLAIM", "st", "g", "c", "0", "0"],
+            &["XGROUP", "CREATE", "st", "g2", "$"],
+            &["XLEN", "st"],
+            &["XRANGE", "st", "-", "+"],
+            &["XINFO", "CONSUMERS", "st", "g"],
+            &["HSET", "h", "f", "v"],
+            &["HGET", "h", "f"],
+            &["HKEYS", "h"],
+            &["SET", "k", "v"],
+            &["GET", "k"],
+            &["KEYS", "*"],
+            &["DBSIZE"],
+            &["FLUSHALL"],
+            &["FLUSHDB"],
+            &["PING"],
+            &["ECHO", "x"],
+            &["SELECT", "0"],
+            &["QUIT"],
+            &["COMMAND"],
+            &["INFO"],
+        ];
+        let mut covered: Vec<&str> = cases.iter().map(|c| c[0]).collect();
+        let mut table: Vec<&str> = commands::COMMANDS.iter().map(|(verb, _)| *verb).collect();
+        covered.sort_unstable();
+        table.sort_unstable();
+        assert_eq!(covered, table, "one case per verb of the table");
+
+        for case in cases {
+            let s = Shared::new();
+            for seed in [
+                &["XGROUP", "CREATE", "st", "g", "0", "MKSTREAM"][..],
+                &["HSET", "h", "f", "v"],
+                &["SET", "k", "v"],
+            ] {
+                assert!(!cmd(&s, seed).is_error());
+            }
+            let Dispatch::Blocked(mut parked) =
+                cmd_nb(&s, &["XREAD", "BLOCK", "0", "STREAMS", "st", "$"])
+            else {
+                panic!("an empty stream parks the read");
+            };
+            let before = s.write_epoch();
+            let reply = cmd(&s, case);
+            assert!(!reply.is_error(), "{case:?}: {reply:?}");
+            let writes = commands::lookup(case[0]).expect("a table verb").writes;
+            assert_eq!(s.write_epoch() != before, writes, "{case:?}");
+            if case[0] == "XADD" {
+                assert!(s.poll_blocked(&mut parked).is_some(), "XADD wakes it");
+            }
+        }
+    }
+
     #[test]
     fn blocked_poll_consumes_at_most_once() {
-        // Two parked BLPOPs, one push: exactly one wins, the other stays
-        // parked (no duplicated delivery through the epoch path).
-        let s = Shared::new();
-        let Dispatch::Blocked(mut a) = cmd_nb(&s, &["BLPOP", "q", "0"]) else {
+        // Two parked group reads, one XADD: exactly one wins, the other
+        // stays parked (no duplicated delivery through the epoch path).
+        let s = queue();
+        let Dispatch::Blocked(mut a) = s.dispatch_nonblocking(&group_read("a", "0")) else {
             panic!()
         };
-        let Dispatch::Blocked(mut b) = cmd_nb(&s, &["BLPOP", "q", "0"]) else {
+        let Dispatch::Blocked(mut b) = s.dispatch_nonblocking(&group_read("b", "0")) else {
             panic!()
         };
-        cmd(&s, &["RPUSH", "q", "only"]);
+        cmd(&s, &["XADD", "q", "*", "f", "only"]);
         let first = s.poll_blocked(&mut a);
         let second = s.poll_blocked(&mut b);
         assert!(first.is_some() && second.is_none());

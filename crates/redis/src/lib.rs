@@ -1,18 +1,21 @@
 //! # redis-lite — an in-memory Redis server, from scratch
 //!
 //! The substrate behind the paper's Redis mappings (§2.3): an in-memory data
-//! structure store speaking RESP2 over TCP, implementing the command subset
-//! dispel4py's dynamic and hybrid mappings need — strings, lists, hashes,
-//! sets, and crucially **streams with consumer groups** (XADD / XREADGROUP /
-//! XACK / XPENDING / XINFO, with per-consumer idle-time tracking that the
-//! `dyn_auto_redis` auto-scaler monitors).
+//! structure store speaking RESP2 over TCP, serving the commands
+//! dispel4py's dynamic and hybrid mappings send — **streams with consumer
+//! groups** (XADD / XREADGROUP / XACK / XAUTOCLAIM / XINFO CONSUMERS, with
+//! per-consumer idle-time tracking that the `dyn_auto_redis` auto-scaler
+//! monitors), `HSET`/`HGET`/`HKEYS` for the state store, `SET`/`GET`, and
+//! the keyspace and connection verbs `redis-cli` needs. Keys never expire.
 //!
 //! Layers:
 //!
 //! * [`resp`] — the wire protocol (incremental decoder + encoder);
-//! * [`store`] — the keyspace: typed values, lazy expiry, streams;
-//! * [`commands`] — the command handlers, pure functions over the store;
-//! * [`engine`] — shared state + blocking semantics (BLPOP, XREAD BLOCK);
+//! * [`store`] — the keyspace: strings, hashes and streams;
+//! * [`commands`] — the dispatch table: each handler, a pure function over
+//!   the store, with its read/write class;
+//! * [`engine`] — shared state + blocking reads (`XREAD`/`XREADGROUP ...
+//!   BLOCK`) + AOF;
 //! * [`server`] — the TCP front end (an event-driven reactor);
 //! * [`client`] — a blocking client, over TCP or in-process.
 //!

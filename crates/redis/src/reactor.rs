@@ -9,12 +9,12 @@
 //! (resweep → yield spins → 1 ms park) so an idle server burns ~no CPU while
 //! a busy one never sleeps.
 //!
-//! Blocking commands (`BLPOP`, `XREAD BLOCK ...`) do not park worker threads.
-//! The engine's non-parking surface ([`Shared::dispatch_nonblocking`]) hands
-//! back a [`crate::engine::BlockedCmd`]; the connection holds it as state and
-//! the sweep retries it via [`Shared::poll_blocked`] — a load of the global
-//! write epoch when idle, so 1024 parked `BLPOP`s cost 1024 atomic loads per
-//! sweep, not 1024 parked threads.
+//! Blocking reads (`XREAD`/`XREADGROUP ... BLOCK`) do not park worker
+//! threads. The engine's non-parking surface ([`Shared::dispatch_nonblocking`])
+//! hands back a [`crate::engine::BlockedCmd`]; the connection holds it as
+//! state and the sweep retries it via [`Shared::poll_blocked`] — a load of
+//! the global write epoch when idle, so 1024 parked reads cost 1024 atomic
+//! loads per sweep, not 1024 parked threads.
 //!
 //! Pipelining is first-class: each readable burst is fed to the resumable
 //! [`CommandParser`], every complete command executes, and all replies leave
@@ -201,7 +201,7 @@ impl Conn {
 
     /// True once the peer vanished or the connection sat protocol-idle
     /// longer than `idle_timeout`. A parked blocking command is legitimate
-    /// idleness (BLPOP 0 may wait forever) and is never reaped.
+    /// idleness (`BLOCK 0` may wait forever) and is never reaped.
     pub(crate) fn should_close(&self, idle_timeout: Option<Duration>) -> bool {
         if self.dead {
             return true;
@@ -374,26 +374,33 @@ mod tests {
         assert_eq!(reply, b"+PONG\r\n");
     }
 
+    /// `XREAD BLOCK 0 STREAMS q $` on the wire.
+    const PARKED_READ: &[u8] =
+        b"*6\r\n$5\r\nXREAD\r\n$5\r\nBLOCK\r\n$1\r\n0\r\n$7\r\nSTREAMS\r\n$1\r\nq\r\n$1\r\n$\r\n";
+
     #[test]
     fn pipeline_queued_behind_blocked_command_stays_ordered() {
         let shared = Shared::new();
         let (mut client, server) = pair();
         let mut conn = Conn::new(0, server);
-        // BLPOP (blocks) then PING in one burst: PING's reply must come
-        // after BLPOP's, in command order.
-        client
-            .write_all(b"*3\r\n$5\r\nBLPOP\r\n$1\r\nq\r\n$1\r\n0\r\n*1\r\n$4\r\nPING\r\n")
-            .expect("write");
+        // XREAD BLOCK (parks) then PING in one burst: PING's reply must
+        // come after the read's, in command order.
+        let mut burst = PARKED_READ.to_vec();
+        burst.extend_from_slice(b"*1\r\n$4\r\nPING\r\n");
+        client.write_all(&burst).expect("write");
         let deadline = Instant::now() + Duration::from_secs(2);
         while Instant::now() < deadline && conn.blocked.is_none() {
             conn.sweep(&shared);
         }
-        assert!(conn.blocked.is_some(), "BLPOP must park the connection");
+        assert!(
+            conn.blocked.is_some(),
+            "XREAD BLOCK must park the connection"
+        );
         assert_eq!(conn.pending.len(), 1, "PING waits behind the block");
         assert_eq!(conn.backlog(), 0, "no reply may be emitted yet");
 
         // Unblock it.
-        let args: Vec<d4py_sync::SharedBuf> = ["RPUSH", "q", "x"]
+        let args: Vec<d4py_sync::SharedBuf> = ["XADD", "q", "*", "f", "x"]
             .iter()
             .map(|p| d4py_sync::SharedBuf::from(p.as_bytes()))
             .collect();
@@ -409,12 +416,9 @@ mod tests {
             }
         }
         let text = String::from_utf8_lossy(&reply);
-        let blpop_at = text.find("$1\r\nx").expect("BLPOP reply present");
+        let read_at = text.find("$1\r\nx").expect("XREAD reply present");
         let ping_at = text.find("+PONG").expect("PING reply present");
-        assert!(
-            blpop_at < ping_at,
-            "replies must keep command order: {text}"
-        );
+        assert!(read_at < ping_at, "replies must keep command order: {text}");
     }
 
     #[test]
@@ -458,9 +462,7 @@ mod tests {
         let idle = Conn::new(0, idle_server);
         let (mut blocked_client, blocked_server) = pair();
         let mut blocked = Conn::new(1, blocked_server);
-        blocked_client
-            .write_all(b"*3\r\n$5\r\nBLPOP\r\n$1\r\nq\r\n$1\r\n0\r\n")
-            .expect("write");
+        blocked_client.write_all(PARKED_READ).expect("write");
         let deadline = Instant::now() + Duration::from_secs(2);
         while Instant::now() < deadline && blocked.blocked.is_none() {
             blocked.sweep(&shared);
@@ -470,7 +472,7 @@ mod tests {
         assert!(idle.should_close(limit), "half-open conn must be reaped");
         assert!(
             !blocked.should_close(limit),
-            "a parked BLPOP is legitimate idleness"
+            "a parked XREAD BLOCK is legitimate idleness"
         );
         let _ = idle_client.write(b"");
     }

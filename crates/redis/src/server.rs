@@ -283,7 +283,7 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Client, Connection, RedisOps};
+    use crate::client::{Client, RedisOps};
     use crate::resp::{self, Frame};
     use d4py_sync::ByteBuf;
     use std::io::Read;
@@ -309,20 +309,21 @@ mod tests {
 
     #[test]
     fn blocking_pop_across_connections() {
+        // A consumer-group read is the queue's pop: it parks on one
+        // connection until an XADD on another feeds it.
         let server = Server::start(0).unwrap();
         let addr = server.addr();
+        let mut pusher = Client::connect(addr).unwrap();
+        pusher.xgroup_create(b"jobs", b"workers").unwrap();
         let waiter = std::thread::spawn(move || {
             let mut c = Client::connect(addr).unwrap();
-            c.request(&[b"BLPOP".as_ref(), b"jobs".as_ref(), b"2".as_ref()])
+            c.xreadgroup_one(b"jobs", b"workers", b"w0", Duration::from_secs(2), false)
                 .unwrap()
         });
         std::thread::sleep(Duration::from_millis(30));
-        let mut pusher = Client::connect(addr).unwrap();
-        pusher
-            .request(&[b"RPUSH".as_ref(), b"jobs".as_ref(), b"task1".as_ref()])
-            .unwrap();
-        let reply = waiter.join().unwrap();
-        assert!(format!("{reply:?}").contains("task1"));
+        pusher.xadd(b"jobs", b"task", b"task1").unwrap();
+        let (_, fields) = waiter.join().unwrap().expect("the XADD feeds the read");
+        assert_eq!(fields, vec![(b"task".to_vec(), b"task1".to_vec())]);
     }
 
     #[test]

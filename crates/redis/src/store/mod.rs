@@ -1,9 +1,8 @@
-//! The keyspace: typed values, lazy expiry, glob matching.
+//! The keyspace: typed values and glob matching.
 
 pub mod stream;
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Instant;
+use std::collections::HashMap;
 use stream::Stream;
 
 /// A value stored under a key.
@@ -11,192 +10,24 @@ use stream::Stream;
 pub enum RValue {
     /// Binary-safe string.
     Str(Vec<u8>),
-    /// Double-ended list.
-    List(VecDeque<Vec<u8>>),
     /// Field → value hash.
     Hash(HashMap<Vec<u8>, Vec<u8>>),
-    /// Unordered set.
-    Set(HashSet<Vec<u8>>),
     /// Append-only stream.
     Stream(Stream),
 }
 
-impl RValue {
-    /// Redis `TYPE` name.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            RValue::Str(_) => "string",
-            RValue::List(_) => "list",
-            RValue::Hash(_) => "hash",
-            RValue::Set(_) => "set",
-            RValue::Stream(_) => "stream",
-        }
-    }
-}
+/// The in-memory database (a single Redis keyspace). Keys never expire.
+pub type Db = HashMap<Vec<u8>, RValue>;
 
-/// One keyspace slot: value + optional expiry.
-#[derive(Debug, Clone)]
-pub struct Entry {
-    /// The stored value.
-    pub value: RValue,
-    /// Absolute expiry deadline, if volatile.
-    pub expires_at: Option<Instant>,
-}
-
-/// The in-memory database (a single Redis keyspace).
-///
-/// Expiry is lazy: any access through [`Db::get`]/[`Db::get_mut`] first
-/// evicts the key if its deadline passed, exactly like Redis's passive
-/// expiration path.
-#[derive(Debug, Default)]
-pub struct Db {
-    map: HashMap<Vec<u8>, Entry>,
-}
-
-impl Db {
-    /// Creates an empty keyspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn evict_if_expired(&mut self, key: &[u8], now: Instant) {
-        if let Some(entry) = self.map.get(key) {
-            if entry.expires_at.map(|t| t <= now).unwrap_or(false) {
-                self.map.remove(key);
-            }
-        }
-    }
-
-    /// Live value under `key`.
-    pub fn get(&mut self, key: &[u8], now: Instant) -> Option<&RValue> {
-        self.evict_if_expired(key, now);
-        self.map.get(key).map(|e| &e.value)
-    }
-
-    /// Mutable live value under `key`.
-    pub fn get_mut(&mut self, key: &[u8], now: Instant) -> Option<&mut RValue> {
-        self.evict_if_expired(key, now);
-        self.map.get_mut(key).map(|e| &mut e.value)
-    }
-
-    /// Inserts/replaces a value, clearing any previous expiry.
-    pub fn set(&mut self, key: Vec<u8>, value: RValue) {
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                expires_at: None,
-            },
-        );
-    }
-
-    /// Inserts/replaces a value with an expiry deadline.
-    pub fn set_with_expiry(&mut self, key: Vec<u8>, value: RValue, expires_at: Instant) {
-        self.map.insert(
-            key,
-            Entry {
-                value,
-                expires_at: Some(expires_at),
-            },
-        );
-    }
-
-    /// Gets the value, creating it with `default` when missing. The caller
-    /// must ensure type agreement; command handlers check types first.
-    pub fn get_or_create(
-        &mut self,
-        key: &[u8],
-        now: Instant,
-        default: impl FnOnce() -> RValue,
-    ) -> &mut RValue {
-        self.evict_if_expired(key, now);
-        &mut self
-            .map
-            .entry(key.to_vec())
-            .or_insert_with(|| Entry {
-                value: default(),
-                expires_at: None,
-            })
-            .value
-    }
-
-    /// Removes a key; true if it existed (and was live).
-    pub fn del(&mut self, key: &[u8], now: Instant) -> bool {
-        self.evict_if_expired(key, now);
-        self.map.remove(key).is_some()
-    }
-
-    /// True if the key exists and is live.
-    pub fn exists(&mut self, key: &[u8], now: Instant) -> bool {
-        self.get(key, now).is_some()
-    }
-
-    /// Sets an expiry on an existing key; false if the key is missing.
-    pub fn expire(&mut self, key: &[u8], at: Instant, now: Instant) -> bool {
-        self.evict_if_expired(key, now);
-        match self.map.get_mut(key) {
-            Some(e) => {
-                e.expires_at = Some(at);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Remaining time to live: `None` if missing, `Some(None)` if
-    /// persistent, `Some(Some(d))` if volatile.
-    pub fn ttl(&mut self, key: &[u8], now: Instant) -> Option<Option<std::time::Duration>> {
-        self.evict_if_expired(key, now);
-        self.map
-            .get(key)
-            .map(|e| e.expires_at.map(|t| t.saturating_duration_since(now)))
-    }
-
-    /// Clears the expiry; true if the key existed and was volatile.
-    pub fn persist(&mut self, key: &[u8], now: Instant) -> bool {
-        self.evict_if_expired(key, now);
-        match self.map.get_mut(key) {
-            Some(e) => e.expires_at.take().is_some(),
-            None => false,
-        }
-    }
-
-    /// Number of live keys (evicting expired ones on the way).
-    pub fn len(&mut self, now: Instant) -> usize {
-        let expired: Vec<Vec<u8>> = self
-            .map
-            .iter()
-            .filter(|(_, e)| e.expires_at.map(|t| t <= now).unwrap_or(false))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for k in expired {
-            self.map.remove(&k);
-        }
-        self.map.len()
-    }
-
-    /// True if no live keys remain.
-    pub fn is_empty(&mut self, now: Instant) -> bool {
-        self.len(now) == 0
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Live keys matching a glob pattern, sorted (deterministic `KEYS`).
-    pub fn keys_matching(&mut self, pattern: &[u8], now: Instant) -> Vec<Vec<u8>> {
-        self.len(now); // purge expired
-        let mut keys: Vec<Vec<u8>> = self
-            .map
-            .keys()
-            .filter(|k| glob_match(pattern, k))
-            .cloned()
-            .collect();
-        keys.sort();
-        keys
-    }
+/// Keys matching a glob pattern, sorted (deterministic `KEYS`).
+pub fn keys_matching(db: &Db, pattern: &[u8]) -> Vec<Vec<u8>> {
+    let mut keys: Vec<Vec<u8>> = db
+        .keys()
+        .filter(|k| glob_match(pattern, k))
+        .cloned()
+        .collect();
+    keys.sort();
+    keys
 }
 
 /// Minimal Redis-style glob: `*` (any run), `?` (any one byte), literal
@@ -217,84 +48,17 @@ pub fn glob_match(pattern: &[u8], text: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    #[test]
-    fn set_get_del_roundtrip() {
-        let mut db = Db::new();
-        let now = Instant::now();
-        db.set(b"k".to_vec(), RValue::Str(b"v".to_vec()));
-        assert!(matches!(db.get(b"k", now), Some(RValue::Str(v)) if v == b"v"));
-        assert!(db.del(b"k", now));
-        assert!(!db.del(b"k", now));
-        assert!(db.get(b"k", now).is_none());
-    }
-
-    #[test]
-    fn expiry_is_honoured_lazily() {
-        let mut db = Db::new();
-        let now = Instant::now();
-        db.set_with_expiry(
-            b"k".to_vec(),
-            RValue::Str(b"v".to_vec()),
-            now + Duration::from_millis(10),
-        );
-        assert!(db.exists(b"k", now));
-        let later = now + Duration::from_millis(11);
-        assert!(!db.exists(b"k", later));
-        assert_eq!(db.len(later), 0);
-    }
-
-    #[test]
-    fn ttl_semantics() {
-        let mut db = Db::new();
-        let now = Instant::now();
-        assert_eq!(db.ttl(b"missing", now), None);
-        db.set(b"p".to_vec(), RValue::Str(vec![]));
-        assert_eq!(db.ttl(b"p", now), Some(None));
-        db.expire(b"p", now + Duration::from_secs(5), now);
-        let ttl = db.ttl(b"p", now).unwrap().unwrap();
-        assert!(ttl <= Duration::from_secs(5) && ttl > Duration::from_secs(4));
-        assert!(db.persist(b"p", now));
-        assert_eq!(db.ttl(b"p", now), Some(None));
-        assert!(!db.persist(b"p", now), "already persistent");
-    }
-
-    #[test]
-    fn expire_on_missing_key_is_false() {
-        let mut db = Db::new();
-        assert!(!db.expire(b"nope", Instant::now(), Instant::now()));
-    }
-
-    #[test]
-    fn get_or_create_creates_once() {
-        let mut db = Db::new();
-        let now = Instant::now();
-        {
-            let v = db.get_or_create(b"list", now, || RValue::List(VecDeque::new()));
-            if let RValue::List(l) = v {
-                l.push_back(b"x".to_vec());
-            }
-        }
-        let v = db.get_or_create(b"list", now, || RValue::List(VecDeque::new()));
-        if let RValue::List(l) = v {
-            assert_eq!(l.len(), 1);
-        } else {
-            panic!("wrong type");
-        }
-    }
 
     #[test]
     fn keys_matching_globs() {
         let mut db = Db::new();
-        let now = Instant::now();
         for k in ["queue:global", "queue:private:1", "state:CA"] {
-            db.set(k.as_bytes().to_vec(), RValue::Str(vec![]));
+            db.insert(k.as_bytes().to_vec(), RValue::Str(vec![]));
         }
-        assert_eq!(db.keys_matching(b"queue:*", now).len(), 2);
-        assert_eq!(db.keys_matching(b"*", now).len(), 3);
-        assert_eq!(db.keys_matching(b"state:??", now).len(), 1);
-        assert_eq!(db.keys_matching(b"zzz*", now).len(), 0);
+        assert_eq!(keys_matching(&db, b"queue:*").len(), 2);
+        assert_eq!(keys_matching(&db, b"*").len(), 3);
+        assert_eq!(keys_matching(&db, b"state:??").len(), 1);
+        assert_eq!(keys_matching(&db, b"zzz*").len(), 0);
     }
 
     #[test]
@@ -304,22 +68,5 @@ mod tests {
         assert!(glob_match(b"a*b*c", b"aXXbYYc"));
         assert!(!glob_match(b"a?c", b"ac"));
         assert!(!glob_match(b"abc", b"abcd"));
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(RValue::Str(vec![]).type_name(), "string");
-        assert_eq!(RValue::List(VecDeque::new()).type_name(), "list");
-        assert_eq!(RValue::Hash(HashMap::new()).type_name(), "hash");
-        assert_eq!(RValue::Set(HashSet::new()).type_name(), "set");
-        assert_eq!(RValue::Stream(Stream::new()).type_name(), "stream");
-    }
-
-    #[test]
-    fn clear_empties_keyspace() {
-        let mut db = Db::new();
-        db.set(b"a".to_vec(), RValue::Str(vec![]));
-        db.clear();
-        assert!(db.is_empty(Instant::now()));
     }
 }

@@ -218,25 +218,6 @@ impl Stream {
         n
     }
 
-    /// Trims to at most `maxlen` entries, dropping the oldest. Returns the
-    /// number removed.
-    pub fn trim_maxlen(&mut self, maxlen: usize) -> usize {
-        let mut removed = 0;
-        while self.entries.len() > maxlen {
-            let oldest = *self
-                .entries
-                .keys()
-                .next()
-                .expect("entries is non-empty while len > maxlen");
-            self.entries.remove(&oldest);
-            for group in self.groups.values_mut() {
-                group.pending.remove(&oldest);
-            }
-            removed += 1;
-        }
-        removed
-    }
-
     /// Creates a consumer group with its cursor at `start` (`$` = last id).
     pub fn create_group(&mut self, name: &str, start: StreamId) -> Result<(), StreamError> {
         if self.groups.contains_key(name) {
@@ -250,18 +231,6 @@ impl Stream {
             },
         );
         Ok(())
-    }
-
-    /// Destroys a group; returns true if it existed.
-    pub fn destroy_group(&mut self, name: &str) -> bool {
-        self.groups.remove(name).is_some()
-    }
-
-    /// The group names, sorted.
-    pub fn group_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.groups.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Immutable access to a group.
@@ -598,12 +567,8 @@ mod tests {
         s.create_group("g", StreamId::MIN).unwrap();
         let t0 = Instant::now();
         s.read_group_new("g", "c", None, false, t0).unwrap();
-        // Delete the entry directly from the entries map path used by XDEL
-        // *without* PEL cleanup: simulate via trim which also cleans... use
-        // the raw delete which does clean. So instead re-create the stale
-        // situation by deleting through entries: delete() cleans the PEL, so
-        // the stale case only arises for claim racing; assert the clean
-        // path: after delete, nothing is claimable.
+        // XDEL's delete() cleans the PEL as it goes, so after it nothing is
+        // claimable and no stale row is left behind.
         s.delete(&[id]);
         let later = t0 + std::time::Duration::from_secs(2);
         let claimed = s
@@ -661,8 +626,6 @@ mod tests {
             s.create_group("g", StreamId::MIN),
             Err(StreamError::GroupExists)
         );
-        assert!(s.destroy_group("g"));
-        assert!(!s.destroy_group("g"));
     }
 
     #[test]
@@ -678,22 +641,11 @@ mod tests {
     }
 
     #[test]
-    fn trim_maxlen_drops_oldest() {
-        let mut s = Stream::new();
-        let ids: Vec<_> = (0..5).map(|i| s.add(None, i, body("x")).unwrap()).collect();
-        assert_eq!(s.trim_maxlen(2), 3);
-        assert_eq!(s.len(), 2);
-        let remaining = s.range(StreamId::MIN, StreamId::MAX, None);
-        assert_eq!(remaining[0].0, ids[3]);
-        // last_id survives trimming so new ids keep increasing.
-        assert_eq!(s.last_id(), ids[4]);
-    }
-
-    #[test]
-    fn ids_keep_increasing_after_full_trim() {
+    fn ids_keep_increasing_after_full_delete() {
         let mut s = Stream::new();
         let a = s.add(None, 10, body("a")).unwrap();
-        s.trim_maxlen(0);
+        s.delete(&[a]);
+        assert!(s.is_empty());
         let b = s.add(None, 0, body("b")).unwrap();
         assert!(b > a);
     }

@@ -219,7 +219,7 @@ fn half_open_connection_is_reaped_by_idle_deadline() {
 }
 
 /// `shutdown()` must sever connections parked in a blocking command —
-/// a BLPOP-forever waiter sees its connection die instead of the server
+/// an `XREAD BLOCK 0` waiter sees its connection die instead of the server
 /// hanging on join.
 #[test]
 fn shutdown_drains_parked_block_waiters() {
@@ -228,11 +228,11 @@ fn shutdown_drains_parked_block_waiters() {
 
     let waiter = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect");
-        // BLPOP 0 = wait forever; the reply only comes if shutdown severs.
-        c.request(&[b"BLPOP".as_ref(), b"never".as_ref(), b"0".as_ref()])
+        // BLOCK 0 = wait forever; the reply only comes if shutdown severs.
+        c.request(&[b"XREAD", b"BLOCK", b"0", b"STREAMS", b"never", b"$"])
     });
 
-    // Give the BLPOP time to reach the server and park.
+    // Give the read time to reach the server and park.
     std::thread::sleep(Duration::from_millis(100));
     let start = Instant::now();
     server.shutdown();
@@ -243,7 +243,7 @@ fn shutdown_drains_parked_block_waiters() {
     let result = waiter.join().expect("waiter thread");
     assert!(
         result.is_err(),
-        "parked BLPOP must observe the severed connection, got {result:?}"
+        "a parked XREAD must observe the severed connection, got {result:?}"
     );
 }
 

@@ -4,6 +4,7 @@ use redis_lite::client::{Client, Connection, RedisOps};
 use redis_lite::engine::Shared;
 use redis_lite::resp::Frame;
 use redis_lite::server::Server;
+use redis_lite::store::stream::StreamId;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -16,13 +17,17 @@ fn f(parts: &[&str]) -> Vec<d4py_sync::SharedBuf> {
 
 #[test]
 fn concurrent_increments_are_atomic() {
+    // Eight threads append 250 entries each to one stream: every append
+    // lands, with an id of its own, so the length is exact.
     let shared = Arc::new(Shared::new());
     let handles: Vec<_> = (0..8)
         .map(|_| {
             let s = shared.clone();
             std::thread::spawn(move || {
                 for _ in 0..250 {
-                    s.dispatch(&f(&["INCR", "counter"]));
+                    assert!(!s
+                        .dispatch(&f(&["XADD", "counter", "*", "n", "1"]))
+                        .is_error());
                 }
             })
         })
@@ -31,8 +36,8 @@ fn concurrent_increments_are_atomic() {
         h.join().unwrap();
     }
     assert_eq!(
-        shared.dispatch(&f(&["GET", "counter"])),
-        Frame::bulk("2000")
+        shared.dispatch(&f(&["XLEN", "counter"])),
+        Frame::Integer(2000)
     );
 }
 
@@ -107,34 +112,44 @@ fn many_parallel_tcp_clients() {
 fn blocking_readers_all_wake_as_data_arrives() {
     let server = Server::start(0).unwrap();
     let addr = server.addr();
+    let mut pusher = Client::connect(addr).unwrap();
+    pusher.xgroup_create(b"work", b"g").unwrap();
     let readers: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|r| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                c.request(&[b"BLPOP".as_ref(), b"work".as_ref(), b"3".as_ref()])
-                    .unwrap()
+                let consumer = format!("r{r}");
+                c.xreadgroup_one(
+                    b"work",
+                    b"g",
+                    consumer.as_bytes(),
+                    Duration::from_secs(3),
+                    true,
+                )
+                .unwrap()
             })
         })
         .collect();
+    // sleep: lets the readers park first; each gets its job either way.
     std::thread::sleep(Duration::from_millis(50));
-    let mut pusher = Client::connect(addr).unwrap();
     for i in 0..4 {
         pusher
-            .request(&[
-                b"RPUSH".as_ref(),
-                b"work".as_ref(),
-                format!("job{i}").as_bytes(),
-            ])
+            .xadd(b"work", b"job", format!("job{i}").as_bytes())
             .unwrap();
     }
-    let mut delivered = 0;
-    for r in readers {
-        let reply = r.join().unwrap();
-        if reply != Frame::NullArray {
-            delivered += 1;
-        }
-    }
-    assert_eq!(delivered, 4, "each blocked reader gets exactly one job");
+    let mut jobs: Vec<Vec<u8>> = readers
+        .into_iter()
+        .filter_map(|r| r.join().unwrap())
+        .map(|(_, fields)| fields[0].1.clone())
+        .collect();
+    jobs.sort();
+    assert_eq!(
+        jobs,
+        (0..4)
+            .map(|i| format!("job{i}").into_bytes())
+            .collect::<Vec<_>>(),
+        "each blocked reader gets exactly one job"
+    );
 }
 
 #[test]
@@ -147,14 +162,15 @@ fn mixed_type_commands_under_contention_never_corrupt() {
                 for i in 0..100 {
                     match t % 3 {
                         0 => {
-                            s.dispatch(&f(&["LPUSH", "list", &i.to_string()]));
-                            s.dispatch(&f(&["RPOP", "list"]));
+                            s.dispatch(&f(&["SET", "str", &i.to_string()]));
+                            let got = s.dispatch(&f(&["GET", "str"]));
+                            assert!(matches!(got, Frame::Bulk(_)), "{got:?}");
                         }
                         1 => {
                             s.dispatch(&f(&["HSET", "hash", &format!("f{i}"), "v"]));
                         }
                         _ => {
-                            s.dispatch(&f(&["SADD", "set", &i.to_string()]));
+                            s.dispatch(&f(&["XADD", "stream", "*", "n", &i.to_string()]));
                         }
                     }
                 }
@@ -164,25 +180,45 @@ fn mixed_type_commands_under_contention_never_corrupt() {
     for h in handles {
         h.join().unwrap();
     }
-    // Hash has 100 distinct fields (written twice each), set 100 members.
-    assert_eq!(shared.dispatch(&f(&["HLEN", "hash"])), Frame::Integer(100));
-    assert_eq!(shared.dispatch(&f(&["SCARD", "set"])), Frame::Integer(100));
-    // List drained to 0 or small residue; type must be intact (no WRONGTYPE).
-    let llen = shared.dispatch(&f(&["LLEN", "list"]));
-    assert!(matches!(llen, Frame::Integer(n) if n >= 0));
+    // Every key kept its type: each verb against another type's key is
+    // WRONGTYPE.
+    for verb in [
+        &["GET", "hash"][..],
+        &["HGET", "str", "f"],
+        &["HSET", "stream", "f", "v"],
+        &["XADD", "hash", "*", "f", "v"],
+        &["XLEN", "str"],
+    ] {
+        let reply = shared.dispatch(&f(verb));
+        assert!(
+            reply.as_text().is_some_and(|t| t.starts_with("WRONGTYPE")),
+            "{verb:?}: {reply:?}"
+        );
+    }
+    // Nothing was lost to contention or written by a refused verb: the
+    // hash has 100 distinct fields (written twice each), the stream 200
+    // entries.
+    let fields = shared.dispatch(&f(&["HKEYS", "hash"]));
+    assert_eq!(fields.as_array().map(<[Frame]>::len), Some(100));
+    assert_eq!(
+        shared.dispatch(&f(&["XLEN", "stream"])),
+        Frame::Integer(200)
+    );
 }
 
 #[test]
 fn oversized_pipeline_on_one_connection() {
     let server = Server::start(0).unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    // 1000 sequential commands over one connection.
+    // 1000 sequential commands over one connection, each answered in turn.
+    let mut last = StreamId::MIN;
     for i in 0..1000 {
-        let reply = c
-            .request(&[b"APPEND".as_ref(), b"log".as_ref(), b"x".as_ref()])
-            .unwrap();
-        assert_eq!(reply, Frame::Integer(i + 1));
+        let id = c.xadd(b"log", b"n", i.to_string().as_bytes()).unwrap();
+        let id = StreamId::parse(&id, 0).expect("an entry id");
+        assert!(id > last, "ids grow: {last} then {id}");
+        last = id;
     }
+    assert_eq!(c.xlen(b"log").unwrap(), 1000);
 }
 
 #[test]
@@ -190,31 +226,69 @@ fn aof_persists_state_across_restarts() {
     use redis_lite::aof::FsyncPolicy;
     let path = std::env::temp_dir().join(format!("d4py_aof_restart_{}.aof", std::process::id()));
     let _ = std::fs::remove_file(&path);
+    let kept;
     {
         let shared = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
         shared.dispatch(&f(&["SET", "config:mode", "hybrid"]));
-        shared.dispatch(&f(&["RPUSH", "jobs", "j1", "j2"]));
-        shared.dispatch(&f(&["XADD", "stream", "*", "task", "payload"]));
+        kept = shared.dispatch(&f(&["XADD", "stream", "*", "task", "payload"]));
+        let consumed = shared.dispatch(&f(&["XADD", "stream", "*", "task", "done"]));
+        // A consumed task (XDEL) must not reappear after replay.
+        let consumed = consumed.as_text().unwrap();
+        shared.dispatch(&f(&["XDEL", "stream", &consumed]));
         shared.dispatch(&f(&["HSET", "state", "happyState#0", "snapshot"]));
-        // A consumed job (blocking pop) must not reappear after replay.
-        shared.dispatch(&f(&["BLPOP", "jobs", "1"]));
     }
     let revived = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
     assert_eq!(
         revived.dispatch(&f(&["GET", "config:mode"])),
         Frame::bulk("hybrid")
     );
-    assert_eq!(revived.dispatch(&f(&["LLEN", "jobs"])), Frame::Integer(1));
-    assert_eq!(
-        revived.dispatch(&f(&["LRANGE", "jobs", "0", "-1"])),
-        Frame::Array(vec![Frame::bulk("j2")]),
-        "the BLPOP-consumed j1 must not be replayed back"
-    );
     assert_eq!(revived.dispatch(&f(&["XLEN", "stream"])), Frame::Integer(1));
+    let range = revived.dispatch(&f(&["XRANGE", "stream", "-", "+"]));
+    assert!(
+        format!("{range:?}").contains("payload"),
+        "the XDEL-consumed task must not be replayed back: {range:?}"
+    );
+    let first = &range.as_array().unwrap()[0].as_array().unwrap()[0];
+    assert_eq!(*first, kept, "the entry keeps its id");
     assert_eq!(
         revived.dispatch(&f(&["HGET", "state", "happyState#0"])),
         Frame::bulk("snapshot")
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+/// An auto id is drawn from the server's clock, which restarts at 0 with
+/// the server: the log records the id the entry got, not `*`, so a replay
+/// recreates the ids a logged XDEL names.
+#[test]
+fn aof_replay_keeps_stream_ids() {
+    use redis_lite::aof::FsyncPolicy;
+    let path = std::env::temp_dir().join(format!("d4py_aof_ids_{}.aof", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let first;
+    {
+        let shared = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
+        // sleep: moves the server clock past 0 ms, so a fresh clock would
+        // draw different ids on replay.
+        std::thread::sleep(Duration::from_millis(20));
+        first = shared.dispatch(&f(&["XADD", "s", "*", "f", "a"]));
+        let second = shared.dispatch(&f(&["XADD", "s", "*", "f", "b"]));
+        let second = second.as_text().unwrap();
+        assert_eq!(
+            shared.dispatch(&f(&["XDEL", "s", &second])),
+            Frame::Integer(1)
+        );
+    }
+    let revived = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
+    assert_eq!(revived.dispatch(&f(&["XLEN", "s"])), Frame::Integer(1));
+    let range = revived.dispatch(&f(&["XRANGE", "s", "-", "+"]));
+    let ids: Vec<&Frame> = range
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|entry| &entry.as_array().unwrap()[0])
+        .collect();
+    assert_eq!(ids, vec![&first], "{range:?}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -226,11 +300,39 @@ fn aof_ignores_failed_writes_and_reads() {
     {
         let shared = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
         shared.dispatch(&f(&["SET", "k", "v"]));
+        shared.dispatch(&f(&["XADD", "s", "*", "f", "v"]));
         shared.dispatch(&f(&["GET", "k"])); // read: not logged
-        shared.dispatch(&f(&["INCR", "k"])); // fails (not an int): not logged
+        let failed = shared.dispatch(&f(&["HSET", "s", "f", "v"])); // WRONGTYPE
+        assert!(failed.is_error(), "{failed:?}");
     }
     let commands = Aof::load(&path).unwrap();
-    assert_eq!(commands.len(), 1, "{commands:?}");
-    assert_eq!(commands[0][0], b"SET".to_vec());
+    let verbs: Vec<&[u8]> = commands.iter().map(|c| c[0].as_slice()).collect();
+    assert_eq!(verbs, [&b"SET"[..], b"XADD"], "{commands:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The log holds only writes that succeeded, so an entry that fails on
+/// replay means the log and the server disagree: the server refuses to
+/// start rather than drop the entry unseen.
+#[test]
+fn aof_replay_rejects_an_entry_it_cannot_execute() {
+    use redis_lite::aof::{Aof, FsyncPolicy};
+    let path = std::env::temp_dir().join(format!("d4py_aof_reject_{}.aof", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let aof = Aof::open(&path, FsyncPolicy::Always).unwrap();
+        aof.append(&[&b"SET"[..], b"k", b"v"]).unwrap();
+        aof.append(&[&b"RPUSH"[..], b"q", b"x"]).unwrap();
+    }
+    let err = match Shared::with_aof(&path, FsyncPolicy::Always) {
+        Ok(_) => panic!("an entry the server cannot execute must fail the replay"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    let message = err.to_string();
+    assert!(
+        message.contains("RPUSH") && message.contains("entry 1"),
+        "{message}"
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -1012,9 +1012,11 @@ enum Blocking {
 /// The redis-lite server state [`blocking_protocol`] replicates
 /// (`redis::engine`, `redis::reactor`): the keyspace, the condvar a write
 /// pulses, the write epoch, and one reactor worker's inbox lock, signal and
-/// `parked` flag.
+/// `parked` flag. The blocking read is an `XREAD BLOCK` (in the
+/// consumer-group form the queue sends, `XREADGROUP ... BLOCK`): one
+/// attempt, then park until a write moves the epoch.
 struct Keyspace {
-    /// One list; a blocking pop takes its first item.
+    /// One stream; a read takes its first undelivered entry.
     list: shim::Mutex<Vec<u8>>,
     wakeup: shim::Condvar,
     epoch: AtomicUsize,
@@ -1026,7 +1028,8 @@ struct Keyspace {
 
 impl Keyspace {
     /// The attempt both readers make (`Shared::attempt`), under the
-    /// keyspace lock the caller holds: `Some` pops the list's first item.
+    /// keyspace lock the caller holds: `Some` takes the first undelivered
+    /// entry, as a group read moves the group's cursor past it.
     fn attempt(list: &mut Vec<u8>) -> Option<u8> {
         (!list.is_empty()).then(|| list.remove(0))
     }
@@ -1048,13 +1051,13 @@ impl Keyspace {
         self.mark_write();
     }
 
-    /// A successful pop unlocks, then marks its own write.
+    /// A group read that delivered unlocks, then marks its own write.
     fn popped(&self, item: u8) -> u8 {
         self.mark_write();
         item
     }
 
-    /// `Shared::dispatch` on a blocking pop: the first attempt of
+    /// `Shared::dispatch` on an `XREAD BLOCK`: the first attempt of
     /// `dispatch_nonblocking`, then the attempt repeated with the keyspace
     /// lock held from each failure into an untimed wait on `wakeup`.
     fn in_process_read(&self) -> u8 {
@@ -1075,7 +1078,7 @@ impl Keyspace {
         }
     }
 
-    /// A reactor worker on a blocking pop: the first attempt of
+    /// A reactor worker on an `XREAD BLOCK`: the first attempt of
     /// `dispatch_nonblocking` records the epoch it read before trying; each
     /// sweep reads the epoch, `poll_blocked` attempts again only if the
     /// epoch moved past the recorded one, and a sweep that found nothing
@@ -1109,9 +1112,10 @@ impl Keyspace {
 }
 
 /// A replica of the one blocking path (`redis::engine`, DESIGN.md §5.9): an
-/// in-process reader and a reactor reader each block on an empty list while
-/// a writer pushes one item for each. Untimed waits: a schedule in which a
-/// reader sleeps through the write that fed it is a deadlock.
+/// in-process reader and a reactor reader each block in an `XREAD BLOCK` on
+/// an empty stream while a writer appends one entry for each. Untimed
+/// waits: a schedule in which a reader sleeps through the write that fed
+/// it is a deadlock.
 fn blocking_protocol(blocking: Blocking) {
     let keyspace = Arc::new(Keyspace {
         list: shim::Mutex::new(Vec::new()),
