@@ -283,7 +283,7 @@ mod tests {
         }
     }
 
-    /// source → three pass-through hops → collector: one stream entry per
+    /// source → three pass-through hops → collector: one queued task per
     /// item (and the kickoff), the hops after the first being called by the
     /// worker that popped it.
     #[test]

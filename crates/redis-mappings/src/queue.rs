@@ -4,27 +4,32 @@
 //! scheduling replaced by a Redis stream with one consumer group. Mapping of
 //! queue operations onto commands:
 //!
-//! * `push` → `XADD key * task <codec bytes>`; `push_batch` → the same, one
-//!   pipelined write per [`PUSH_PIPELINE`] items
+//! * `push_batch` → `XADD key * task <p1> task <p2> …`, one entry per up to
+//!   [`TASKS_PER_ENTRY`] tasks and one per pill or flush, one pipelined
+//!   write per [`PUSH_PIPELINE`] items; `push` is a batch of one
 //! * `pop_batch` → one pipelined write per popped batch:
 //!   `XDEL key <ids of the previous batch>` then
-//!   `XREADGROUP GROUP g w<i> COUNT n BLOCK <ms> NOACK STREAMS key >`,
-//!   without `BLOCK` for a zero timeout (a try-read).
+//!   `XREADGROUP GROUP g w<i> COUNT ⌈n / TASKS_PER_ENTRY⌉ BLOCK <ms> NOACK
+//!   STREAMS key >`, without `BLOCK` for a zero timeout (a try-read).
 //!   A consumer deletes what it read with its *next* read instead of paying
 //!   a second round trip per batch; a batch that carries a pill is deleted at
-//!   once, because its consumer is about to stop reading. `pop` is a batch
-//!   of one
-//! * `depth` → `XLEN` minus the entries delivered and not yet deleted, so it
-//!   stays the live depth and memory stays bounded by one batch per consumer
+//!   once, because its consumer is about to stop reading. Tasks a read
+//!   delivers beyond `n` stay with the consumer and are the first its next
+//!   pop returns, without a round trip when they are enough. `pop` is a
+//!   batch of one
+//! * `depth` → no command: the items written (counted once the `XADD` reply
+//!   is in hand) minus the items handed to a caller, kept in process
 //! * `idle_times` → `XINFO CONSUMERS` (the consumer-group idle metadata the
 //!   `dyn_auto_redis` strategy monitors)
 //!
 //! `NOACK` is used because workers are threads of one process: there is no
 //! crash-recovery consumer to hand pending entries to, so at-most-once
 //! delivery inside the process is the honest semantic (real dispel4py's
-//! Redis mapping makes the same choice for its task queue reads). Reliable
-//! mode ([`RedisQueue::new_reliable`]) keeps one tracked entry per consumer
-//! and reads one entry per round trip.
+//! Redis mapping makes the same choice for its task queue reads). The same
+//! premise, every producer and consumer a thread of this process, lets
+//! `depth` count items without asking the server. Reliable mode
+//! ([`RedisQueue::new_reliable`]) writes one task per entry, keeps one
+//! tracked entry per consumer and reads one entry per round trip.
 
 use crate::backend::RedisBackend;
 use crate::pool::{ConnectionPool, PoolConfig};
@@ -35,17 +40,22 @@ use d4py_core::task::QueueItem;
 use d4py_sync::Mutex;
 use redis_lite::client::{parse_claim_reply, parse_read_reply, ClientError, Connection, RedisOps};
 use redis_lite::resp::Frame;
-use std::sync::atomic::AtomicUsize;
-use std::sync::atomic::Ordering::{self, SeqCst};
+use std::sync::atomic::AtomicIsize;
+use std::sync::atomic::Ordering::SeqCst;
 use std::time::{Duration, Instant};
 
 const GROUP: &[u8] = b"d4py";
 const FIELD: &[u8] = b"task";
 
-/// XADDs per pipelined write of `push_batch`. A source's whole stream
+/// Items per pipelined write of `push_batch`. A source's whole stream
 /// arrives as one batch; this bounds the encoded payloads, the argument
 /// table and the wire buffer the client holds at once, whatever its length.
 const PUSH_PIPELINE: usize = 512;
+
+/// Tasks one NOACK stream entry carries, as repeated `task` fields. A
+/// divisor of the engine's pop batch (32), so a worker's read of
+/// `⌈32 / TASKS_PER_ENTRY⌉` entries never holds more than it returns.
+const TASKS_PER_ENTRY: usize = 8;
 
 /// True for errors where the connection itself is suspect (vs. a server
 /// reply the connection carried back fine).
@@ -56,14 +66,25 @@ fn is_transport_error(e: &ClientError) -> bool {
     )
 }
 
-/// Extracts and decodes the task payload of one stream entry.
-fn decode_payload(pairs: Vec<(Vec<u8>, Vec<u8>)>) -> Result<QueueItem, CoreError> {
-    let payload = pairs
-        .into_iter()
-        .find(|(f, _)| f == FIELD)
-        .map(|(_, v)| v)
-        .ok_or_else(|| CoreError::Queue("stream entry missing task field".into()))?;
-    Ok(codec::decode_item(&payload)?)
+/// Decodes every task payload of one stream entry onto `out`, in order.
+fn decode_entry(pairs: Vec<(Vec<u8>, Vec<u8>)>, out: &mut Vec<QueueItem>) -> Result<(), CoreError> {
+    let before = out.len();
+    for (_, payload) in pairs.into_iter().filter(|(f, _)| f == FIELD) {
+        out.push(codec::decode_item(&payload)?);
+    }
+    if out.len() == before {
+        return Err(CoreError::Queue("stream entry missing task field".into()));
+    }
+    Ok(())
+}
+
+/// Item counts of the entries `push_batch` writes for `items`: runs of up
+/// to `per_entry` tasks, and each pill and flush alone, so a broadcast of
+/// one pill per consumer still reaches every consumer.
+fn entry_lens(items: &[QueueItem], per_entry: usize) -> impl Iterator<Item = usize> + '_ {
+    items
+        .chunk_by(|a, b| matches!((a, b), (QueueItem::Task(_), QueueItem::Task(_))))
+        .flat_map(move |run| run.chunks(per_entry).map(<[_]>::len))
 }
 
 /// One consumer's reading end.
@@ -72,9 +93,12 @@ struct Reader {
     conn: Box<dyn Connection>,
     /// `w<i>`: the consumer's name in the group.
     name: Vec<u8>,
-    /// NOACK mode: ids of the entries the last read delivered, still in the
-    /// stream until the next read's pipeline deletes them.
+    /// NOACK mode: ids of the entries delivered and not yet deleted; the
+    /// next read's pipeline deletes them.
     undeleted: Vec<String>,
+    /// NOACK mode: items a read delivered beyond what its pop returned,
+    /// handed out first by the next pop.
+    spare: Vec<QueueItem>,
     /// Reliable mode: the entry popped last, acknowledged by the next pop.
     unacked: Option<String>,
 }
@@ -83,14 +107,12 @@ struct Reader {
 pub struct RedisQueue {
     key: Vec<u8>,
     readers: Vec<Mutex<Reader>>,
-    /// Entries across all readers' `undeleted`: what `XLEN` counts beyond
-    /// the live depth.
-    undeleted: AtomicUsize,
+    /// Items written minus items handed to a caller (in reliable mode, read
+    /// for the first time): the depth. It dips below zero while a consumer
+    /// returns an item whose producer still waits on the `XADD` reply.
+    queued: AtomicIsize,
     /// Bounded, health-checked pool for pushes / monitoring queries.
     pool: ConnectionPool,
-    /// Last successfully observed depth, held across transient backend
-    /// errors so a dead shard doesn't read as an empty queue.
-    last_depth: AtomicUsize,
     created: Instant,
     /// At-least-once mode: PEL-tracked reads, ack-on-next-pop, and
     /// XAUTOCLAIM recovery of entries whose consumer stalled.
@@ -139,15 +161,15 @@ impl RedisQueue {
                 conn: backend.connect()?,
                 name: format!("w{consumer}").into_bytes(),
                 undeleted: Vec::new(),
+                spare: Vec::new(),
                 unacked: None,
             }));
         }
         Ok(Self {
             key,
             readers,
-            undeleted: AtomicUsize::new(0),
+            queued: AtomicIsize::new(0),
             pool: ConnectionPool::new(backend.clone(), PoolConfig::default()),
-            last_depth: AtomicUsize::new(0),
             created: Instant::now(),
             reliable,
         })
@@ -190,10 +212,11 @@ impl RedisQueue {
         })
     }
 
-    /// NOACK mode: deletes what the previous read delivered and reads up to
-    /// `max` entries, in one pipelined write. A zero `timeout` sends no
-    /// `BLOCK` — Redis reads `BLOCK 0` as "forever" — so the read is a
-    /// try-read that never parks.
+    /// NOACK mode: returns up to `max` items, the consumer's spare ones
+    /// first. Short of `max`, it deletes what the previous read delivered
+    /// and reads enough entries for the rest, in one pipelined write. A
+    /// zero `timeout` sends no `BLOCK` — Redis reads `BLOCK 0` as "forever"
+    /// — so the read is a try-read that never parks.
     fn pop_noack(
         &self,
         consumer: usize,
@@ -205,58 +228,62 @@ impl RedisQueue {
             conn,
             name,
             undeleted,
+            spare,
             ..
         } = &mut *reader;
-        let count = max.to_string();
-        let block_ms = timeout.as_millis().max(1).to_string();
-        let mut read: Vec<&[u8]> = vec![
-            b"XREADGROUP",
-            b"GROUP",
-            GROUP,
-            name,
-            b"COUNT",
-            count.as_bytes(),
-        ];
-        if !timeout.is_zero() {
-            read.extend([b"BLOCK".as_ref(), block_ms.as_bytes()]);
-        }
-        read.extend([b"NOACK".as_ref(), b"STREAMS", &self.key, b">"]);
-        let del = self.xdel(undeleted);
-        let cmds: [&[&[u8]]; 2] = [&del, &read];
-        let settled = undeleted.len();
-        let mut replies = conn
-            .request_many(&cmds[usize::from(settled == 0)..])
-            // Outcome unknown: the ids stay, XDEL is idempotent.
-            .map_err(|e| CoreError::Queue(e.to_string()))?;
-        let read_reply = replies
-            .pop()
-            .ok_or_else(|| CoreError::Queue("empty pipeline reply".into()))?;
-        let entries = parse_read_reply(read_reply).map_err(|e| CoreError::Queue(e.to_string()))?;
-        let (ids, bodies): (Vec<_>, Vec<_>) = entries.into_iter().unzip();
-        *undeleted = ids;
-        // Only now, with the reply in hand: until then `depth()` keeps
-        // subtracting ids the server may already have deleted, so a probe
-        // racing this read can report too little, never a phantom backlog.
-        let delivered = undeleted.len();
-        let settle = |n: usize| Some(n + delivered - settled);
-        let _ = self.undeleted.fetch_update(SeqCst, SeqCst, settle);
-        if let Some(reply) = replies.first() {
-            Self::frame_ok(reply, "batched XDEL")?;
-        }
-        let items = bodies
-            .into_iter()
-            .map(decode_payload)
-            .collect::<Result<Vec<_>, _>>()?;
-        if items.contains(&QueueItem::Pill) {
-            // This consumer was told to stop and may never read again:
-            // settle now. Best effort — on failure the ids wait for a next
-            // read as they otherwise would.
+        if spare.len() < max {
+            let entries = (max - spare.len()).div_ceil(TASKS_PER_ENTRY);
+            let count = entries.to_string();
+            let block_ms = timeout.as_millis().max(1).to_string();
+            let mut read: Vec<&[u8]> = vec![
+                b"XREADGROUP",
+                b"GROUP",
+                GROUP,
+                name,
+                b"COUNT",
+                count.as_bytes(),
+            ];
+            // Spare items are the caller's now; the read only tops them up.
+            if !timeout.is_zero() && spare.is_empty() {
+                read.extend([b"BLOCK".as_ref(), block_ms.as_bytes()]);
+            }
+            read.extend([b"NOACK".as_ref(), b"STREAMS", &self.key, b">"]);
             let del = self.xdel(undeleted);
-            if matches!(conn.request(&del), Ok(reply) if !reply.is_error()) {
-                self.undeleted.fetch_sub(delivered, SeqCst);
+            let cmds: [&[&[u8]]; 2] = [&del, &read];
+            let mut replies = conn
+                .request_many(&cmds[usize::from(undeleted.is_empty())..])
+                // Outcome unknown: the ids stay, XDEL is idempotent.
+                .map_err(|e| CoreError::Queue(e.to_string()))?;
+            let read_reply = replies
+                .pop()
+                .ok_or_else(|| CoreError::Queue("empty pipeline reply".into()))?;
+            let read = parse_read_reply(read_reply).map_err(|e| CoreError::Queue(e.to_string()))?;
+            // NOACK counted the read as delivered, so its items are this
+            // consumer's to return whatever the XDEL answered. A refused
+            // XDEL keeps its ids for the next read to delete with these.
+            if replies.first().is_none_or(|reply| !reply.is_error()) {
                 undeleted.clear();
             }
+            let (ids, bodies): (Vec<_>, Vec<_>) = read.into_iter().unzip();
+            undeleted.extend(ids);
+            let decoded = spare.len();
+            spare.reserve(entries * TASKS_PER_ENTRY);
+            for pairs in bodies {
+                decode_entry(pairs, spare)?;
+            }
+            if spare[decoded..].contains(&QueueItem::Pill) {
+                // This consumer was told to stop and may never read again:
+                // settle now. Best effort — on failure the ids wait for a
+                // next read as they otherwise would.
+                let del = self.xdel(undeleted);
+                if matches!(conn.request(&del), Ok(reply) if !reply.is_error()) {
+                    undeleted.clear();
+                }
+            }
         }
+        let rest = spare.split_off(max.min(spare.len()));
+        let items = std::mem::replace(spare, rest);
+        self.queued.fetch_sub(items.len() as isize, SeqCst);
         Ok(items)
     }
 
@@ -272,24 +299,38 @@ impl RedisQueue {
 
 impl TaskQueue for RedisQueue {
     fn push(&self, item: QueueItem) -> Result<(), CoreError> {
-        let payload = codec::encode_item(&item);
-        self.with_pool(|c| {
-            c.request(&[b"XADD", &self.key, b"*", FIELD, &payload])
-                .map(|_| ())
-        })
+        self.push_batch(None, vec![item])
     }
 
     fn push_batch(&self, _producer: Option<usize>, items: Vec<QueueItem>) -> Result<(), CoreError> {
-        // Pipelined XADD bursts: N commands, one write, one read each. A
-        // failure leaves the earlier bursts appended.
+        // Reliable mode's PEL tracks one entry per consumer: one task each.
+        let per_entry = match self.reliable {
+            Some(_) => 1,
+            None => TASKS_PER_ENTRY,
+        };
+        // Pipelined XADD bursts: one write, one read each. A failure leaves
+        // the earlier bursts appended.
         for burst in items.chunks(PUSH_PIPELINE) {
             let payloads: Vec<Vec<u8>> = burst.iter().map(codec::encode_item).collect();
-            let owned: Vec<[&[u8]; 5]> = payloads
+            let lens: Vec<usize> = entry_lens(burst, per_entry).collect();
+            let mut at = 0;
+            let owned: Vec<Vec<&[u8]>> = lens
                 .iter()
-                .map(|p| [b"XADD".as_ref(), &self.key, b"*", FIELD, p.as_slice()])
+                .map(|&n| {
+                    let mut xadd: Vec<&[u8]> = Vec::with_capacity(3 + 2 * n);
+                    xadd.extend([b"XADD".as_ref(), &self.key, b"*"]);
+                    for payload in &payloads[at..at + n] {
+                        xadd.extend([FIELD, payload.as_slice()]);
+                    }
+                    at += n;
+                    xadd
+                })
                 .collect();
-            let cmds: Vec<&[&[u8]]> = owned.iter().map(|c| c.as_slice()).collect();
+            let cmds: Vec<&[&[u8]]> = owned.iter().map(Vec::as_slice).collect();
             let replies = self.with_pool(|c| c.request_many(&cmds))?;
+            let landed = replies.iter().zip(&lens).filter(|(r, _)| !r.is_error());
+            let written: usize = landed.map(|(_, &n)| n).sum();
+            self.queued.fetch_add(written as isize, SeqCst);
             for reply in &replies {
                 Self::frame_ok(reply, "pipelined XADD")?;
             }
@@ -342,23 +383,32 @@ impl TaskQueue for RedisQueue {
         }
         *pending = None; // ack landed (or there was nothing to ack)
 
-        // Rescue entries a stalled consumer left pending.
+        // Rescue entries a stalled consumer left pending. A rescued entry
+        // left the depth when it was first read.
         let claimed = parse_claim_reply(claim_reply[0].clone())
             .map_err(|e| CoreError::Queue(e.to_string()))?
             .into_iter()
             .next();
         let read = match claimed {
             Some(entry) => Some(entry),
-            None => conn
-                .xreadgroup_one(&self.key, GROUP, name, timeout, false)
-                .map_err(|e| CoreError::Queue(e.to_string()))?,
+            None => {
+                let read = conn
+                    .xreadgroup_one(&self.key, GROUP, name, timeout, false)
+                    .map_err(|e| CoreError::Queue(e.to_string()))?;
+                if read.is_some() {
+                    self.queued.fetch_sub(1, SeqCst);
+                }
+                read
+            }
         };
         let Some((id, pairs)) = read else {
             return Ok(None);
         };
         *pending = Some(id);
         drop(reader);
-        decode_payload(pairs).map(Some)
+        let mut item = Vec::with_capacity(1);
+        decode_entry(pairs, &mut item)?;
+        Ok(item.pop())
     }
 
     fn pop_batch(
@@ -379,26 +429,8 @@ impl TaskQueue for RedisQueue {
     }
 
     fn depth(&self) -> usize {
-        // Delivered entries wait in the stream for their consumer's next
-        // read to delete them; they are not queued work. Read before XLEN:
-        // an entry delivered in between is still some pop's to return.
-        let delivered = self.undeleted.load(SeqCst);
-        match self.with_pool(|c| c.xlen(&self.key)) {
-            Ok(n) => {
-                let depth = (n.max(0) as usize).saturating_sub(delivered);
-                // relaxed: monitoring metric, no ordering dependencies.
-                self.last_depth.store(depth, Ordering::Relaxed);
-                depth
-            }
-            Err(e) => {
-                // A dead backend must not read as "empty queue" — that
-                // invites the autoscaler to scale down mid-outage. Hold the
-                // last good observation and say why.
-                eprintln!("[d4py-redis] depth probe failed, holding last value: {e}");
-                // relaxed: monitoring metric, no ordering dependencies.
-                self.last_depth.load(Ordering::Relaxed)
-            }
-        }
+        // Below zero only for the moment a producer's count lags its write.
+        usize::try_from(self.queued.load(SeqCst)).unwrap_or(0)
     }
 
     fn idle_times(&self) -> Option<Vec<Duration>> {
@@ -424,7 +456,9 @@ mod tests {
     use d4py_core::task::Task;
     use d4py_core::value::Value;
     use d4py_graph::PeId;
+    use redis_lite::client::InProcClient;
     use redis_lite::server::Server;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn task(i: i64) -> QueueItem {
@@ -736,17 +770,18 @@ mod tests {
         }
     }
 
-    /// Entries left in the stream, decoded.
+    /// Items left in the stream, decoded, every entry's in order.
     fn leftovers(backend: &RedisBackend, key: &[u8]) -> Vec<QueueItem> {
         let mut conn = backend.connect().unwrap();
         let reply = conn.request(&[b"XRANGE", key, b"-", b"+"]).unwrap();
         let entries = reply.as_array().expect("XRANGE replies with an array");
-        let decoded = entries.iter().map(|entry| {
+        let decoded = entries.iter().flat_map(|entry| {
             let fields = entry.as_array().and_then(|e| e.get(1)?.as_array());
-            match fields.expect("[id, [field, value]]") {
+            let pairs = fields.expect("[id, [field, value, ...]]").chunks(2);
+            pairs.map(|pair| match pair {
                 [_, Frame::Bulk(payload)] => codec::decode_item(payload).unwrap(),
                 other => panic!("unexpected entry body {other:?}"),
-            }
+            })
         });
         decoded.collect()
     }
@@ -771,10 +806,13 @@ mod tests {
         });
     }
 
+    /// Every command sent, each as its arguments.
+    type Sent = Arc<Mutex<Vec<Vec<Vec<u8>>>>>;
+
     /// Connection wrapper writing down every command sent through it.
     struct Logged {
         inner: Box<dyn Connection>,
-        sent: Arc<Mutex<Vec<Vec<Vec<u8>>>>>,
+        sent: Sent,
     }
 
     impl Logged {
@@ -794,6 +832,157 @@ mod tests {
             cmds.iter().for_each(|args| self.log(args));
             self.inner.request_many(cmds)
         }
+    }
+
+    /// `backend` with every command sent through it written down.
+    fn logging(backend: &RedisBackend) -> (RedisBackend, Sent) {
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let (mint, log) = (backend.clone(), sent.clone());
+        let logged = RedisBackend::custom(move || {
+            Ok(Box::new(Logged {
+                inner: mint.connect()?,
+                sent: log.clone(),
+            }))
+        });
+        (logged, sent)
+    }
+
+    /// The `XADD`s among `sent`, each as the items its entry carries.
+    fn entries_added(sent: &[Vec<Vec<u8>>]) -> Vec<Vec<QueueItem>> {
+        let xadds = sent.iter().filter(|cmd| cmd[0] == b"XADD");
+        let decode = |cmd: &Vec<Vec<u8>>| {
+            let pairs = cmd[3..].chunks(2);
+            pairs
+                .map(|pair| {
+                    assert_eq!(pair[0], FIELD);
+                    codec::decode_item(&pair[1]).unwrap()
+                })
+                .collect()
+        };
+        xadds.map(decode).collect()
+    }
+
+    #[test]
+    fn push_batch_packs_tasks_into_entries_in_one_request() {
+        over_counted_backends(|label, _, counted, calls| {
+            let (logged, sent) = logging(counted);
+            let q = RedisQueue::new(&logged, "pack", 1).unwrap();
+            sent.lock().clear();
+            let before = calls.load(SeqCst);
+            q.push_batch(None, (0..70).map(task).collect()).unwrap();
+            assert_eq!(calls.load(SeqCst) - before, 1, "{label}: one request");
+            let entries = entries_added(&sent.lock());
+            let lens: Vec<usize> = entries.iter().map(Vec::len).collect();
+            assert_eq!(lens, [8, 8, 8, 8, 8, 8, 8, 8, 6], "{label}");
+            assert_eq!(entries.len(), 70usize.div_ceil(TASKS_PER_ENTRY), "{label}");
+            let items: Vec<QueueItem> = entries.concat();
+            assert_eq!(items, (0..70).map(task).collect::<Vec<_>>(), "{label}");
+            assert_eq!(q.depth(), 70, "{label}: depth counts items, not entries");
+        });
+    }
+
+    #[test]
+    fn pills_and_flushes_get_an_entry_each() {
+        over_counted_backends(|label, _, counted, _| {
+            let (logged, sent) = logging(counted);
+            let q = RedisQueue::new(&logged, "alone", 2).unwrap();
+            let mut items = vec![QueueItem::Pill, QueueItem::Pill, QueueItem::Flush];
+            items.extend((0..10).map(task));
+            items.push(QueueItem::Flush);
+            items.extend((10..12).map(task));
+            sent.lock().clear();
+            q.push_batch(None, items.clone()).unwrap();
+            let entries = entries_added(&sent.lock());
+            let lens: Vec<usize> = entries.iter().map(Vec::len).collect();
+            assert_eq!(lens, [1, 1, 1, 8, 2, 1, 2], "{label}");
+            assert_eq!(entries.concat(), items, "{label}");
+        });
+    }
+
+    #[test]
+    fn repeated_pops_after_a_packed_push_return_every_task_in_order() {
+        over_counted_backends(|label, plain, counted, calls| {
+            let q = RedisQueue::new(counted, "one", 1).unwrap();
+            q.push_batch(None, (0..20).map(task).collect()).unwrap();
+            let before = calls.load(SeqCst);
+            let mut got = Vec::new();
+            while let Some(item) = q.pop(0, Duration::from_millis(20)).unwrap() {
+                got.push(item);
+                assert_eq!(q.depth(), 20 - got.len(), "{label}");
+            }
+            assert_eq!(got, (0..20).map(task).collect::<Vec<_>>(), "{label}");
+            // A read per entry (8, 8, 4) and the empty one that deletes the
+            // last: the tasks an entry holds beyond the first need none.
+            assert_eq!(calls.load(SeqCst) - before, 4, "{label}");
+            assert!(leftovers(plain, b"one").is_empty(), "{label}: drained");
+        });
+    }
+
+    #[test]
+    fn an_engine_sized_pop_holds_nothing_back() {
+        assert_eq!(32 % TASKS_PER_ENTRY, 0, "the engine pops 32");
+        over_counted_backends(|label, _, counted, _| {
+            let q = RedisQueue::new(counted, "even", 1).unwrap();
+            q.push_batch(None, (0..70).map(task).collect()).unwrap();
+            for expect in [32, 32, 6, 0] {
+                let got = q.pop_batch(0, 32, Duration::from_millis(20)).unwrap();
+                assert_eq!(got.len(), expect, "{label}");
+                assert!(q.readers[0].lock().spare.is_empty(), "{label}");
+            }
+        });
+    }
+
+    /// Connection wrapper answering every `XDEL` with an error frame,
+    /// without sending it, while `refuse` is set.
+    struct RefusesXdel {
+        inner: Box<dyn Connection>,
+        refuse: Arc<AtomicBool>,
+    }
+
+    impl Connection for RefusesXdel {
+        fn request(&mut self, args: &[&[u8]]) -> Result<Frame, ClientError> {
+            Ok(self.request_many(&[args])?.remove(0))
+        }
+        fn request_many(&mut self, cmds: &[&[&[u8]]]) -> Result<Vec<Frame>, ClientError> {
+            let refuse = self.refuse.load(SeqCst);
+            let refused = |cmd: &[&[u8]]| refuse && cmd[0] == b"XDEL";
+            let sent: Vec<&[&[u8]]> = cmds.iter().copied().filter(|c| !refused(c)).collect();
+            let mut replies = self.inner.request_many(&sent)?.into_iter();
+            let answer = |cmd: &&[&[u8]]| match refused(cmd) {
+                true => Frame::error("injected"),
+                false => replies.next().expect("one reply per command sent"),
+            };
+            Ok(cmds.iter().map(answer).collect())
+        }
+    }
+
+    #[test]
+    fn a_refused_xdel_returns_the_read_and_keeps_both_id_sets() {
+        // Regression: an XDEL answered with an error frame made the pop
+        // return Err, losing the batch it had just read (NOACK counted it
+        // delivered), and dropped the earlier ids from deletion for good.
+        let shared = Arc::new(redis_lite::engine::Shared::new());
+        let plain = RedisBackend::InProc(shared.clone());
+        let refuse = Arc::new(AtomicBool::new(false));
+        let flag = refuse.clone();
+        let backend = RedisBackend::custom(move || {
+            Ok(Box::new(RefusesXdel {
+                inner: Box::new(InProcClient::new(shared.clone())),
+                refuse: flag.clone(),
+            }))
+        });
+        let q = RedisQueue::new(&backend, "q", 1).unwrap();
+        q.push_batch(None, (0..16).map(task).collect()).unwrap();
+        let first = q.pop_batch(0, 8, Duration::from_millis(20)).unwrap();
+        assert_eq!(first, (0..8).map(task).collect::<Vec<_>>());
+        refuse.store(true, SeqCst);
+        let second = q.pop_batch(0, 8, Duration::from_millis(20)).unwrap();
+        assert_eq!(second, (8..16).map(task).collect::<Vec<_>>());
+        assert_eq!(leftovers(&plain, b"q").len(), 16, "nothing was deleted");
+        refuse.store(false, SeqCst);
+        assert!(q.pop_batch(0, 8, Duration::ZERO).unwrap().is_empty());
+        assert!(leftovers(&plain, b"q").is_empty(), "one XDEL took both");
+        assert_eq!(q.depth(), 0);
     }
 
     /// A zero-timeout pop is a try-read: it sends no `BLOCK` (Redis reads

@@ -138,6 +138,18 @@ empty_pops="$(sed -n \
 awk -v x="$empty_pops" -v w="$workers" 'BEGIN { exit !(x != "" && w + 0 > 0 && x + 0 < 6 * w) }' \
     || { echo "verify: FAIL — chain9_redis empty_pops = '$empty_pops' with '$workers' workers, want < 6 per worker" >&2; exit 1; }
 
+# A third count on the same run, of commands: round trips per PE call times
+# commands per round trip. A NOACK stream entry carries up to 8 tasks, so a
+# worker's write-out of 32 tasks is 4 XADDs and its read of them one
+# XREADGROUP; five runs on 2 cores read 0.0205-0.0208 commands per PE call
+# (the bound is three times the worst). One XADD per task reads ~0.108.
+cmds_per_round_trip="$(sed -n \
+    's/.*"redis\.client\.cmds_per_round_trip": {"value": \([0-9.eE+-]*\).*/\1/p' \
+    <<<"$redis_summary")"
+awk -v rt="$round_trips" -v c="$cmds_per_round_trip" \
+    'BEGIN { exit !(c != "" && rt * c < 0.0625) }' \
+    || { echo "verify: FAIL — chain9_redis commands per PE call = '$round_trips' x '$cmds_per_round_trip', want < 0.0625" >&2; exit 1; }
+
 # A count gate on seismic over the wire: each seismic kernel runs in well
 # under FLUSH_AFTER, so every hop after the source's is called inline and a
 # trace crosses the wire once, as the source's emission. A traced

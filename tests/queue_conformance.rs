@@ -472,3 +472,40 @@ fn concurrent_producers_consumers_lose_nothing() {
         assert_eq!(q.depth(), 0, "{name}");
     }
 }
+
+#[test]
+fn batch_pops_stay_within_max_and_hand_out_held_items_first() {
+    // A backend may read more than one pop returns (the Redis stream packs
+    // several tasks into an entry). No pop may overrun its `max`, and what
+    // a consumer's read held back must be the first its next pop returns,
+    // ahead of anything pushed since.
+    for (name, q) in backends(1) {
+        q.push_batch(None, (0..20).map(task).collect()).unwrap();
+        let mut got = Vec::new();
+        for max in [3, 10, 1] {
+            let batch = q.pop_batch(0, max, Duration::from_millis(100)).unwrap();
+            assert!(
+                !batch.is_empty() && batch.len() <= max,
+                "{name}: {} items for max {max}",
+                batch.len()
+            );
+            got.extend(batch);
+        }
+        q.push_batch(None, (20..30).map(task).collect()).unwrap();
+        for max in [7, 4, 32, 2].into_iter().cycle() {
+            let batch = q.pop_batch(0, max, Duration::from_millis(20)).unwrap();
+            if batch.is_empty() {
+                break;
+            }
+            assert!(
+                batch.len() <= max,
+                "{name}: {} items for max {max}",
+                batch.len()
+            );
+            got.extend(batch);
+            assert_eq!(q.depth(), 30 - got.len(), "{name}: depth mid-drain");
+        }
+        let want: Vec<QueueItem> = (0..30).map(task).collect();
+        assert_eq!(got, want, "{name}: held-back items out of order or lost");
+    }
+}
