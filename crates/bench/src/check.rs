@@ -1,7 +1,8 @@
 //! `repro check` — static diagnostics over every built-in workflow.
 //!
 //! Runs `d4py_graph::analyze` under the strictest context
-//! ([`AnalysisContext::full`]: fusion and autoscaling rules enabled) on
+//! ([`AnalysisContext::full`]: the staging and autoscaling rules enabled,
+//! no mapping's placement refusals) on
 //! each of the paper's workflows plus the chaos workload, renders a
 //! rustc-style report per workflow and a summary table, and persists the
 //! machine-readable JSON to `target/bench/DIAGNOSTICS_check.json` so CI

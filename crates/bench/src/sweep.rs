@@ -248,9 +248,10 @@ pub fn run_cell(
             trace: report.scaling_trace,
             warnings: report.warnings,
         }),
-        // A mapping that cannot run this cell (e.g. multi below its process
-        // minimum) contributes no row, exactly like the paper's plots.
-        Err(CoreError::UnsupportedWorkflow { .. }) => None,
+        // A mapping that cannot run this cell (its pre-flight refuses it,
+        // e.g. multi below its process minimum, D4PY425) contributes no
+        // row, exactly like the paper's plots.
+        Err(CoreError::Analysis { .. }) => None,
         Err(e) => panic!("cell {}/{workers} failed: {e}", mapping.label()),
     }
 }

@@ -7,23 +7,19 @@ use d4py_graph::{GraphError, PeId};
 pub enum CoreError {
     /// The abstract workflow failed validation.
     Graph(GraphError),
-    /// The pre-flight static analysis found Error-severity diagnostics
-    /// (see `d4py_graph::analyze`); the rendered report carries the
-    /// `D4PY` rule codes.
+    /// The mapping cannot run this workflow: its pre-flight analysis under
+    /// the mapping's placement found Error-severity diagnostics (see
+    /// `d4py_graph::analyze`), such as plain dynamic scheduling given a
+    /// stateful PE (`D4PY401`) or `multi` given too few workers
+    /// (`D4PY425`). The rendered report carries the `D4PY` rule codes.
     Analysis {
+        /// The mapping that refused the workflow.
+        mapping: &'static str,
         /// The rendered diagnostics report.
         report: String,
     },
     /// A PE id has no registered runtime factory.
     MissingFactory(PeId),
-    /// The selected mapping cannot execute this workflow (e.g. plain dynamic
-    /// scheduling given a stateful PE or a grouping it does not support).
-    UnsupportedWorkflow {
-        /// The mapping that rejected the workflow.
-        mapping: &'static str,
-        /// Human-readable reason.
-        reason: String,
-    },
     /// Invalid execution options (e.g. zero workers).
     InvalidOptions(String),
     /// Binary codec failure while (de)serializing stream data.
@@ -48,14 +44,11 @@ impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoreError::Graph(e) => write!(f, "invalid workflow: {e}"),
-            CoreError::Analysis { report } => {
-                write!(f, "workflow rejected by static analysis:\n{report}")
+            CoreError::Analysis { mapping, report } => {
+                write!(f, "mapping '{mapping}' cannot run this workflow:\n{report}")
             }
             CoreError::MissingFactory(pe) => {
                 write!(f, "no runtime factory registered for {pe}")
-            }
-            CoreError::UnsupportedWorkflow { mapping, reason } => {
-                write!(f, "mapping '{mapping}' cannot run this workflow: {reason}")
             }
             CoreError::InvalidOptions(msg) => write!(f, "invalid options: {msg}"),
             CoreError::Codec(e) => write!(f, "codec error: {e}"),

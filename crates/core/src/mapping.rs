@@ -9,6 +9,11 @@
 //! and [`DynAutoMulti`](crate::mappings::dynamic::DynAutoMulti)
 //! (dynamic scheduling + auto-scaling). The Redis-backed mappings live in
 //! the `d4py-redis` crate and implement the same trait.
+//!
+//! Which graphs a mapping may run is not decided here or in any front
+//! door: each mapping's pre-flight ([`crate::preflight`]) analyzes the
+//! graph under the mapping's placement, and the analyzer's placement rules
+//! (`D4PY4xx`) are the only refusals.
 
 use crate::error::CoreError;
 use crate::executable::Executable;
@@ -25,48 +30,15 @@ pub trait Mapping {
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError>;
 }
 
-/// Validates that a workflow is executable by *plain* dynamic scheduling,
-/// which supports neither stateful PEs nor groupings (§2.2: "dynamic
-/// scheduling exclusively manages stateless PEs and lacks support for
-/// grouping").
-pub fn require_stateless(exe: &Executable, mapping: &'static str) -> Result<(), CoreError> {
-    let graph = exe.graph();
-    if let Some(pe) = graph.stateful_pes().first() {
-        let name = graph.pe(*pe).map(|p| p.name.clone()).unwrap_or_default();
-        return Err(CoreError::UnsupportedWorkflow {
-            mapping,
-            reason: format!(
-                "PE '{name}' is stateful (or fed by a group-by/global grouping); \
-                 use the hybrid mapping or the static multi mapping"
-            ),
-        });
-    }
-    if let Some(c) = graph
-        .connections()
-        .iter()
-        .find(|c| c.grouping.is_broadcast())
-    {
-        let name = graph
-            .pe(c.to_pe)
-            .map(|p| p.name.clone())
-            .unwrap_or_default();
-        return Err(CoreError::UnsupportedWorkflow {
-            mapping,
-            reason: format!(
-                "connection into '{name}' uses one-to-all broadcast, which \
-                 dynamic scheduling cannot route"
-            ),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mappings::dynamic::run_dynamic;
     use crate::pe::{Context, FnSource, FnTransform};
+    use crate::queue::WorkStealQueue;
     use crate::value::Value;
     use d4py_graph::{Grouping, PeSpec, WorkflowGraph};
+    use std::sync::Arc;
 
     fn exe_with_grouping(grouping: Grouping) -> Executable {
         let mut g = WorkflowGraph::new("t");
@@ -81,34 +53,50 @@ mod tests {
         exe.seal().unwrap()
     }
 
+    /// Runs `exe` under the dynamic pool as `mapping`, on two workers.
+    fn run_pool(exe: &Executable, mapping: &'static str) -> Result<RunReport, CoreError> {
+        let queue = Arc::new(WorkStealQueue::new(2));
+        run_dynamic(exe, &ExecutionOptions::new(2), queue, mapping, None)
+    }
+
+    /// The report `mapping`'s pre-flight refuses `exe` with.
+    fn refusal(exe: &Executable, mapping: &'static str) -> String {
+        match run_pool(exe, mapping) {
+            Err(CoreError::Analysis { mapping: m, report }) => {
+                assert_eq!(m, mapping);
+                report
+            }
+            other => panic!(
+                "expected a refusal, got {:?}",
+                other.map(|r| r.tasks_executed)
+            ),
+        }
+    }
+
     #[test]
     fn stateless_shuffle_workflow_accepted() {
         let exe = exe_with_grouping(Grouping::Shuffle);
-        require_stateless(&exe, "dyn_multi").unwrap();
+        run_pool(&exe, "dyn_multi").unwrap();
     }
 
     #[test]
     fn group_by_rejected() {
         let exe = exe_with_grouping(Grouping::group_by("k"));
-        let err = require_stateless(&exe, "dyn_multi").unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::UnsupportedWorkflow {
-                mapping: "dyn_multi",
-                ..
-            }
-        ));
+        let report = refusal(&exe, "dyn_multi");
+        assert!(report.contains("error[D4PY401]"), "{report}");
     }
 
     #[test]
     fn global_grouping_rejected() {
         let exe = exe_with_grouping(Grouping::Global);
-        assert!(require_stateless(&exe, "dyn_redis").is_err());
+        let report = refusal(&exe, "dyn_redis");
+        assert!(report.contains("error[D4PY401]"), "{report}");
     }
 
     #[test]
     fn broadcast_rejected() {
         let exe = exe_with_grouping(Grouping::OneToAll);
-        assert!(require_stateless(&exe, "dyn_multi").is_err());
+        let report = refusal(&exe, "dyn_multi");
+        assert!(report.contains("error[D4PY402]"), "{report}");
     }
 }

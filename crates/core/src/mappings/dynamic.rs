@@ -7,7 +7,9 @@
 //! engine core (`mappings::engine`) powers [`DynMulti`] (in-process queue)
 //! and `dyn_redis` (Redis stream over the wire), with or without the
 //! auto-scaler ([`DynAutoMulti`]). The placement is the simplest one: no
-//! pinned slots, every worker in the pool.
+//! pinned slots, every worker in the pool, so its pre-flight's
+//! `Placement::Pool` refuses any stateful PE, keyed grouping or broadcast
+//! (`D4PY401`, `D4PY402`).
 //!
 //! The run ends by the engine's one rule, with no stateful stage to flush:
 //! in strict mode the worker whose settle takes the engine's outstanding-task
@@ -23,17 +25,20 @@ pub use crate::autoscale::{AutoscaleSetup, StrategyBuilder};
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::fault::FaultPlan;
-use crate::mapping::{require_stateless, Mapping};
+use crate::mapping::Mapping;
 use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
 use crate::queue::{TaskQueue, WorkStealQueue};
 use d4py_graph::optimize::staging;
+use d4py_graph::Placement;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs a stateless workflow under dynamic scheduling on `queue`.
 ///
-/// `mapping_name` labels the report; `autoscale` attaches Algorithm 1.
+/// `mapping_name` labels the report and names the mapping in a refusal
+/// (the pool's placement rules, `D4PY401`/`D4PY402`); `autoscale`
+/// attaches Algorithm 1.
 pub fn run_dynamic(
     exe: &Executable,
     opts: &ExecutionOptions,
@@ -44,8 +49,9 @@ pub fn run_dynamic(
     if opts.workers == 0 {
         return Err(CoreError::InvalidOptions("workers must be ≥ 1".into()));
     }
-    let warnings = crate::preflight::preflight(exe, opts, autoscale.is_some())?;
-    require_stateless(exe, mapping_name)?;
+    let autoscaling = autoscale.is_some();
+    let placement = Placement::Pool { autoscaling };
+    let warnings = crate::preflight::preflight(exe, opts, mapping_name, placement)?;
     let plan = Plan {
         exe,
         opts,
@@ -250,7 +256,13 @@ mod tests {
         let queue = Arc::new(WorkStealQueue::new(2));
         let err =
             run_dynamic(&exe, &ExecutionOptions::new(2), queue, "dyn_test", None).unwrap_err();
-        assert!(matches!(err, CoreError::UnsupportedWorkflow { .. }));
+        match err {
+            CoreError::Analysis {
+                mapping: "dyn_test",
+                report,
+            } => assert!(report.contains("error[D4PY401]"), "{report}"),
+            other => panic!("expected the pool's refusal, got {other:?}"),
+        }
     }
 
     #[test]

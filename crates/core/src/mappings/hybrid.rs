@@ -18,7 +18,9 @@
 //! engine core (`mappings::engine`) runs and ends it: each settle that takes
 //! the outstanding-task count to zero flushes the next stateful PE's
 //! instances, in topological order, and the one after the last flush's work
-//! retired sends the pills.
+//! retired sends the pills. Which graphs it may run is its pre-flight's
+//! `Placement::Hybrid` (`D4PY411`, `D4PY412`); the front door checks
+//! nothing itself.
 
 use super::engine::{self, Plan, Slot};
 use crate::error::CoreError;
@@ -29,7 +31,7 @@ use crate::options::ExecutionOptions;
 use crate::queue::{TaskQueue, WorkStealQueue};
 use crate::state::StateStore;
 use d4py_graph::optimize::staging;
-use d4py_graph::PeId;
+use d4py_graph::{PeId, Placement};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,34 +81,14 @@ pub fn run_hybrid_with_faults(
     if opts.workers == 0 {
         return Err(CoreError::InvalidOptions("workers must be ≥ 1".into()));
     }
-    let warnings = crate::preflight::preflight(exe, opts, false)?;
+    let warnings = crate::preflight::preflight(exe, opts, mapping_name, Placement::Hybrid)?;
     let started = Instant::now();
     let graph = exe.graph();
-    let unsupported = |reason: String| CoreError::UnsupportedWorkflow {
-        mapping: mapping_name,
-        reason,
-    };
-    for c in graph.connections() {
-        if c.grouping.is_broadcast() && !graph.is_effectively_stateful(c.to_pe) {
-            let name = graph.pe(c.to_pe).map_or("", |p| &p.name);
-            return Err(unsupported(format!(
-                "one-to-all into stateless PE '{name}' cannot be routed dynamically; \
-                 mark the PE stateful to pin its instances"
-            )));
-        }
-    }
-    // One slot per stateful instance; the remaining workers form the pool.
+    // One slot per stateful instance; the remaining workers form the pool,
+    // which `D4PY412` keeps non-negative (and non-empty when a PE needs it).
     let instances = |pe: PeId| graph.pe(pe).and_then(|s| s.instances).unwrap_or(1);
     let stateful = graph.stateful_pes();
     let pinned: usize = stateful.iter().map(|&pe| instances(pe)).sum();
-    let stateless = usize::from(graph.pe_count() > stateful.len());
-    if opts.workers < pinned + stateless {
-        return Err(unsupported(format!(
-            "{pinned} stateful instances plus {stateless} stateless pool require ≥ {} workers, got {}",
-            pinned + stateless,
-            opts.workers
-        )));
-    }
     let pool = opts.workers - pinned;
     let global = factory.make("global", pool.max(1))?;
     let mut slots = Vec::with_capacity(pinned);
@@ -268,7 +250,13 @@ mod tests {
         let err = HybridMulti
             .execute(&exe, &ExecutionOptions::new(5))
             .unwrap_err();
-        assert!(matches!(err, CoreError::UnsupportedWorkflow { .. }));
+        match err {
+            CoreError::Analysis {
+                mapping: "hybrid_multi",
+                report,
+            } => assert!(report.contains("error[D4PY412]"), "{report}"),
+            other => panic!("expected the hybrid worker-count refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::metrics::RunReport;
 use crate::options::ExecutionOptions;
 use crate::queue::{TaskQueue, WorkStealQueue};
 use d4py_graph::optimize::Clustering;
-use d4py_graph::{partition, PeId, PeKind, WorkflowGraph};
+use d4py_graph::{partition, Placement};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,14 +46,17 @@ pub struct Clustered(Clustering);
 
 impl Multi {
     /// `multi` placing `clustering`: one slot per instance of a cluster,
-    /// whose worker calls the hops inside the cluster itself. Running it
-    /// fails with [`CoreError::UnsupportedWorkflow`] when the clusters do
-    /// not partition the PEs or form a cycle, when a multi-member cluster
-    /// holds a PE that pins its instance count, when an edge inside a
-    /// cluster groups by key, funnels or broadcasts, when a cluster holding
-    /// a source takes input from outside it (its worker waits for credit,
-    /// so nobody else would pop its queue), and on the analyzer's
-    /// `D4PY102` (a stateful member behind an unkeyed cluster entry).
+    /// whose worker calls the hops inside the cluster itself. Its
+    /// pre-flight runs the analyzer's static placement rules over the
+    /// clustering, so running it fails with [`CoreError::Analysis`] when
+    /// the clusters do not partition the PEs or form a cycle (`D4PY421`),
+    /// when a multi-member cluster holds a PE that pins its instance count
+    /// (`D4PY422`), when an edge inside a cluster groups by key, funnels or
+    /// broadcasts (`D4PY423`), when a cluster holding a source takes input
+    /// from outside it (`D4PY424`: its worker waits for credit, so nobody
+    /// else would pop its queue), on `D4PY102` (a stateful member behind an
+    /// unkeyed cluster entry), and when the workers are too few for the
+    /// partition (`D4PY425`).
     pub fn clustered(clustering: Clustering) -> Clustered {
         Clustered(clustering)
     }
@@ -79,13 +82,6 @@ impl Mapping for Clustered {
     }
 }
 
-fn unsupported(reason: String) -> CoreError {
-    CoreError::UnsupportedWorkflow {
-        mapping: "multi",
-        reason,
-    }
-}
-
 /// Plans and runs the placement of `clustering`: its clusters partitioned
 /// over the workers, one slot per instance of a cluster.
 fn place(
@@ -93,11 +89,14 @@ fn place(
     opts: &ExecutionOptions,
     clustering: &Clustering,
 ) -> Result<RunReport, CoreError> {
-    let warnings = crate::preflight::preflight(exe, opts, false)?;
+    let placement = Placement::Static(clustering.clone());
+    let warnings = crate::preflight::preflight(exe, opts, "multi", placement)?;
     let graph = exe.graph();
-    let clustering = checked(graph, clustering)?;
+    let clustering = clustering
+        .in_dataflow_order(graph)
+        .expect("pre-flight refuses a clustering out of dataflow order (D4PY421)");
     let partitioned = partition::partition(graph, &clustering, opts.workers)
-        .map_err(|e| unsupported(e.to_string()))?;
+        .expect("pre-flight makes the partitioner's own check (D4PY425)");
     let started = Instant::now();
     let queue = || -> Arc<dyn TaskQueue> { Arc::new(WorkStealQueue::new(1)) };
     let mut slots = Vec::new();
@@ -126,35 +125,6 @@ fn place(
         warnings,
     };
     engine::run(plan, None)
-}
-
-/// `clustering` in dataflow order, or why `multi` cannot place it.
-fn checked(graph: &WorkflowGraph, clustering: &Clustering) -> Result<Clustering, CoreError> {
-    let clustering = clustering.in_dataflow_order(graph).ok_or_else(|| {
-        unsupported("the clusters must partition the PEs and form no cycle".into())
-    })?;
-    let cluster = |pe| &clustering.clusters[clustering.cluster_of(pe).expect("a partition")];
-    let name = |pe| graph.pe(pe).map_or("?", |spec| spec.name.as_str());
-    let is_source = |pe: &PeId| graph.pe(*pe).is_some_and(|s| s.kind() == PeKind::Source);
-    let pins =
-        |pe: PeId| cluster(pe).len() > 1 && graph.pe(pe).is_some_and(|s| s.instances.is_some());
-    for c in graph.connections() {
-        let (from, to) = (cluster(c.from_pe), cluster(c.to_pe));
-        let (pe, why) = if let Some(pe) = [c.from_pe, c.to_pe].into_iter().find(|&pe| pins(pe)) {
-            (pe, "pins an instance count and cannot share a cluster")
-        } else if from == to && (c.grouping.requires_affinity() || c.grouping.is_broadcast()) {
-            (c.to_pe, "takes a keyed or broadcast edge in its cluster")
-        } else if from != to && to.iter().any(is_source) {
-            (c.to_pe, "takes outside input into a cluster with a source")
-        } else {
-            continue;
-        };
-        return Err(unsupported(format!("PE '{}' {why}", name(pe))));
-    }
-    let finding = graph.check_clustering(&clustering).into_iter().next();
-    finding.map_or(Ok(clustering), |f| {
-        Err(unsupported(format!("{}: {}", f.code, f.message)))
-    })
 }
 
 #[cfg(test)]
@@ -219,13 +189,7 @@ mod tests {
         });
         let exe = exe.seal().unwrap();
         let err = Multi.execute(&exe, &ExecutionOptions::new(1)).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::UnsupportedWorkflow {
-                mapping: "multi",
-                ..
-            }
-        ));
+        assert_eq!(refused_with(err), ["D4PY425"]);
     }
 
     #[test]
@@ -455,13 +419,7 @@ mod tests {
         let staged = staging(exe.graph());
         assert_eq!(staged.len(), 2, "the source, then the b+c+d body");
         let too_few = Multi::clustered(staged.clone()).execute(&exe, &ExecutionOptions::new(1));
-        assert!(matches!(
-            too_few,
-            Err(CoreError::UnsupportedWorkflow {
-                mapping: "multi",
-                ..
-            })
-        ));
+        assert_eq!(refused_with(too_few.unwrap_err()), ["D4PY425"]);
         let report = run_clustered(&exe, staged.clusters, 2);
         assert_eq!(
             sorted_ints(&results),
@@ -661,8 +619,24 @@ mod tests {
         exe.seal().unwrap()
     }
 
-    /// Why `multi` refuses to place `clusters` (of PE indices) on `exe`.
-    fn rejection(exe: &Executable, clusters: &[&[usize]]) -> String {
+    /// The rule codes of `multi`'s refusal `err`, in the report's order.
+    fn refused_with(err: CoreError) -> Vec<String> {
+        let CoreError::Analysis {
+            mapping: "multi",
+            report,
+        } = err
+        else {
+            panic!("expected multi's pre-flight refusal, got {err:?}");
+        };
+        let codes = report
+            .lines()
+            .filter_map(|line| line.strip_prefix("error["));
+        codes.map(|rest| rest[..7].to_string()).collect()
+    }
+
+    /// The rule codes `multi` refuses to place `clusters` (of PE indices)
+    /// on `exe` with.
+    fn rejection(exe: &Executable, clusters: &[&[usize]]) -> Vec<String> {
         let clusters = clusters
             .iter()
             .map(|c| c.iter().map(|&i| PeId(i)).collect());
@@ -670,11 +644,8 @@ mod tests {
             clusters: clusters.collect(),
         });
         match clustered.execute(exe, &ExecutionOptions::new(8)) {
-            Err(CoreError::UnsupportedWorkflow {
-                mapping: "multi",
-                reason,
-            }) => reason,
-            other => panic!("placed: {:?}", other.map(|r| r.tasks_executed)),
+            Err(err) => refused_with(err),
+            Ok(report) => panic!("placed: {}", report.tasks_executed),
         }
     }
 
@@ -690,16 +661,15 @@ mod tests {
     #[test]
     fn a_cluster_rejects_a_pinned_member() {
         let exe = chain3(PeSpec::sink("c", "in").with_instances(2), Grouping::Shuffle);
-        let reason = rejection(&exe, &[&[0], &[1, 2]]);
-        assert!(reason.contains("pins an instance count"), "{reason}");
+        assert_eq!(rejection(&exe, &[&[0], &[1, 2]]), ["D4PY422"]);
     }
 
     #[test]
     fn a_cluster_rejects_an_internal_group_by_or_broadcast() {
         for grouping in [Grouping::group_by("k"), Grouping::OneToAll] {
             let exe = chain3(PeSpec::sink("c", "in").stateful(), grouping);
-            let reason = rejection(&exe, &[&[0], &[1, 2]]);
-            assert!(reason.contains("in its cluster"), "{reason}");
+            // c is stateful behind the cluster's unkeyed entry too (D4PY102).
+            assert_eq!(rejection(&exe, &[&[0], &[1, 2]]), ["D4PY102", "D4PY423"]);
         }
     }
 
@@ -714,15 +684,13 @@ mod tests {
         ];
         let edges = [(0, 1), (1, 2), (0, 2)].map(|(f, t)| (f, t, Grouping::Shuffle));
         let exe = forwarding(specs, &edges);
-        let reason = rejection(&exe, &[&[0, 2], &[1]]);
-        assert!(reason.contains("no cycle"), "{reason}");
+        assert_eq!(rejection(&exe, &[&[0, 2], &[1]]), ["D4PY421"]);
     }
 
     #[test]
     fn a_cluster_rejects_a_stateful_member_behind_an_unkeyed_entry() {
         let exe = chain3(PeSpec::sink("c", "in").stateful(), Grouping::Shuffle);
-        let reason = rejection(&exe, &[&[0], &[1, 2]]);
-        assert!(reason.starts_with("D4PY102"), "{reason}");
+        assert_eq!(rejection(&exe, &[&[0], &[1, 2]]), ["D4PY102"]);
     }
 
     #[test]
@@ -738,7 +706,6 @@ mod tests {
             specs,
             &[(0, 2, Grouping::Shuffle), (1, 2, Grouping::Shuffle)],
         );
-        let reason = rejection(&exe, &[&[0, 2], &[1]]);
-        assert!(reason.contains("with a source"), "{reason}");
+        assert_eq!(rejection(&exe, &[&[0, 2], &[1]]), ["D4PY424"]);
     }
 }

@@ -16,7 +16,7 @@ use crate::pe::EmitBuffer;
 use crate::routing::{hand_over, RouteTable, Router};
 use crate::task::Task;
 
-use d4py_graph::PeId;
+use d4py_graph::{PeId, Placement};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -30,7 +30,8 @@ impl Mapping for Simple {
     }
 
     fn execute(&self, exe: &Executable, opts: &ExecutionOptions) -> Result<RunReport, CoreError> {
-        let preflight_warnings = crate::preflight::preflight(exe, opts, false)?;
+        let placement = Placement::Sequential;
+        let preflight_warnings = crate::preflight::preflight(exe, opts, self.name(), placement)?;
         let started = Instant::now();
         let graph = exe.graph();
 

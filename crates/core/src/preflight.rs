@@ -1,34 +1,39 @@
-//! Engine pre-flight static analysis.
+//! Engine pre-flight static analysis: the one gate of every mapping.
 //!
 //! Every enactment engine calls [`preflight`] before spawning workers: the
-//! workflow is run through `d4py_graph::analyze` under a context matching
-//! the engine's deployment (worker count, autoscaling). Error-severity
-//! diagnostics abort the run with [`CoreError::Analysis`] — the rendered
-//! report carries the `D4PY` rule codes — while Warning-severity findings
-//! are returned for the engine to fold into `RunReport::warnings`.
+//! workflow is run through `d4py_graph::analyze` under the engine's
+//! [`Placement`] and worker count. Error-severity diagnostics abort the
+//! run with [`CoreError::Analysis`], which names the mapping and whose
+//! rendered report carries the `D4PY` rule codes, while Warning-severity
+//! findings are returned for the engine to fold into `RunReport::warnings`.
 //! Info-severity findings are advisory and not propagated.
 //!
-//! This is the runtime half of the contract `repro check` audits
-//! statically: a stateful multi-instance PE fed by `Grouping::Shuffle`
-//! never reaches a worker thread.
+//! No front door checks the graph itself, so a workflow a mapping refuses
+//! is refused here, by a placement rule `repro check` and the analyzer's
+//! tests see too: a stateful PE under a dynamic pool, too few workers for
+//! a hybrid or static placement, a stateful multi-instance PE fed by
+//! `Grouping::Shuffle`, and so on — none reaches a worker thread.
 
 use crate::error::CoreError;
 use crate::executable::Executable;
 use crate::options::ExecutionOptions;
-use d4py_graph::analyze::{AnalysisContext, Severity};
+use d4py_graph::analyze::{AnalysisContext, Placement, Severity};
 
-/// Analyzes the executable's workflow for the given deployment and either
-/// aborts (any Error-severity diagnostic) or returns the warnings to fold
-/// into the run report, formatted as `"<code>: <message>"`.
+/// Analyzes the executable's workflow for `mapping`'s `placement` on
+/// `opts.workers` and either aborts (any Error-severity diagnostic) or
+/// returns the warnings to fold into the run report, formatted as
+/// `"<code>: <message>"`.
 pub fn preflight(
     exe: &Executable,
     opts: &ExecutionOptions,
-    autoscaling: bool,
+    mapping: &'static str,
+    placement: Placement,
 ) -> Result<Vec<String>, CoreError> {
-    let ctx = AnalysisContext::preflight(opts.workers, autoscaling);
+    let ctx = AnalysisContext::placed(opts.workers, placement);
     let diags = exe.graph().analyze(&ctx);
     if diags.has_errors() {
         return Err(CoreError::Analysis {
+            mapping,
             report: diags.render(),
         });
     }
@@ -57,9 +62,10 @@ mod tests {
         let b = g.add_pe(PeSpec::sink("b", "in").stateful().with_instances(4));
         g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
         let exe = exe_with(g);
-        let err = preflight(&exe, &ExecutionOptions::new(4), false).unwrap_err();
-        match err {
-            CoreError::Analysis { report } => {
+        let err = preflight(&exe, &ExecutionOptions::new(4), "t", Placement::Sequential);
+        match err.unwrap_err() {
+            CoreError::Analysis { mapping, report } => {
+                assert_eq!(mapping, "t");
                 assert!(report.contains("D4PY101"), "{report}");
             }
             other => panic!("expected Analysis error, got {other:?}"),
@@ -73,7 +79,8 @@ mod tests {
         let b = g.add_pe(PeSpec::sink("b", "in"));
         g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
         let exe = exe_with(g);
-        let warnings = preflight(&exe, &ExecutionOptions::new(4), false).unwrap();
+        let warnings =
+            preflight(&exe, &ExecutionOptions::new(4), "t", Placement::Sequential).unwrap();
         assert!(warnings.is_empty());
     }
 
@@ -85,7 +92,8 @@ mod tests {
         let b = g.add_pe(PeSpec::sink("b", "in"));
         g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
         let exe = exe_with(g);
-        let warnings = preflight(&exe, &ExecutionOptions::new(4), false).unwrap();
+        let warnings =
+            preflight(&exe, &ExecutionOptions::new(4), "t", Placement::Sequential).unwrap();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].starts_with("D4PY202: "), "{}", warnings[0]);
     }

@@ -105,9 +105,8 @@ impl MemoryStateStore {
 
     /// Injects raw bytes for `slot`, bypassing the encoder.
     ///
-    /// This is the fault-injection / migration hook: corruption tests
-    /// plant damaged frames here, and legacy-format tests plant unframed
-    /// blobs, then drive the public load path over them.
+    /// This is the fault-injection hook: corruption tests plant damaged
+    /// or unframed blobs here, then drive the public load path over them.
     pub fn insert_raw(&self, slot: &str, bytes: Vec<u8>) {
         self.map.lock().insert(slot.to_string(), bytes);
     }
@@ -209,14 +208,6 @@ mod tests {
             Err(CoreError::Snapshot(SnapshotError::FileCrc { .. })) => {}
             other => panic!("expected FileCrc, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_unframed_blob_still_loads() {
-        let store = MemoryStateStore::new();
-        let state = Value::map([("k", Value::Int(3))]);
-        store.insert_raw("pe#0", crate::codec::encode_value(&state));
-        assert_eq!(store.load("pe#0").unwrap(), Some(state));
     }
 
     #[test]

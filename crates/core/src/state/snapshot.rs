@@ -327,39 +327,20 @@ pub fn decode_slot(bytes: &[u8]) -> Result<(String, u32, Value), SnapshotError> 
     }
 }
 
-/// Decodes a **pre-versioned** (unframed) snapshot blob: the raw codec
-/// form stored before the framed format existed. One-way: nothing writes
-/// this form anymore; it exists so stores written by older builds load
-/// exactly once and are re-saved framed.
-#[deprecated(
-    since = "0.2.0",
-    note = "legacy unframed snapshot blobs; new code writes v1 frames via encode_slot"
-)]
-pub fn decode_legacy(bytes: &[u8]) -> Result<Value, SnapshotError> {
-    decode_value(bytes).map_err(SnapshotError::Payload)
-}
-
-/// Loads a per-slot blob in either form: a v1 frame (checked against
-/// `slot`) or, when the magic is absent, a legacy unframed blob through
-/// the deprecated shim. This is the single load path all stores share.
+/// Loads a per-slot blob: a v1 frame, checked against `slot`. This is the
+/// single load path all stores share. A blob without the magic (such as a
+/// bare codec value, the unframed form of builds before the versioned
+/// format) is [`SnapshotError::BadMagic`].
 pub fn decode_slot_payload(slot: &str, bytes: &[u8]) -> Result<Value, SnapshotError> {
-    if bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC {
-        let (pe, instance, state) = decode_slot(bytes)?;
-        let found = super::slot_name(&pe, instance as usize);
-        if found != slot {
-            return Err(SnapshotError::SlotMismatch {
-                expected: slot.to_string(),
-                found,
-            });
-        }
-        Ok(state)
-    } else {
-        // No magic: a blob from before the versioned format. The legacy
-        // codec's first byte is a type tag (0x00–0x07 / 0xF0–0xF2), which
-        // never collides with MAGIC's leading 'D' (0x44).
-        #[allow(deprecated)]
-        decode_legacy(bytes)
+    let (pe, instance, state) = decode_slot(bytes)?;
+    let found = super::slot_name(&pe, instance as usize);
+    if found != slot {
+        return Err(SnapshotError::SlotMismatch {
+            expected: slot.to_string(),
+            found,
+        });
     }
+    Ok(state)
 }
 
 fn read_u16(input: &mut &[u8]) -> Result<u16, SnapshotError> {
@@ -525,11 +506,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_blob_loads_through_shim() {
-        let legacy = encode_value(&Value::map([("k", Value::Int(7))]));
+    fn an_unframed_blob_is_bad_magic() {
+        let unframed = encode_value(&Value::map([("k", Value::Int(7))]));
         assert_eq!(
-            decode_slot_payload("any#0", &legacy).unwrap(),
-            Value::map([("k", Value::Int(7))])
+            decode_slot_payload("any#0", &unframed),
+            Err(SnapshotError::BadMagic)
         );
     }
 }

@@ -4,8 +4,10 @@
 //! walks the graph once and gathers *every* finding as a rule-coded
 //! [`Diagnostic`], so a workflow with three distinct mistakes reports three
 //! diagnostics, not one; [`WorkflowGraph::validate`] is its structural
-//! rules, stopped at the first error. The engines run it pre-flight (aborting on errors, folding
-//! warnings into `RunReport::warnings`), and `repro check` renders it for
+//! rules, stopped at the first error. Every mapping runs it pre-flight
+//! under its own [`Placement`] (aborting on errors, folding warnings into
+//! `RunReport::warnings`), so whether mapping M may run graph G on N
+//! workers is decided here and nowhere else; `repro check` renders it for
 //! every built-in workflow.
 //!
 //! # Rule catalog
@@ -28,12 +30,12 @@
 //! * `D4PY102` (error) — a declared-stateful PE placed in a multi-PE
 //!   cluster whose entry grouping is not keyed: it is called by whichever
 //!   instance of the cluster the entry's routing picked, which destroys its
-//!   key partitioning. [`AnalysisContext::fusion`] checks the
-//!   [`staging`] clustering; [`WorkflowGraph::check_clustering`] checks
-//!   any other, as `multi` does before it places one.
-//! * `D4PY103` (error, [`AnalysisContext::autoscaling`]) — autoscaling
-//!   over a declared-stateful PE without a keyed input grouping: scaling
-//!   events re-route items across instances mid-run.
+//!   key partitioning. [`Placement::Audit`] checks the [`staging`]
+//!   clustering, [`Placement::Static`] the clustering it places.
+//! * `D4PY103` (error, [`Placement::Audit`] and an autoscaled
+//!   [`Placement::Pool`]) — autoscaling over a declared-stateful PE
+//!   without a keyed input grouping: scaling events re-route items across
+//!   instances mid-run.
 //! * `D4PY104` (error) — a `Grouping::GroupBy` key that the upstream
 //!   output port's declared fields do not contain (skipped when the port
 //!   declares no fields).
@@ -43,12 +45,39 @@
 //! * `D4PY301` (info) — explicit instance requests exceed the configured
 //!   worker count (oversubscription; instances will time-share workers).
 //!
+//! Placement rules: the refusals of the [`Placement`] a mapping runs the
+//! workflow on, all errors. They are the only reason a mapping refuses a
+//! graph, and none can be waived.
+//!
+//! * `D4PY401` (pool) — a PE that is stateful or fed by a group-by/global
+//!   grouping: §2.2's "dynamic scheduling exclusively manages stateless
+//!   PEs and lacks support for grouping".
+//! * `D4PY402` (pool) — a one-to-all edge, which a shared queue cannot
+//!   deliver to every instance.
+//! * `D4PY411` (hybrid) — a one-to-all edge into a PE that is not
+//!   effectively stateful, so it has no pinned instances to deliver to.
+//! * `D4PY412` (hybrid) — fewer workers than the pinned instances plus
+//!   one for a non-empty stateless pool.
+//! * `D4PY421` (static) — the clusters do not partition the PEs, or they
+//!   form a cycle ([`Clustering::in_dataflow_order`] is `None`).
+//! * `D4PY422` (static) — a PE that pins its instance count in a
+//!   multi-member cluster.
+//! * `D4PY423` (static) — a keyed, global or one-to-all edge inside a
+//!   cluster, whose hop is a call on the worker that made it.
+//! * `D4PY424` (static) — input from outside into a cluster that holds a
+//!   source: that cluster's worker waits for credit, so nobody would pop
+//!   the input (DESIGN §5, bounded sources).
+//! * `D4PY425` (static) — fewer workers than
+//!   [`partition`](crate::partition::partition) needs for the clustering,
+//!   by the check it makes itself.
+//!
 //! # Waivers
 //!
 //! PE-attributed findings can be waived `#[allow]`-style on the spec:
 //! `PeSpec::sink("debug", "in").allow("D4PY202")`. Waived findings are
 //! counted ([`Diagnostics::waived`]) but not reported. Graph-level
-//! findings (`D4PY003`, `D4PY004`, `D4PY301`) cannot be waived.
+//! findings (`D4PY003`, `D4PY004`, `D4PY301`) and the placement rules
+//! cannot be waived.
 
 use crate::graph::WorkflowGraph;
 use crate::grouping::Grouping;
@@ -108,45 +137,74 @@ pub struct Diagnostics {
     pub waived: usize,
 }
 
+/// Where a mapping runs each PE instance: the deployment the placement
+/// rules check a workflow against.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Placement {
+    /// No placement chosen: the audit of [`AnalysisContext::full`]. It
+    /// reports the hazards of staging (`D4PY102` over [`staging`]) and of
+    /// autoscaling (`D4PY103`), and no placement's refusals.
+    Audit,
+    /// `simple`: one instance of every PE on one thread. No rule of its own.
+    Sequential,
+    /// The pool of the `dyn_*` mappings: every worker pops the global queue
+    /// (`D4PY401`, `D4PY402`; `D4PY103` when it autoscales).
+    Pool {
+        /// Whether an auto-scaler changes the active pool mid-run.
+        autoscaling: bool,
+    },
+    /// The `hybrid_*` mappings: each instance of an effectively stateful PE
+    /// pinned to a worker of its own beside a stateless pool (`D4PY411`,
+    /// `D4PY412`).
+    Hybrid,
+    /// `multi`: each instance of a cluster pinned to a worker of its own
+    /// (plain `multi` places [`Clustering::singletons`]): `D4PY102` over
+    /// the clustering and `D4PY421`–`D4PY425`.
+    Static(Clustering),
+}
+
 /// What the analyzer may assume about the deployment. Rules that depend on
 /// the enactment configuration are gated here so engine pre-flight checks
 /// only what that engine will actually do.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisContext {
-    /// Configured worker count, when known (`None` skips `D4PY301`).
+    /// Configured worker count, when known (`None` skips `D4PY301` and the
+    /// worker-count rules `D4PY412` and `D4PY425`).
     pub workers: Option<usize>,
-    /// Whether the engine may autoscale PE instances (`D4PY102` gate's
-    /// sibling: enables `D4PY103`).
-    pub autoscaling: bool,
-    /// Whether fusion/staging will be applied (enables `D4PY102`).
-    pub fusion: bool,
+    /// The placement whose rules apply.
+    pub placement: Placement,
 }
 
 impl AnalysisContext {
-    /// Context for an engine pre-flight check: workers known, fusion not
-    /// applied by the engine itself.
+    /// Context for a pre-flight check at `workers` that places nothing of
+    /// its own: the placement-independent rules ([`Placement::Sequential`]),
+    /// or, with `autoscaling`, those of the one placement that autoscales,
+    /// the autoscaled [`Placement::Pool`].
     pub fn preflight(workers: usize, autoscaling: bool) -> Self {
+        let placement = if autoscaling {
+            Placement::Pool { autoscaling }
+        } else {
+            Placement::Sequential
+        };
+        Self::placed(workers, placement)
+    }
+
+    /// The context of a mapping's pre-flight: `placement` on `workers`.
+    pub fn placed(workers: usize, placement: Placement) -> Self {
         Self {
             workers: Some(workers),
-            autoscaling,
-            fusion: false,
+            placement,
         }
     }
 
-    /// The strictest audit: every deployment-gated rule enabled, worker
-    /// count unknown. This is what `repro check` runs.
+    /// The strictest audit: the staging and autoscaling rules enabled
+    /// ([`Placement::Audit`]), worker count unknown. This is what
+    /// `repro check` runs.
     pub fn full() -> Self {
         Self {
             workers: None,
-            autoscaling: true,
-            fusion: true,
+            placement: Placement::Audit,
         }
-    }
-}
-
-impl Default for AnalysisContext {
-    fn default() -> Self {
-        Self::full()
     }
 }
 
@@ -273,6 +331,19 @@ struct Sink<'g> {
     honour_waivers: bool,
 }
 
+/// The fix each placement rule suggests.
+const PLACEMENT_FIXES: [(&str, &str); 9] = [
+    ("D4PY401", "run the workflow under a hybrid mapping, which pins the PE's instances, or under multi"),
+    ("D4PY402", "mark the PE stateful and run a hybrid mapping, or run multi"),
+    ("D4PY411", "mark the PE stateful to pin its instances"),
+    ("D4PY412", "run with more workers, or pin fewer instances"),
+    ("D4PY421", "list every PE in exactly one cluster, and fuse no two PEs that a path through another cluster joins"),
+    ("D4PY422", "give the PE a cluster of its own, or drop its instance request"),
+    ("D4PY423", "end the cluster before the PE, so the edge is routed between clusters"),
+    ("D4PY424", "keep the source's cluster free of outside input: its worker waits for credit, so nobody would pop that input"),
+    ("D4PY425", "run with more workers, or fuse more PEs into one cluster"),
+];
+
 impl Sink<'_> {
     fn emit(
         &mut self,
@@ -284,8 +355,11 @@ impl Sink<'_> {
         help: Option<&str>,
     ) {
         let spec = pe.and_then(|id| self.graph.pe(id));
+        // A placement rule says the mapping cannot run the graph at all: no
+        // waiver lifts it.
+        let waivable = !code.starts_with("D4PY4");
         if let Some(spec) = spec {
-            if self.honour_waivers && spec.waives(code) {
+            if self.honour_waivers && waivable && spec.waives(code) {
                 self.waived += 1;
                 return;
             }
@@ -298,6 +372,19 @@ impl Sink<'_> {
             message,
             help: help.map(str::to_string),
         });
+    }
+
+    /// A placement rule's finding, an error with the rule's fix.
+    fn refuse(
+        &mut self,
+        code: &'static str,
+        pe: Option<PeId>,
+        port: Option<&str>,
+        message: String,
+    ) {
+        let fix = PLACEMENT_FIXES.iter().find(|(rule, _)| *rule == code);
+        let help = fix.map(|(_, fix)| *fix);
+        self.emit(code, Severity::Error, pe, port, message, help);
     }
 }
 
@@ -322,11 +409,20 @@ impl WorkflowGraph {
         self.rule_dangling_inputs(&mut sink);
         self.rule_stale_port_refs(&mut sink);
         self.rule_stateful_shuffle(&mut sink);
-        if ctx.fusion {
-            self.rule_fusion_legality(&staging(self), &mut sink);
-        }
-        if ctx.autoscaling {
-            self.rule_autoscale_stateful(&mut sink);
+        match &ctx.placement {
+            Placement::Audit => {
+                self.rule_fusion_legality(&staging(self), &mut sink);
+                self.rule_autoscale_stateful(&mut sink);
+            }
+            Placement::Sequential => {}
+            Placement::Pool { autoscaling } => {
+                self.rule_pool(&mut sink);
+                if *autoscaling {
+                    self.rule_autoscale_stateful(&mut sink);
+                }
+            }
+            Placement::Hybrid => self.rule_hybrid(ctx.workers, &mut sink),
+            Placement::Static(clustering) => self.rule_static(clustering, ctx.workers, &mut sink),
         }
         self.rule_group_by_fields(&mut sink);
         self.rule_fan_in_stateful_sink(&mut sink);
@@ -576,19 +672,6 @@ impl WorkflowGraph {
         }
     }
 
-    /// `D4PY102` over `clustering` alone: the findings that forbid a
-    /// placement running each cluster's members on one worker.
-    pub fn check_clustering(&self, clustering: &Clustering) -> Vec<Diagnostic> {
-        let mut sink = Sink {
-            graph: self,
-            findings: Vec::new(),
-            waived: 0,
-            honour_waivers: true,
-        };
-        self.rule_fusion_legality(clustering, &mut sink);
-        sink.findings
-    }
-
     /// D4PY102: a declared-stateful PE downstream inside a multi-PE
     /// cluster inherits the routing of the cluster's entry. If no entry
     /// grouping is keyed, the clustering has silently destroyed the PE's
@@ -659,6 +742,100 @@ impl WorkflowGraph {
                 );
             }
         }
+    }
+
+    /// D4PY401, D4PY402: a pool worker runs whichever task it pops, so a
+    /// PE whose instances must keep their state or their keys, or one that
+    /// must see every item of a broadcast, has no instance to run on.
+    fn rule_pool(&self, sink: &mut Sink) {
+        for pe in self.stateful_pes() {
+            let name = self.name_of(pe);
+            let message = format!(
+                "PE '{name}' is stateful or fed by a group-by/global grouping, which a dynamic pool cannot place"
+            );
+            sink.refuse("D4PY401", Some(pe), None, message);
+        }
+        let broadcasts = self
+            .connections()
+            .iter()
+            .filter(|c| c.grouping.is_broadcast());
+        for c in broadcasts {
+            let name = self.name_of(c.to_pe);
+            let message = format!(
+                "connection into '{name}' uses one-to-all broadcast, which a dynamic pool cannot route"
+            );
+            sink.refuse("D4PY402", Some(c.to_pe), Some(&c.to_port), message);
+        }
+    }
+
+    /// D4PY411, D4PY412: the hybrid placement pins every instance of an
+    /// effectively stateful PE to a worker of its own, and the rest of the
+    /// workers pop the global queue.
+    fn rule_hybrid(&self, workers: Option<usize>, sink: &mut Sink) {
+        for c in self.connections() {
+            if c.grouping.is_broadcast() && !self.is_effectively_stateful(c.to_pe) {
+                let name = self.name_of(c.to_pe);
+                let message =
+                    format!("one-to-all into stateless PE '{name}' cannot be routed dynamically");
+                sink.refuse("D4PY411", Some(c.to_pe), Some(&c.to_port), message);
+            }
+        }
+        let Some(workers) = workers else { return };
+        let stateful = self.stateful_pes();
+        let instances = |pe: &PeId| self.pe(*pe).and_then(|s| s.instances).unwrap_or(1);
+        let pinned: usize = stateful.iter().map(instances).sum();
+        let pool = usize::from(self.pe_count() > stateful.len());
+        let need = pinned + pool;
+        if workers < need {
+            let message = format!(
+                "{pinned} stateful instances plus {pool} stateless pool require ≥ {need} workers, got {workers}"
+            );
+            sink.refuse("D4PY412", None, None, message);
+        }
+    }
+
+    /// D4PY421–D4PY425 and D4PY102 over `clustering`: each instance of a
+    /// cluster is one worker, which calls the hops inside the cluster
+    /// itself.
+    fn rule_static(&self, clustering: &Clustering, workers: Option<usize>, sink: &mut Sink) {
+        let Some(clustering) = clustering.in_dataflow_order(self) else {
+            let message = "the clusters must partition the PEs and form no cycle".to_string();
+            return sink.refuse("D4PY421", None, None, message);
+        };
+        let cluster = |pe| &clustering.clusters[clustering.cluster_of(pe).expect("a partition")];
+        let is_source = |pe: &PeId| self.pe(*pe).is_some_and(|s| s.kind() == PeKind::Source);
+        let pins = |pe| cluster(pe).len() > 1 && self.pe(pe).is_some_and(|s| s.instances.is_some());
+        let mut reported = vec![false; self.pe_count()];
+        for c in self.connections() {
+            for pe in [c.from_pe, c.to_pe] {
+                if pins(pe) && !std::mem::replace(&mut reported[pe.0], true) {
+                    let name = self.name_of(pe);
+                    let message =
+                        format!("PE '{name}' pins an instance count and cannot share a cluster");
+                    sink.refuse("D4PY422", Some(pe), None, message);
+                }
+            }
+            let (from, to) = (cluster(c.from_pe), cluster(c.to_pe));
+            let name = self.name_of(c.to_pe);
+            let at = (Some(c.to_pe), Some(c.to_port.as_str()));
+            if from == to && (c.grouping.requires_affinity() || c.grouping.is_broadcast()) {
+                let message = format!("PE '{name}' takes a keyed or broadcast edge in its cluster");
+                sink.refuse("D4PY423", at.0, at.1, message);
+            } else if from != to && to.iter().any(is_source) {
+                let message =
+                    format!("PE '{name}' takes outside input into a cluster with a source");
+                sink.refuse("D4PY424", at.0, at.1, message);
+            }
+        }
+        self.rule_fusion_legality(&clustering, sink);
+        let Some(workers) = workers else { return };
+        if let Err(e) = crate::partition::instance_counts(self, &clustering, workers) {
+            sink.refuse("D4PY425", None, None, e.to_string());
+        }
+    }
+
+    fn name_of(&self, pe: PeId) -> &str {
+        self.pe(pe).map_or("?", |spec| spec.name.as_str())
     }
 
     /// D4PY104: a group-by key the producing port does not declare routes
@@ -859,9 +1036,12 @@ mod tests {
         let pre = g.analyze(&AnalysisContext::preflight(4, false));
         assert!(pre.findings.is_empty(), "{}", pre.render());
 
-        // The same rule over a given clustering: {t2, k} has the unkeyed
+        // The same rule over a placed clustering: {t2, k} has the unkeyed
         // entry t1 → t2 but t2 heads it; {t1, t2} puts t2 behind it.
-        let check = |clusters: Vec<Vec<PeId>>| g.check_clustering(&Clustering { clusters });
+        let check = |clusters: Vec<Vec<PeId>>| {
+            let placement = Placement::Static(Clustering { clusters });
+            g.analyze(&AnalysisContext::placed(4, placement)).findings
+        };
         assert!(check(vec![vec![s], vec![t1], vec![t2, k]]).is_empty());
         let found = check(vec![vec![s], vec![t1, t2], vec![k]]);
         let found: Vec<_> = found.iter().map(|d| (d.code, d.pe.as_deref())).collect();

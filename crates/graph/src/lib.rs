@@ -39,7 +39,7 @@ pub mod port;
 pub mod topo;
 pub mod validate;
 
-pub use analyze::{AnalysisContext, Diagnostic, Diagnostics, Severity};
+pub use analyze::{AnalysisContext, Diagnostic, Diagnostics, Placement, Severity};
 pub use builder::PipelineBuilder;
 pub use graph::{Connection, ConnectionId, WorkflowGraph};
 pub use grouping::Grouping;

@@ -141,6 +141,41 @@ pub fn minimum_processes(graph: &WorkflowGraph) -> usize {
     graph.pes().map(|(_, pe)| pe.instances.unwrap_or(1)).sum()
 }
 
+/// Pass 1 of [`partition`]: each cluster's instance count when it is fixed
+/// (the largest a member pins, else 1 for a cluster with a source; `None`
+/// shares the remaining processes), or why `num_processes` cannot hold it.
+/// The analyzer's `D4PY425` is this check, so [`partition`] does not fail
+/// on a placement that pre-flight accepted.
+pub(crate) fn instance_counts(
+    graph: &WorkflowGraph,
+    clustering: &Clustering,
+    num_processes: usize,
+) -> Result<Vec<Option<usize>>, PartitionError> {
+    if graph.pe_count() == 0 {
+        return Err(PartitionError::EmptyGraph);
+    }
+    // Sources are single-instance unless explicitly pinned: several
+    // instances would replay the stream once per instance.
+    let counts: Vec<Option<usize>> = clustering
+        .clusters
+        .iter()
+        .map(|members| {
+            let specs: Vec<_> = members.iter().filter_map(|&pe| graph.pe(pe)).collect();
+            let pinned = specs.iter().filter_map(|spec| spec.instances).max();
+            let source = specs.iter().any(|spec| spec.kind() == PeKind::Source);
+            pinned.or(source.then_some(1))
+        })
+        .collect();
+    let required = counts.iter().map(|count| count.unwrap_or(1)).sum();
+    if num_processes < required {
+        return Err(PartitionError::NotEnoughProcesses {
+            required,
+            available: num_processes,
+        });
+    }
+    Ok(counts)
+}
+
 /// Builds the native static allocation of `clustering` for `num_processes`
 /// processes.
 ///
@@ -161,31 +196,9 @@ pub fn partition(
     clustering: &Clustering,
     num_processes: usize,
 ) -> Result<PartitionPlan, PartitionError> {
-    if graph.pe_count() == 0 {
-        return Err(PartitionError::EmptyGraph);
-    }
-    // Pass 1: decide instance counts. Sources are single-instance unless
-    // explicitly pinned: several instances would replay the stream once per
-    // instance.
-    let counts: Vec<Option<usize>> = clustering
-        .clusters
-        .iter()
-        .map(|members| {
-            let specs: Vec<_> = members.iter().filter_map(|&pe| graph.pe(pe)).collect();
-            let pinned = specs.iter().filter_map(|spec| spec.instances).max();
-            let source = specs.iter().any(|spec| spec.kind() == PeKind::Source);
-            pinned.or(source.then_some(1))
-        })
-        .collect();
+    let counts = instance_counts(graph, clustering, num_processes)?;
     let fixed: usize = counts.iter().flatten().sum();
     let flexible = counts.iter().filter(|count| count.is_none()).count();
-    let required = fixed + flexible;
-    if num_processes < required {
-        return Err(PartitionError::NotEnoughProcesses {
-            required,
-            available: num_processes,
-        });
-    }
     let share = match flexible {
         0 => 0,
         n => ((num_processes - fixed) / n).max(1),

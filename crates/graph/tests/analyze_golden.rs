@@ -3,7 +3,7 @@
 //! for downstream consumers (`repro check --json`, CI gating, waivers) —
 //! any wording change must be deliberate and show up here.
 
-use d4py_graph::analyze::{AnalysisContext, Diagnostic, Severity};
+use d4py_graph::analyze::{AnalysisContext, Diagnostic, Placement, Severity};
 use d4py_graph::{Grouping, PeSpec, PortDecl, WorkflowGraph};
 
 /// Analyzes under the strictest context and returns the findings matching
@@ -183,8 +183,7 @@ fn d4py102_stateful_fused_behind_unkeyed_entry() {
     // Gated off when the deployment does not fuse.
     let no_fusion = AnalysisContext {
         workers: None,
-        autoscaling: false,
-        fusion: false,
+        placement: Placement::Sequential,
     };
     assert!(!g
         .analyze(&no_fusion)
@@ -368,4 +367,195 @@ fn waiver_is_per_pe_and_counted() {
     let waived = g.analyze(&AnalysisContext::full());
     assert!(waived.findings.is_empty(), "{}", waived.render());
     assert_eq!(waived.waived, 1);
+}
+
+/// The findings of `code` under `placement` on `workers`, asserting there
+/// is at least one and that each is an error with a fix.
+fn placed(g: &WorkflowGraph, workers: usize, placement: Placement, code: &str) -> Vec<Diagnostic> {
+    let diags = g.analyze(&AnalysisContext::placed(workers, placement));
+    let hits: Vec<Diagnostic> = diags
+        .findings
+        .iter()
+        .filter(|d| d.code == code)
+        .cloned()
+        .collect();
+    assert!(
+        !hits.is_empty(),
+        "expected {code}; got:\n{}",
+        diags.render()
+    );
+    for d in &hits {
+        assert_eq!(d.severity, Severity::Error);
+        assert!(d.help.is_some(), "{code} says how to fix it");
+    }
+    hits
+}
+
+fn refuses(g: &WorkflowGraph, workers: usize, placement: Placement) -> bool {
+    g.analyze(&AnalysisContext::placed(workers, placement))
+        .has_errors()
+}
+
+/// a → b over `grouping`, b as given.
+fn pair(b: PeSpec, grouping: Grouping) -> WorkflowGraph {
+    let mut g = WorkflowGraph::new("golden");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let b = g.add_pe(b);
+    g.connect(a, "out", b, "in", grouping).unwrap();
+    g
+}
+
+/// a → b → c, b → c over `into_c`.
+fn chain3(c: PeSpec, into_c: Grouping) -> WorkflowGraph {
+    let mut g = WorkflowGraph::new("golden");
+    let a = g.add_pe(PeSpec::source("a", "out"));
+    let b = g.add_pe(PeSpec::transform("b", "in", "out"));
+    let c = g.add_pe(c);
+    g.connect(a, "out", b, "in", Grouping::Shuffle).unwrap();
+    g.connect(b, "out", c, "in", into_c).unwrap();
+    g
+}
+
+fn clusters(ids: &[&[usize]]) -> Placement {
+    let clusters = ids
+        .iter()
+        .map(|c| c.iter().map(|&i| d4py_graph::PeId(i)).collect())
+        .collect();
+    Placement::Static(d4py_graph::optimize::Clustering { clusters })
+}
+
+const POOL: Placement = Placement::Pool { autoscaling: false };
+
+#[test]
+fn d4py401_pool_over_a_stateful_pe() {
+    // A waiver does not lift a placement rule.
+    let g = pair(
+        PeSpec::sink("b", "in").stateful().allow("D4PY401"),
+        Grouping::Shuffle,
+    );
+    let hits = placed(&g, 2, POOL, "D4PY401");
+    assert_eq!(hits[0].pe.as_deref(), Some("b"));
+    assert_eq!(
+        hits[0].message,
+        "PE 'b' is stateful or fed by a group-by/global grouping, which a dynamic pool cannot place"
+    );
+    // A group-by edge makes a stateless PE effectively stateful.
+    let keyed = pair(PeSpec::sink("b", "in"), Grouping::group_by("k"));
+    assert_eq!(placed(&keyed, 2, POOL, "D4PY401").len(), 1);
+    assert!(!refuses(&g, 2, Placement::Sequential));
+    assert!(!refuses(&g, 2, Placement::Hybrid));
+}
+
+#[test]
+fn d4py402_pool_over_a_broadcast() {
+    let g = pair(PeSpec::sink("b", "in"), Grouping::OneToAll);
+    let hits = placed(&g, 2, POOL, "D4PY402");
+    assert_eq!(hits[0].pe.as_deref(), Some("b"));
+    assert_eq!(hits[0].port.as_deref(), Some("in"));
+    assert_eq!(
+        hits[0].message,
+        "connection into 'b' uses one-to-all broadcast, which a dynamic pool cannot route"
+    );
+    assert!(!refuses(&g, 2, clusters(&[&[0], &[1]])));
+}
+
+#[test]
+fn d4py411_hybrid_broadcast_into_a_stateless_pe() {
+    let g = pair(PeSpec::sink("b", "in"), Grouping::OneToAll);
+    let hits = placed(&g, 4, Placement::Hybrid, "D4PY411");
+    assert_eq!(hits[0].pe.as_deref(), Some("b"));
+    assert_eq!(
+        hits[0].message,
+        "one-to-all into stateless PE 'b' cannot be routed dynamically"
+    );
+    let pinned = pair(PeSpec::sink("b", "in").stateful(), Grouping::OneToAll);
+    assert!(!refuses(&pinned, 4, Placement::Hybrid));
+}
+
+#[test]
+fn d4py412_hybrid_workers_below_pins_plus_pool() {
+    let b = PeSpec::sink("b", "in").stateful().with_instances(3);
+    let g = pair(b, Grouping::group_by("k"));
+    let hits = placed(&g, 3, Placement::Hybrid, "D4PY412");
+    assert_eq!(hits[0].pe, None);
+    assert_eq!(
+        hits[0].message,
+        "3 stateful instances plus 1 stateless pool require ≥ 4 workers, got 3"
+    );
+    assert!(!refuses(&g, 4, Placement::Hybrid));
+}
+
+#[test]
+fn d4py421_static_clusters_not_a_partition_or_cyclic() {
+    let hits = placed(&linear(), 4, clusters(&[&[0]]), "D4PY421");
+    assert_eq!(
+        hits[0].message,
+        "the clusters must partition the PEs and form no cycle"
+    );
+    // a → b → c plus a → c, with {a, c} fused.
+    let mut g = chain3(PeSpec::sink("c", "in"), Grouping::Shuffle);
+    let (a, c) = (d4py_graph::PeId(0), d4py_graph::PeId(2));
+    g.connect(a, "out", c, "in", Grouping::Shuffle).unwrap();
+    placed(&g, 4, clusters(&[&[0, 2], &[1]]), "D4PY421");
+}
+
+#[test]
+fn d4py422_static_pinned_member_of_a_cluster() {
+    let g = chain3(PeSpec::sink("c", "in").with_instances(2), Grouping::Shuffle);
+    let hits = placed(&g, 8, clusters(&[&[0], &[1, 2]]), "D4PY422");
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].pe.as_deref(), Some("c"));
+    assert_eq!(
+        hits[0].message,
+        "PE 'c' pins an instance count and cannot share a cluster"
+    );
+    assert!(!refuses(&g, 8, clusters(&[&[0], &[1], &[2]])));
+}
+
+#[test]
+fn d4py423_static_keyed_edge_inside_a_cluster() {
+    for grouping in [
+        Grouping::group_by("k"),
+        Grouping::Global,
+        Grouping::OneToAll,
+    ] {
+        let g = chain3(PeSpec::sink("c", "in"), grouping);
+        let hits = placed(&g, 8, clusters(&[&[0], &[1, 2]]), "D4PY423");
+        assert_eq!(hits[0].pe.as_deref(), Some("c"));
+        assert_eq!(hits[0].port.as_deref(), Some("in"));
+        assert_eq!(
+            hits[0].message,
+            "PE 'c' takes a keyed or broadcast edge in its cluster"
+        );
+    }
+}
+
+#[test]
+fn d4py424_static_outside_input_into_a_source_cluster() {
+    let mut g = WorkflowGraph::new("golden");
+    let s1 = g.add_pe(PeSpec::source("s1", "out"));
+    let s2 = g.add_pe(PeSpec::source("s2", "out"));
+    let j = g.add_pe(PeSpec::sink("j", "in"));
+    g.connect(s1, "out", j, "in", Grouping::Shuffle).unwrap();
+    g.connect(s2, "out", j, "in", Grouping::Shuffle).unwrap();
+    let hits = placed(&g, 8, clusters(&[&[0, 2], &[1]]), "D4PY424");
+    assert_eq!(hits[0].pe.as_deref(), Some("j"));
+    assert_eq!(
+        hits[0].message,
+        "PE 'j' takes outside input into a cluster with a source"
+    );
+}
+
+#[test]
+fn d4py425_static_workers_below_the_partition() {
+    let g = linear();
+    let hits = placed(&g, 1, clusters(&[&[0], &[1]]), "D4PY425");
+    assert_eq!(hits[0].pe, None);
+    assert_eq!(
+        hits[0].message,
+        "static mapping needs at least 2 processes, got 1"
+    );
+    assert!(!refuses(&g, 2, clusters(&[&[0], &[1]])));
+    // One cluster holding the source needs one worker.
+    assert!(!refuses(&g, 1, clusters(&[&[0, 1]])));
 }

@@ -275,7 +275,7 @@ mod tests {
         let shards = 4;
         let want = Route::Shard(key_shard(b"q", shards));
         assert_eq!(route(&[b"XADD", b"q", b"*", b"f", b"v"], shards), want);
-        assert_eq!(route(&[b"XLEN", b"q"], shards), want);
+        assert_eq!(route(&[b"XRANGE", b"q", b"-", b"+"], shards), want);
         assert_eq!(
             route(&[b"XGROUP", b"CREATE", b"q", b"g", b"0"], shards),
             want
@@ -360,7 +360,8 @@ mod tests {
         let mut c = two_shard_cluster();
         c.xgroup_create(b"jobs", b"g").unwrap();
         let id = c.xadd(b"jobs", b"task", b"t1").unwrap();
-        assert_eq!(c.xlen(b"jobs").unwrap(), 1);
+        let entries = c.request(&[b"XRANGE", b"jobs", b"-", b"+"]).unwrap();
+        assert_eq!(entries.as_array().map(<[Frame]>::len), Some(1));
         let (got, fields) = c
             .xreadgroup_one(
                 b"jobs",

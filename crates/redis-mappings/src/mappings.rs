@@ -287,7 +287,7 @@ mod tests {
     /// item (and the kickoff), the hops after the first being called by the
     /// worker that popped it.
     #[test]
-    fn a_staged_chain_puts_one_stream_entry_per_item() {
+    fn a_staged_chain_queues_one_task_per_item() {
         const ITEMS: i64 = 300;
         let mut g = WorkflowGraph::new("chain");
         let mut prev = g.add_pe(PeSpec::source("s", "out"));
@@ -377,7 +377,13 @@ mod tests {
         let err = DynRedis::new(RedisBackend::in_proc())
             .execute(&exe, &ExecutionOptions::new(2))
             .unwrap_err();
-        assert!(matches!(err, CoreError::UnsupportedWorkflow { .. }));
+        match err {
+            CoreError::Analysis {
+                mapping: "dyn_redis",
+                report,
+            } => assert!(report.contains("error[D4PY401]"), "{report}"),
+            other => panic!("expected the pool's refusal, got {other:?}"),
+        }
     }
 
     #[test]

@@ -473,7 +473,7 @@ mod tests {
         assert_eq!(q.depth(), 1);
         let got = q.pop(0, Duration::from_millis(50)).unwrap();
         assert_eq!(got, Some(task(7)));
-        assert_eq!(q.depth(), 0, "XDEL keeps XLEN a live depth");
+        assert_eq!(q.depth(), 0, "a pop subtracts what it hands out");
     }
 
     #[test]
@@ -691,20 +691,24 @@ mod tests {
 
     #[test]
     fn depth_holds_last_observation_across_backend_errors() {
-        // Regression: depth() mapped every error to 0 — a dead shard read
-        // as an empty queue, inviting the autoscaler to scale down
-        // mid-outage.
-        let (backend, charges) = flaky_backend(b"XLEN");
+        // depth() sends no command: it counts the items an `XADD` reply
+        // confirmed, less those handed to a caller. A push the backend
+        // refused wrote nothing, so the count holds across the error, and
+        // pops subtract from it.
+        let (backend, charges) = flaky_backend(b"XADD");
         let q = RedisQueue::new(&backend, "q", 1).unwrap();
         for i in 0..3 {
             q.push(task(i)).unwrap();
         }
         assert_eq!(q.depth(), 3);
-        // Backend goes dark: depth must hold 3, not report empty.
-        charges.store(usize::MAX, Ordering::SeqCst);
-        assert_eq!(q.depth(), 3, "dead backend must not read as empty");
-        charges.store(0, Ordering::SeqCst);
-        assert_eq!(q.depth(), 3, "recovers to live observation");
+        charges.store(1, Ordering::SeqCst);
+        assert!(q.push(task(3)).is_err(), "the XADD failed at the wire");
+        assert_eq!(q.depth(), 3, "a failed push adds nothing");
+        assert_eq!(q.pop(0, Duration::from_millis(50)).unwrap(), Some(task(0)));
+        assert_eq!(q.depth(), 2);
+        let rest = q.pop_batch(0, 32, Duration::from_millis(50)).unwrap();
+        assert_eq!(rest, [task(1), task(2)]);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
@@ -717,7 +721,7 @@ mod tests {
         assert_eq!(first.len(), 20, "COUNT-bounded batch");
         let rest = q.pop_batch(0, 20, Duration::from_millis(50)).unwrap();
         assert_eq!(rest.len(), 12);
-        assert_eq!(q.depth(), 0, "batched XDEL keeps XLEN a live depth");
+        assert_eq!(q.depth(), 0, "a batch pop subtracts what it hands out");
         let mut all: Vec<i64> = first
             .into_iter()
             .chain(rest)

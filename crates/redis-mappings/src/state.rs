@@ -9,9 +9,10 @@
 //! snapshot written through one loads byte-identically through the other
 //! — the cross-backend conformance suite pins that.
 //!
-//! Fields written by pre-versioned builds (bare codec blobs, no magic)
-//! still load once through the deprecated legacy shim and are re-saved
-//! framed on the next flush.
+//! A field without the frame's magic (such as a bare codec blob, as builds
+//! before the versioned format wrote) loads as a typed
+//! `SnapshotError::BadMagic`, which a hybrid warm start reports and
+//! answers with a cold start.
 
 use crate::backend::RedisBackend;
 use d4py_core::error::CoreError;
@@ -151,15 +152,5 @@ mod tests {
             Err(CoreError::Snapshot(SnapshotError::FileCrc { .. })) => {}
             other => panic!("expected FileCrc, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_unframed_field_still_loads() {
-        let store = RedisStateStore::new(&RedisBackend::in_proc(), "k4").unwrap();
-        let state = Value::map([("k", Value::Int(9))]);
-        store
-            .insert_raw("s#0", &d4py_core::codec::encode_value(&state))
-            .unwrap();
-        assert_eq!(store.load("s#0").unwrap(), Some(state));
     }
 }

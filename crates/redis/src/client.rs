@@ -314,7 +314,6 @@ fn is_idempotent(cmd: &[u8]) -> bool {
         b"PING",
         b"GET",
         b"SET",
-        b"XLEN",
         b"XACK",
         b"XGROUP",
         b"XINFO",
@@ -446,11 +445,6 @@ pub trait RedisOps: Connection {
         expect_text(self.request(&[b"XADD", key, b"*", field, value])?)
     }
 
-    /// `XLEN key`.
-    fn xlen(&mut self, key: &[u8]) -> Result<i64, ClientError> {
-        expect_int(self.request(&[b"XLEN", key])?)
-    }
-
     /// `XGROUP CREATE key group 0 MKSTREAM`, tolerating BUSYGROUP.
     fn xgroup_create(&mut self, key: &[u8], group: &[u8]) -> Result<(), ClientError> {
         match self.request(&[b"XGROUP", b"CREATE", key, group, b"0", b"MKSTREAM"])? {
@@ -513,30 +507,6 @@ pub trait RedisOps: Connection {
     /// `XACK key group id`.
     fn xack(&mut self, key: &[u8], group: &[u8], id: &str) -> Result<i64, ClientError> {
         expect_int(self.request(&[b"XACK", key, group, id.as_bytes()])?)
-    }
-
-    /// `XAUTOCLAIM key group consumer min-idle 0 COUNT 1` → the first
-    /// reclaimed entry, if any.
-    #[allow(clippy::type_complexity)]
-    fn xautoclaim_one(
-        &mut self,
-        key: &[u8],
-        group: &[u8],
-        consumer: &[u8],
-        min_idle: Duration,
-    ) -> Result<Option<(String, Vec<(Vec<u8>, Vec<u8>)>)>, ClientError> {
-        let idle_ms = min_idle.as_millis().to_string();
-        let reply = self.request(&[
-            b"XAUTOCLAIM",
-            key,
-            group,
-            consumer,
-            idle_ms.as_bytes(),
-            b"0",
-            b"COUNT",
-            b"1",
-        ])?;
-        Ok(parse_claim_reply(reply)?.into_iter().next())
     }
 
     /// `XINFO CONSUMERS key group` → (name, pending, idle) rows.
@@ -690,7 +660,8 @@ mod tests {
         c.xgroup_create(b"q", b"workers").unwrap();
         c.xgroup_create(b"q", b"workers").unwrap(); // BUSYGROUP tolerated
         let id = c.xadd(b"q", b"task", b"payload").unwrap();
-        assert_eq!(c.xlen(b"q").unwrap(), 1);
+        let entries = c.request(&[b"XRANGE", b"q", b"-", b"+"]).unwrap();
+        assert_eq!(entries.as_array().unwrap().len(), 1);
         let (got_id, pairs) = c
             .xreadgroup_one(b"q", b"workers", b"w0", Duration::from_millis(50), false)
             .unwrap()

@@ -65,7 +65,6 @@ pub(crate) const COMMANDS: &[(&str, Command)] = &[
     ("XDEL", write(|db, _, a| streams::xdel(db, a))),
     ("XAUTOCLAIM", write(|db, _, a| streams::xautoclaim(db, a))),
     ("XGROUP", write(|db, _, a| streams::xgroup(db, a))),
-    ("XLEN", read(|db, _, a| streams::xlen(db, a))),
     ("XRANGE", read(|db, _, a| streams::xrange(db, a))),
     ("XINFO", read(|db, _, a| streams::xinfo(db, a))),
     // hashes (the state store)

@@ -1,4 +1,4 @@
-//! Stream commands: XADD/XRANGE/XLEN/XDEL, consumer groups
+//! Stream commands: XADD/XRANGE/XDEL, consumer groups
 //! (XGROUP CREATE/XACK/XAUTOCLAIM/XINFO CONSUMERS), and the parse/execute
 //! halves of XREAD/XREADGROUP that [`crate::engine`] drives for blocking
 //! reads.
@@ -66,17 +66,6 @@ pub(crate) fn xadd(db: &mut Db, now_ms: u64, args: &[SharedBuf]) -> Frame {
                 .into(),
         ),
         Err(_) => Frame::error("XADD failed"),
-    }
-}
-
-pub(crate) fn xlen(db: &mut Db, args: &[SharedBuf]) -> Frame {
-    if args.len() != 1 {
-        return wrong_args("XLEN");
-    }
-    match stream_of(db, &args[0]) {
-        Err(f) => f,
-        Ok(None) => Frame::Integer(0),
-        Ok(Some(s)) => Frame::Integer(s.len() as i64),
     }
 }
 
@@ -555,16 +544,19 @@ mod tests {
         reply.as_text().unwrap()
     }
 
+    /// The number of entries in stream `key`, by `XRANGE key - +`.
+    fn entries(db: &mut Db, key: &str) -> usize {
+        xrange(db, &f(&[key, "-", "+"])).as_array().unwrap().len()
+    }
+
     #[test]
-    fn xadd_xlen_xrange() {
+    fn xadd_xrange() {
         let mut db = Db::new();
         let id1 = add(&mut db, "s", 10, "a");
         let id2 = add(&mut db, "s", 11, "b");
         assert_eq!(id1, "10-0");
         assert_eq!(id2, "11-0");
-        assert_eq!(xlen(&mut db, &f(&["s"])), Frame::Integer(2));
-        let range = xrange(&mut db, &f(&["s", "-", "+"]));
-        assert_eq!(range.as_array().unwrap().len(), 2);
+        assert_eq!(entries(&mut db, "s"), 2);
         let limited = xrange(&mut db, &f(&["s", "-", "+", "COUNT", "1"]));
         assert_eq!(limited.as_array().unwrap().len(), 1);
     }
@@ -586,7 +578,7 @@ mod tests {
         let id = add(&mut db, "s", 1, "a");
         add(&mut db, "s", 2, "b");
         assert_eq!(xdel(&mut db, &f(&["s", &id])), Frame::Integer(1));
-        assert_eq!(xlen(&mut db, &f(&["s"])), Frame::Integer(1));
+        assert_eq!(entries(&mut db, "s"), 1);
     }
 
     #[test]
@@ -631,7 +623,7 @@ mod tests {
             xgroup(&mut db, &f(&["CREATE", "ghost", "g", "$", "MKSTREAM"])),
             Frame::ok()
         );
-        assert_eq!(xlen(&mut db, &f(&["ghost"])), Frame::Integer(0));
+        assert_eq!(entries(&mut db, "ghost"), 0);
     }
 
     #[test]

@@ -535,7 +535,6 @@ mod tests {
             &["XDEL", "st", "0-1"],
             &["XAUTOCLAIM", "st", "g", "c", "0", "0"],
             &["XGROUP", "CREATE", "st", "g2", "$"],
-            &["XLEN", "st"],
             &["XRANGE", "st", "-", "+"],
             &["XINFO", "CONSUMERS", "st", "g"],
             &["HSET", "h", "f", "v"],

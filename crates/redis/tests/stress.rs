@@ -15,6 +15,12 @@ fn f(parts: &[&str]) -> Vec<d4py_sync::SharedBuf> {
         .collect()
 }
 
+/// The number of entries in stream `key`, by `XRANGE key - +`.
+fn entries(shared: &Shared, key: &str) -> usize {
+    let range = shared.dispatch(&f(&["XRANGE", key, "-", "+"]));
+    range.as_array().map_or(0, <[Frame]>::len)
+}
+
 #[test]
 fn concurrent_increments_are_atomic() {
     // Eight threads append 250 entries each to one stream: every append
@@ -35,10 +41,7 @@ fn concurrent_increments_are_atomic() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(
-        shared.dispatch(&f(&["XLEN", "counter"])),
-        Frame::Integer(2000)
-    );
+    assert_eq!(entries(&shared, "counter"), 2000);
 }
 
 #[test]
@@ -187,7 +190,7 @@ fn mixed_type_commands_under_contention_never_corrupt() {
         &["HGET", "str", "f"],
         &["HSET", "stream", "f", "v"],
         &["XADD", "hash", "*", "f", "v"],
-        &["XLEN", "str"],
+        &["XRANGE", "str", "-", "+"],
     ] {
         let reply = shared.dispatch(&f(verb));
         assert!(
@@ -200,10 +203,7 @@ fn mixed_type_commands_under_contention_never_corrupt() {
     // entries.
     let fields = shared.dispatch(&f(&["HKEYS", "hash"]));
     assert_eq!(fields.as_array().map(<[Frame]>::len), Some(100));
-    assert_eq!(
-        shared.dispatch(&f(&["XLEN", "stream"])),
-        Frame::Integer(200)
-    );
+    assert_eq!(entries(&shared, "stream"), 200);
 }
 
 #[test]
@@ -218,7 +218,8 @@ fn oversized_pipeline_on_one_connection() {
         assert!(id > last, "ids grow: {last} then {id}");
         last = id;
     }
-    assert_eq!(c.xlen(b"log").unwrap(), 1000);
+    let range = c.request(&[b"XRANGE", b"log", b"-", b"+"]).unwrap();
+    assert_eq!(range.as_array().map(<[Frame]>::len), Some(1000));
 }
 
 #[test]
@@ -242,7 +243,7 @@ fn aof_persists_state_across_restarts() {
         revived.dispatch(&f(&["GET", "config:mode"])),
         Frame::bulk("hybrid")
     );
-    assert_eq!(revived.dispatch(&f(&["XLEN", "stream"])), Frame::Integer(1));
+    assert_eq!(entries(&revived, "stream"), 1);
     let range = revived.dispatch(&f(&["XRANGE", "stream", "-", "+"]));
     assert!(
         format!("{range:?}").contains("payload"),
@@ -280,7 +281,7 @@ fn aof_replay_keeps_stream_ids() {
         );
     }
     let revived = Shared::with_aof(&path, FsyncPolicy::Always).unwrap();
-    assert_eq!(revived.dispatch(&f(&["XLEN", "s"])), Frame::Integer(1));
+    assert_eq!(entries(&revived, "s"), 1);
     let range = revived.dispatch(&f(&["XRANGE", "s", "-", "+"]));
     let ids: Vec<&Frame> = range
         .as_array()

@@ -285,3 +285,202 @@ fn resp_incremental_prefixes_never_succeed_spuriously() {
         }
     });
 }
+
+/// A random valid workflow for the oracle property: PE 0 is a source (and
+/// PE 1, sometimes, a second one), every later PE takes one or two inputs
+/// from earlier PEs over a random grouping, any PE may be stateful or pin
+/// its instance count, and a PE nothing consumes is a sink. Sources emit
+/// `items` maps `{k, v}`; a transform forwards what it gets, and a stateful
+/// one also emits its count in `on_done`.
+fn oracle_workflow(g: &mut Gen) -> Executable {
+    let n = g.usize_in(2..7);
+    let second_source = n >= 3 && g.usize_in(0..4) == 0;
+    let mut inputs: Vec<Vec<(usize, Grouping)>> = vec![Vec::new(); n];
+    // One graph in three is stateless and shuffled throughout, so that the
+    // pool mappings accept some graphs too.
+    let stateless = g.usize_in(0..3) == 0;
+    let groupings = if stateless {
+        vec![Grouping::Shuffle]
+    } else {
+        vec![
+            Grouping::Shuffle,
+            Grouping::Shuffle,
+            Grouping::group_by("k"),
+            Grouping::Global,
+            Grouping::OneToAll,
+        ]
+    };
+    let first = if second_source { 2 } else { 1 };
+    for (pe, fed) in inputs.iter_mut().enumerate().skip(first) {
+        let mut preds = vec![if second_source && pe == 2 {
+            1
+        } else {
+            g.usize_in(0..pe)
+        }];
+        if g.usize_in(0..3) == 0 {
+            preds.push(g.usize_in(0..pe));
+        }
+        preds.dedup();
+        for from in preds {
+            fed.push((from, g.pick(&groupings).clone()));
+        }
+    }
+    let consumed: Vec<bool> = (0..n)
+        .map(|pe| inputs.iter().flatten().any(|(from, _)| *from == pe))
+        .collect();
+    let mut wg = WorkflowGraph::new("oracle");
+    for pe in 0..n {
+        let name = format!("p{pe}");
+        let mut spec = match (inputs[pe].is_empty(), consumed[pe]) {
+            (true, _) => PeSpec::source(name, "out"),
+            (false, true) => PeSpec::transform(name, "in", "out"),
+            (false, false) => PeSpec::sink(name, "in"),
+        };
+        if !stateless && g.usize_in(0..3) == 0 {
+            spec = spec.stateful();
+        }
+        if g.usize_in(0..4) == 0 {
+            spec = spec.with_instances(g.usize_in(1..3));
+        }
+        wg.add_pe(spec);
+    }
+    for (pe, fed) in inputs.iter().enumerate() {
+        for (from, grouping) in fed {
+            wg.connect(PeId(*from), "out", PeId(pe), "in", grouping.clone())
+                .unwrap();
+        }
+    }
+    let items = g.i64_in(1..6);
+    let mut exe = Executable::new(wg).unwrap();
+    for pe in 0..n {
+        let (source, stateful) = {
+            let spec = exe.graph().pe(PeId(pe)).unwrap();
+            (inputs[pe].is_empty(), spec.stateful)
+        };
+        let emits = consumed[pe];
+        if source {
+            exe.register(PeId(pe), move || {
+                Box::new(FnSource(move |ctx: &mut dyn Context| {
+                    for i in 0..items {
+                        let k = ["a", "b", "c"][i as usize % 3];
+                        ctx.emit(
+                            "out",
+                            Value::map([("k", Value::from(k)), ("v", Value::Int(i))]),
+                        );
+                    }
+                }))
+            });
+        } else {
+            exe.register(PeId(pe), move || {
+                Box::new(Forward {
+                    emits,
+                    stateful,
+                    seen: 0,
+                })
+            });
+        }
+    }
+    exe.seal().unwrap()
+}
+
+/// The oracle workflow's transforms and sinks.
+struct Forward {
+    emits: bool,
+    stateful: bool,
+    seen: i64,
+}
+
+impl dispel4py::prelude::ProcessingElement for Forward {
+    fn process(&mut self, _port: &str, v: Value, ctx: &mut dyn Context) {
+        self.seen += 1;
+        if self.emits {
+            ctx.emit("out", v);
+        }
+    }
+
+    fn on_done(&mut self, ctx: &mut dyn Context) {
+        if self.emits && self.stateful {
+            ctx.emit(
+                "out",
+                Value::map([("k", Value::from("n")), ("v", Value::Int(self.seen))]),
+            );
+        }
+    }
+}
+
+/// The pre-flight analyzer is the only gate: over random valid workflows,
+/// every in-process mapping at 1–4 workers (`multi` plain, over the
+/// graph's staging and over a random clustering) runs the graph exactly when
+/// `analyze` under that mapping's placement finds no error, and otherwise
+/// refuses it with `CoreError::Analysis` naming the mapping. A refusal
+/// left out of the analyzer shows here as a run that fails some other way
+/// (a panic, a partition error, a hang) where the oracle said yes.
+/// `D4PY_PROP_CASES` deepens it (the nightly run does).
+#[test]
+fn execute_refuses_exactly_what_the_placement_oracle_refuses() {
+    use dispel4py::core::error::CoreError;
+    use dispel4py::graph::optimize::{staging, Clustering};
+    use dispel4py::graph::{AnalysisContext, Placement};
+    use dispel4py::prelude::{DynAutoMulti, DynRedis, HybridRedis, RedisBackend};
+
+    let backend = RedisBackend::in_proc();
+    for_all(|g| {
+        let exe = oracle_workflow(g);
+        let graph = exe.graph();
+        let pool = |autoscaling| Placement::Pool { autoscaling };
+        // A random clustering: each PE joins one of up to three clusters,
+        // so clusters may cycle, hold pins, keyed edges or sources.
+        let labels: Vec<usize> = graph.pe_ids().map(|_| g.usize_in(0..3)).collect();
+        let random = Clustering {
+            clusters: (0..3)
+                .map(|l| {
+                    graph
+                        .pe_ids()
+                        .filter(|pe| labels[pe.0] == l)
+                        .collect::<Vec<_>>()
+                })
+                .filter(|c| !c.is_empty())
+                .collect(),
+        };
+        let mappings: Vec<(Box<dyn Mapping>, Placement)> = vec![
+            (Box::new(Simple), Placement::Sequential),
+            (
+                Box::new(Multi),
+                Placement::Static(Clustering::singletons(graph)),
+            ),
+            (
+                Box::new(Multi::clustered(staging(graph))),
+                Placement::Static(staging(graph)),
+            ),
+            (
+                Box::new(Multi::clustered(random.clone())),
+                Placement::Static(random),
+            ),
+            (Box::new(DynMulti), pool(false)),
+            (Box::new(DynAutoMulti::new()), pool(true)),
+            (Box::new(HybridMulti), Placement::Hybrid),
+            (Box::new(DynRedis::new(backend.clone())), pool(false)),
+            (
+                Box::new(HybridRedis::new(backend.clone())),
+                Placement::Hybrid,
+            ),
+        ];
+        for (mapping, placement) in mappings {
+            for workers in 1..=4 {
+                let ctx = AnalysisContext::placed(workers, placement.clone());
+                let oracle = graph.analyze(&ctx);
+                let name = mapping.name();
+                let run = mapping.execute(&exe, &ExecutionOptions::new(workers));
+                match (oracle.has_errors(), run) {
+                    (false, Ok(_)) => {}
+                    (true, Err(CoreError::Analysis { mapping: m, .. })) if m == name => {}
+                    (_, run) => panic!(
+                        "{name} at {workers} workers: the oracle says\n{}but the run gave {:?}",
+                        oracle.render(),
+                        run.map(|r| r.tasks_executed)
+                    ),
+                }
+            }
+        }
+    });
+}

@@ -17,7 +17,7 @@
 //! replay any failure with `D4PY_PROP_SEED=<seed> D4PY_PROP_CASES=1`.
 
 use d4py_sync::prop;
-use dispel4py::core::error::{CodecError, CoreError};
+use dispel4py::core::error::CoreError;
 use dispel4py::core::state::snapshot::{
     decode_slot, decode_slot_payload, encode_slot, Snapshot, SnapshotError, FORMAT_VERSION, MAGIC,
 };
@@ -436,13 +436,13 @@ fn intact_frames_warm_start_without_warnings() {
 
 #[test]
 fn legacy_blob_decode_error_is_typed_too() {
-    // A legacy (unframed) blob that is itself truncated: the shim must
-    // surface a typed codec error, not a panic.
+    // A legacy (unframed) blob that is itself truncated: it carries no
+    // frame magic, so the load is a typed error, not a panic.
     let store = MemoryStateStore::new();
     let legacy = dispel4py::core::codec::encode_value(&Value::Str("hello".into()));
     store.insert_raw("count#0", legacy[..legacy.len() - 2].to_vec());
     match dispel4py::core::state::StateStore::load(&*store, "count#0") {
-        Err(CoreError::Snapshot(SnapshotError::Payload(CodecError::BadLength { .. }))) => {}
+        Err(CoreError::Snapshot(SnapshotError::BadMagic)) => {}
         other => panic!("expected typed legacy decode error, got {other:?}"),
     }
 }

@@ -1,9 +1,7 @@
 //! Integration: state externalization — stateful instances snapshot their
 //! aggregates and warm-start a later run (incremental processing across
-//! sessions), including warm starts from stores written by **pre-versioned
-//! builds** (bare codec blobs decoded through the deprecated legacy shim).
+//! sessions).
 
-use dispel4py::core::codec::encode_value;
 use dispel4py::core::state::{MemoryStateStore, StateStore};
 use dispel4py::prelude::*;
 use dispel4py::redis::RedisStateStore;
@@ -117,94 +115,6 @@ fn memory_store_works_with_hybrid_multi() {
     )
     .unwrap();
     assert!(total_count(&r2) > first);
-}
-
-/// Warm-start across the codec change: a store whose slots hold *legacy*
-/// unframed blobs (what a pre-versioned build persisted) must warm-start a
-/// second session to exactly the totals the framed two-session baseline
-/// produces.
-#[test]
-fn legacy_store_warm_starts_to_the_framed_baseline() {
-    // Session 1 populates a framed store.
-    let framed = MemoryStateStore::new();
-    let (exe, _) = sentiment::build(&cfg(1, 11));
-    run_hybrid(&exe, framed.clone());
-
-    // Downgrade a copy of it to the pre-versioned representation: each
-    // slot's state re-saved as a bare codec blob, no frame.
-    let legacy = MemoryStateStore::new();
-    for slot in framed.slots().unwrap() {
-        let state = framed.load(&slot).unwrap().expect("slot has state");
-        legacy.insert_raw(&slot, encode_value(&state));
-    }
-
-    // Session 2 from the framed store: the baseline.
-    let (exe, baseline) = sentiment::build(&cfg(1, 22));
-    run_hybrid(&exe, framed);
-    // Session 2 from the legacy store: decoded through the shim.
-    let (exe, via_shim) = sentiment::build(&cfg(1, 22));
-    run_hybrid(&exe, legacy);
-
-    assert_eq!(
-        total_count(&via_shim),
-        total_count(&baseline),
-        "legacy-blob warm start must aggregate identically to the framed one"
-    );
-}
-
-/// A **committed** legacy fixture (bytes written before the versioned
-/// format existed) still warm-starts a run through the shim: the planted
-/// aggregate dominates the ranking with its exact stored count.
-#[test]
-fn committed_legacy_fixture_warm_starts_through_the_shim() {
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/fixtures/legacy_happy_state.bin");
-    // The fixture predates the frame format: bare codec bytes of a
-    // HappyState aggregate for a state name no corpus article ever has.
-    let expected_blob = encode_value(&Value::map([(
-        "Legacyland",
-        Value::list([Value::Float(5000.0), Value::Int(50)]),
-    )]));
-    if std::env::var("D4PY_REGEN_FIXTURES").as_deref() == Ok("1") {
-        std::fs::write(&path, &expected_blob).expect("write fixture");
-    }
-    let fixture = std::fs::read(&path).expect("missing committed legacy fixture");
-    assert_eq!(fixture, expected_blob, "legacy fixture bytes drifted");
-
-    let store = MemoryStateStore::new();
-    store.insert_raw("happyState#0", fixture);
-    let (exe, results) = sentiment::build(&cfg(1, 7));
-    run_hybrid(&exe, store.clone());
-
-    // No article mentions Legacyland, so its count can only come from the
-    // restored fixture — and its 100.0 average happiness wins the ranking.
-    let rows = results.lock();
-    let winner = &rows[0];
-    assert_eq!(
-        winner.get("state").and_then(Value::as_str),
-        Some("Legacyland"),
-        "rows: {rows:?}"
-    );
-    assert_eq!(winner.get("count").and_then(Value::as_int), Some(50));
-    // The session re-saved every slot framed: the store is migrated.
-    let raw = store.raw("happyState#0").unwrap();
-    assert_eq!(
-        &raw[..8],
-        b"D4PYSNAP",
-        "slot must be re-framed after the run"
-    );
-}
-
-fn run_hybrid(exe: &Executable, store: Arc<MemoryStateStore>) {
-    use dispel4py::core::mappings::hybrid::run_hybrid_with_state;
-    run_hybrid_with_state(
-        exe,
-        &ExecutionOptions::new(8),
-        &HybridMulti,
-        "hybrid_multi",
-        Some(store),
-    )
-    .unwrap();
 }
 
 #[test]

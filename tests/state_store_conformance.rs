@@ -5,7 +5,8 @@
 //! agree on the observable contract: save/load roundtrips, `None` for
 //! missing slots, overwrite-keeps-latest, sorted slot listings, safe
 //! concurrent saves from multiple instances, typed errors for damaged
-//! frames, and the legacy shim. Runs against both implementations — the
+//! frames, and `BadMagic` for unframed blobs. Runs against both
+//! implementations — the
 //! in-memory [`MemoryStateStore`] and the Redis-hash [`RedisStateStore`]
 //! (in-proc backend).
 //!
@@ -188,18 +189,19 @@ fn misfiled_frames_are_slot_mismatches_everywhere() {
 }
 
 #[test]
-fn legacy_unframed_blobs_load_everywhere() {
+fn unframed_blobs_are_bad_magic_everywhere() {
     for (name, store) in backends() {
-        let legacy = dispel4py::core::codec::encode_value(&sample_state());
-        store.put_raw("old#3", &legacy);
-        assert_eq!(
-            store.load("old#3").unwrap(),
-            Some(sample_state()),
-            "{name}: pre-versioned blob must load through the shim"
-        );
-        // Re-saving writes the framed form, completing the migration.
+        // A bare codec blob, as builds before the versioned format stored.
+        let unframed = dispel4py::core::codec::encode_value(&sample_state());
+        store.put_raw("old#3", &unframed);
+        match store.load("old#3") {
+            Err(CoreError::Snapshot(SnapshotError::BadMagic)) => {}
+            other => panic!("{name}: expected BadMagic, got {other:?}"),
+        }
+        // Saving over it writes the framed form, which loads.
         store.save("old#3", &sample_state()).unwrap();
         assert_eq!(&store.get_raw("old#3").unwrap()[..8], &MAGIC, "{name}");
+        assert_eq!(store.load("old#3").unwrap(), Some(sample_state()), "{name}");
     }
 }
 

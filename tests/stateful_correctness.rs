@@ -47,8 +47,11 @@ fn plain_dynamic_mappings_reject_the_stateful_workflow() {
             .execute(&exe, &ExecutionOptions::new(8))
             .unwrap_err();
         match err {
-            CoreError::UnsupportedWorkflow { mapping: m, .. } => assert_eq!(m, name),
-            other => panic!("expected UnsupportedWorkflow, got {other:?}"),
+            CoreError::Analysis { mapping: m, report } => {
+                assert_eq!(m, name);
+                assert!(report.contains("error[D4PY401]"), "{report}");
+            }
+            other => panic!("expected the pool's refusal, got {other:?}"),
         }
     }
 }
